@@ -18,26 +18,19 @@ from .evaluation import evaluate, write_predictions_csv
 from .training import (
     ComponentToggles,
     TrainConfig,
+    coerce_config_value,
     load_checkpoint,
     train,
     write_metrics_csv,
 )
 
-_BOOL_KEYS = {"reference_network", "teacher_memory", "reference_memory"}
-_INT_KEYS = {"burn_in_epochs", "max_epochs", "seed", "batch_size"}
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigurationError(f"not a boolean: {text!r}")
-
 
 def parse_config_file(path) -> dict:
-    """Flat key=value lines; blank lines and #-comments are ignored."""
+    """Flat key=value lines; blank lines and #-comments are ignored.
+
+    Each value is converted to its key's type; an unknown key or a bad value
+    raises ``ConfigurationError`` naming ``path:line``.
+    """
     raw = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         stripped = line.strip()
@@ -46,13 +39,11 @@ def parse_config_file(path) -> dict:
         if "=" not in stripped:
             raise ConfigurationError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = stripped.split("=", 1)
-        key, value = key.strip(), value.strip()
-        if key in _BOOL_KEYS:
-            raw[key] = _parse_bool(value)
-        elif key in _INT_KEYS:
-            raw[key] = int(value)
-        else:
-            raw[key] = float(value)
+        key = key.strip()
+        try:
+            raw[key] = coerce_config_value(key, value)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}:{lineno}: {exc}") from None
     return raw
 
 
@@ -84,7 +75,12 @@ def _add_config_flags(parser: argparse.ArgumentParser, with_toggles: bool = True
     parser.add_argument("--lr", type=float, help="Adam learning rate")
     parser.add_argument("--alpha", type=float, help="teacher EMA momentum")
     parser.add_argument("--seed", type=int, help="run seed")
-    parser.add_argument("--batch-size", type=int, help="forward-pass chunk size")
+    parser.add_argument(
+        "--batch-size",
+        type=int,
+        help="labeled samples per optimizer step; each TRS step pairs them "
+        "with as many unlabeled samples",
+    )
     parser.add_argument("--augment-noise-std", type=float, help="strong-augmentation noise std")
     parser.add_argument("--beta-peak", type=float, help="peak unsupervised loss weight")
     if with_toggles:

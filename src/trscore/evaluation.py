@@ -17,17 +17,17 @@ _EVAL_CHUNK = 256
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values share the average of their ranks."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks; tied values share the average of their ranks.
+
+    NaNs never tie. ``return_index`` makes ``np.unique`` sort stably, so NaNs
+    are ranked in input order.
+    """
+    _, _, inverse, counts = np.unique(
+        values, return_index=True, return_inverse=True, return_counts=True,
+        equal_nan=False,
+    )
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2.0)[inverse]
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:

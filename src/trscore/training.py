@@ -9,21 +9,26 @@ absolute score, both filtered through confidence memories. The teacher
 receives no gradients after burn-in; it trails the student through a
 per-epoch exponential moving average.
 
-An epoch makes one shuffled pass over the labeled set in batches of
-``batch_size``; during the TRS stage every labeled batch is paired with an
+Both stages and the labeled-only baseline share one epoch body: a shuffled
+pass over the labeled set in batches of ``batch_size``, where each batch
+drives one optimizer step of the network being trained (the teacher during
+burn-in, the student afterwards) and of the reference network when it is
+enabled. Given unlabeled data, the body pairs every labeled batch with an
 equal-sized unlabeled batch (a fixed 1:1 structure, drawn from a per-epoch
 shuffled pass over the unlabeled pool, wrapping around when the pool is
-small). Each batch pair drives one optimizer step; the EMA update runs once
-per epoch after the last step.
+small). ``burn_in_epoch`` runs the body on labeled data alone; ``trs_epoch``
+runs it with the unlabeled pool and then the once-per-epoch EMA update; the
+supervised baseline runs it on labeled data alone in both stages. ``train``
+and ``train_supervised`` share one epoch driver.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -108,42 +113,49 @@ class TrainConfig:
         return BetaSchedule(self.beta_peak, self.beta_sharpness, self.beta_horizon)
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "burn_in_epochs": self.burn_in_epochs,
-            "max_epochs": self.max_epochs,
-            "learning_rate": self.learning_rate,
-            "seed": self.seed,
-            "batch_size": self.batch_size,
-            "reference_network": self.component_toggles.reference_network,
-            "teacher_memory": self.component_toggles.teacher_memory,
-            "reference_memory": self.component_toggles.reference_memory,
-            "augment_noise_std": self.augment_noise_std,
-            "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2,
-            "adam_epsilon": self.adam_epsilon,
-            "beta_peak": self.beta_peak,
-            "beta_sharpness": self.beta_sharpness,
-            "beta_horizon": self.beta_horizon,
-        }
+        """Flat key -> value map; the toggles sit beside the other fields."""
+        flat = asdict(self)
+        flat.update(flat.pop("component_toggles"))
+        return flat
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
-        known = cls().to_dict()
-        unknown = set(raw) - set(known)
-        if unknown:
-            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        merged = dict(known, **raw)
+        """Inverse of ``to_dict``; missing keys take their defaults."""
+        flat = cls().to_dict()
+        flat.update((key, coerce_config_value(key, value)) for key, value in raw.items())
         toggles = ComponentToggles(
-            reference_network=bool(merged.pop("reference_network")),
-            teacher_memory=bool(merged.pop("teacher_memory")),
-            reference_memory=bool(merged.pop("reference_memory")),
+            **{f.name: flat.pop(f.name) for f in fields(ComponentToggles)}
         )
-        ints = {"burn_in_epochs", "max_epochs", "seed", "batch_size"}
-        kwargs = {
-            k: (int(v) if k in ints else float(v)) for k, v in merged.items()
-        }
-        return cls(component_toggles=toggles, **kwargs)
+        return cls(component_toggles=toggles, **flat)
+
+
+# each flat key takes the type of its default value
+_FLAT_KINDS = {key: type(value) for key, value in TrainConfig().to_dict().items()}
+_BOOL_WORDS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
+def coerce_config_value(key: str, value) -> bool | int | float:
+    """Convert one flat config value to the type of that key's default.
+
+    Config-file text, JSON values and parsed flags all go through their text
+    form, so ``1.5`` for an integer key is rejected just like ``"1.5"``.
+    """
+    kind = _FLAT_KINDS.get(key)
+    if kind is None:
+        raise ConfigurationError(f"unknown config key {key!r}")
+    text = str(value).strip()
+    try:
+        parsed = _BOOL_WORDS[text.lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        raise ConfigurationError(
+            f"{key}: expected {kind.__name__}, got {value!r}"
+        ) from None
+    if kind is float and not np.isfinite(parsed):
+        raise ConfigurationError(f"{key}: expected a finite float, got {value!r}")
+    return parsed
 
 
 class Adam:
@@ -324,68 +336,58 @@ def _supervised_batch(
     return ad.sum(l_reg_s), ad.sum(l_reg_r)
 
 
-def _predict_direct(
-    net: TeacherParams, x: np.ndarray, chunk: int
-) -> tuple[np.ndarray, np.ndarray]:
-    mus, sigmas = [], []
-    with ad.no_grad():
-        for lo in range(0, x.shape[0], chunk):
-            pred = teacher_forward(net, Tensor(x[lo : lo + chunk]))
-            mus.append(pred.mu_values)
-            sigmas.append(pred.sigma_values)
-    return np.concatenate(mus), np.concatenate(sigmas)
-
-
-def _predict_relative(
-    net: ReferenceParams, x_query: np.ndarray, x_exemplar: np.ndarray, chunk: int
-) -> tuple[np.ndarray, np.ndarray]:
-    mus, sigmas = [], []
-    with ad.no_grad():
-        for lo in range(0, x_query.shape[0], chunk):
-            pred = reference_forward(
-                net, Tensor(x_query[lo : lo + chunk]), Tensor(x_exemplar[lo : lo + chunk])
-            )
-            mus.append(pred.mu_values)
-            sigmas.append(pred.sigma_values)
-    return np.concatenate(mus), np.concatenate(sigmas)
-
-
 # -- epochs -------------------------------------------------------------------
 
 
-def burn_in_epoch(
-    state: TrsState, labeled: Sequence[FeatureSequence], config: TrainConfig
+def _epoch(
+    state: TrsState,
+    labeled: Sequence[FeatureSequence],
+    unlabeled: Sequence[FeatureSequence],
+    beta: float,
+    config: TrainConfig,
 ) -> LossBreakdown:
-    """Supervised epoch for teacher (and reference, when enabled).
+    """One shuffled pass over the labeled set; advances the epoch.
 
-    Each labeled sample is scored directly by the teacher and, paired with a
-    uniformly drawn labeled partner, relatively by the reference network; the
-    summed supervised loss drives one optimizer step. Advances the epoch.
+    Trains the teacher during burn-in and the student in the TRS stage, and
+    the reference network on labeled pairs when enabled. With unlabeled data
+    each labeled batch gets an unlabeled batch whose strong views learn,
+    with weight ``beta``, from pseudo-labels made on their weak views.
     """
-    if state.stage != BURN_IN:
-        raise ContractError(f"burn_in_epoch requires stage {BURN_IN!r}, got {state.stage!r}")
     if not labeled:
-        raise ConfigurationError("burn-in requires at least one labeled sample")
+        raise ConfigurationError("an epoch requires at least one labeled sample")
+    if state.stage == BURN_IN:
+        net, opt = state.theta_t, state.opt_teacher
+    else:
+        net, opt = state.theta_s, state.opt_student
     use_reference = config.component_toggles.reference_network
     epoch = state.epoch
-    x = _stack(labeled)
-    s = _labels(labeled)
     n = len(labeled)
+    m = len(unlabeled)
+    x_lab = _stack(labeled)
+    s_lab = _labels(labeled)
 
     order = streams.derive(state.seed, streams.SHUFFLE_LABELED, epoch).permutation(n)
     if use_reference:
         partner = streams.derive(state.seed, streams.PAIR_LABELED, epoch).integers(0, n, n)
+    if m:
+        unlab_order = streams.derive(
+            state.seed, streams.SHUFFLE_UNLABELED, epoch
+        ).permutation(m)
+        if use_reference:
+            unlab_partner = streams.derive(
+                state.seed, streams.PAIR_UNLABELED, epoch
+            ).integers(0, n, m)
 
-    sum_s = 0.0
-    sum_r = 0.0
+    sum_s = sum_r = sum_u = 0.0
     for lo, hi in _batch_bounds(n, config.batch_size):
         idx = order[lo:hi]
-        state.opt_teacher.zero_grad()
+        opt.zero_grad()
         state.opt_reference.zero_grad()
+
         if use_reference:
             pair = partner[idx]
             batch_s, batch_r = _supervised_batch(
-                state.theta_t, state.theta_f, x[idx], x[pair], s[idx], s[pair]
+                net, state.theta_f, x_lab[idx], x_lab[pair], s_lab[idx], s_lab[pair]
             )
             total = ad.add(
                 ad.mul(batch_s, Tensor(1.0 / idx.size)),
@@ -393,16 +395,56 @@ def burn_in_epoch(
             )
             sum_r += batch_r.item()
         else:
-            batch_s = _direct_nll(state.theta_t, x[idx], s[idx])
+            batch_s = _direct_nll(net, x_lab[idx], s_lab[idx])
             total = ad.mul(batch_s, Tensor(1.0 / idx.size))
-        total.backward()
-        state.opt_teacher.step()
-        if use_reference:
-            state.opt_reference.step()
         sum_s += batch_s.item()
 
+        if m:
+            # 1:1 pairing: an unlabeled batch of the same size, wrapping over
+            # the per-epoch shuffle when the pool runs out
+            slots = unlab_order[np.arange(lo, hi) % m]
+            batch = [unlabeled[int(j)] for j in slots]
+            x_weak = _augmented_stack(
+                batch, "weak", streams.AUGMENT_WEAK, state.seed, epoch,
+                config.augment_noise_std,
+            )
+            x_strong = _augmented_stack(
+                batch, "strong", streams.AUGMENT_STRONG, state.seed, epoch,
+                config.augment_noise_std,
+            )
+            if use_reference:
+                exemplar = unlab_partner[slots]
+                s_bar = _pseudo_labels(
+                    state, batch, x_weak, x_lab[exemplar], s_lab[exemplar], config
+                )
+            else:
+                s_bar = _pseudo_labels(state, batch, x_weak, None, None, config)
+            strong_pred = teacher_forward(net, Tensor(x_strong))
+            batch_u = ad.sum(unsupervised_loss(strong_pred, s_bar))
+            total = ad.add(total, ad.mul(batch_u, Tensor(beta / len(batch))))
+            sum_u += batch_u.item()
+
+        total.backward()
+        opt.step()
+        if use_reference:
+            state.opt_reference.step()
+
     state.epoch = epoch + 1
-    return LossBreakdown.from_terms(sum_s / n, sum_r / n, 0.0, 0.0)
+    # with unlabeled data every labeled sample was paired with one unlabeled
+    return LossBreakdown.from_terms(sum_s / n, sum_r / n, sum_u / n if m else 0.0, beta)
+
+
+def burn_in_epoch(
+    state: TrsState, labeled: Sequence[FeatureSequence], config: TrainConfig
+) -> LossBreakdown:
+    """Supervised epoch for teacher (and reference, when enabled).
+
+    The shared epoch body without unlabeled data: the teacher and the
+    reference network learn from the labeled batches only. Advances the epoch.
+    """
+    if state.stage != BURN_IN:
+        raise ContractError(f"burn_in_epoch requires stage {BURN_IN!r}, got {state.stage!r}")
+    return _epoch(state, labeled, (), 0.0, config)
 
 
 def initialize_student(state: TrsState, config: TrainConfig) -> TrsState:
@@ -445,7 +487,9 @@ def _pseudo_labels(
     toggles = config.component_toggles
     epoch = state.epoch
 
-    mu_t, sigma_t = _predict_direct(state.theta_t, x_weak, len(batch))
+    with ad.no_grad():
+        teacher_pred = teacher_forward(state.theta_t, Tensor(x_weak))
+    mu_t, sigma_t = teacher_pred.mu_values, teacher_pred.sigma_values
     t_side = np.empty(len(batch))
     for j, sample in enumerate(batch):
         if toggles.teacher_memory:
@@ -457,10 +501,10 @@ def _pseudo_labels(
     if not toggles.reference_network:
         return t_side
 
-    delta_mu, delta_sigma = _predict_relative(
-        state.theta_f, x_weak, x_exemplar, len(batch)
-    )
-    recovered = s_exemplar + delta_mu
+    with ad.no_grad():
+        relative_pred = reference_forward(state.theta_f, Tensor(x_weak), Tensor(x_exemplar))
+    recovered = s_exemplar + relative_pred.mu_values
+    delta_sigma = relative_pred.sigma_values
 
     s_bar = np.empty(len(batch))
     for j, sample in enumerate(batch):
@@ -487,103 +531,19 @@ def trs_epoch(
 ) -> LossBreakdown:
     """One teacher-reference-student epoch.
 
-    Per batch pair: pseudo-labels are produced without gradients from weakly
-    augmented unlabeled views, the student learns from strongly augmented
-    views against them plus the supervised loss on the labeled batch, and one
-    optimizer step updates student and reference. The teacher receives no
-    gradients; it trails the student by a single EMA update after the last
-    step of the epoch.
+    The shared epoch body trains the student and the reference network on the
+    labeled batches, each paired with a pseudo-labeled unlabeled batch. The
+    teacher receives no gradients; it trails the student by a single EMA
+    update after the last step of the epoch.
     """
     if state.stage != TRS:
         raise ContractError(f"trs_epoch requires stage {TRS!r}, got {state.stage!r}")
-    if not labeled:
-        raise ConfigurationError("the TRS stage requires labeled samples for pairing")
-    toggles = config.component_toggles
-    epoch = state.epoch
-    n = len(labeled)
-    m = len(unlabeled)
-    x_lab = _stack(labeled)
-    s_lab = _labels(labeled)
-
-    order = streams.derive(state.seed, streams.SHUFFLE_LABELED, epoch).permutation(n)
-    if toggles.reference_network:
-        partner = streams.derive(state.seed, streams.PAIR_LABELED, epoch).integers(0, n, n)
-    if m:
-        unlab_order = streams.derive(
-            state.seed, streams.SHUFFLE_UNLABELED, epoch
-        ).permutation(m)
-        if toggles.reference_network:
-            unlab_partner = streams.derive(
-                state.seed, streams.PAIR_UNLABELED, epoch
-            ).integers(0, n, m)
-
-    sum_s = sum_r = sum_u = 0.0
-    unlab_count = 0
-    cursor = 0
-    for lo, hi in _batch_bounds(n, config.batch_size):
-        idx = order[lo:hi]
-        state.opt_student.zero_grad()
-        state.opt_reference.zero_grad()
-
-        if toggles.reference_network:
-            pair = partner[idx]
-            batch_s, batch_r = _supervised_batch(
-                state.theta_s, state.theta_f, x_lab[idx], x_lab[pair],
-                s_lab[idx], s_lab[pair],
-            )
-            total = ad.add(
-                ad.mul(batch_s, Tensor(1.0 / idx.size)),
-                ad.mul(batch_r, Tensor(1.0 / idx.size)),
-            )
-            sum_r += batch_r.item()
-        else:
-            batch_s = _direct_nll(state.theta_s, x_lab[idx], s_lab[idx])
-            total = ad.mul(batch_s, Tensor(1.0 / idx.size))
-        sum_s += batch_s.item()
-
-        if m:
-            # 1:1 pairing: an unlabeled batch of the same size, wrapping over
-            # the per-epoch shuffle when the pool runs out
-            slots = [unlab_order[(cursor + j) % m] for j in range(idx.size)]
-            cursor += idx.size
-            batch = [unlabeled[int(j)] for j in slots]
-            x_weak = _augmented_stack(
-                batch, "weak", streams.AUGMENT_WEAK, state.seed, epoch,
-                config.augment_noise_std,
-            )
-            x_strong = _augmented_stack(
-                batch, "strong", streams.AUGMENT_STRONG, state.seed, epoch,
-                config.augment_noise_std,
-            )
-            if toggles.reference_network:
-                exemplar = np.array([unlab_partner[int(j)] for j in slots])
-                s_bar = _pseudo_labels(
-                    state, batch, x_weak, x_lab[exemplar], s_lab[exemplar], config
-                )
-            else:
-                s_bar = _pseudo_labels(state, batch, x_weak, None, None, config)
-            student_pred = teacher_forward(state.theta_s, Tensor(x_strong))
-            batch_u = ad.sum(unsupervised_loss(student_pred, s_bar))
-            total = ad.add(total, ad.mul(batch_u, Tensor(beta / len(batch))))
-            sum_u += batch_u.item()
-            unlab_count += len(batch)
-
-        total.backward()
-        state.opt_student.step()
-        if toggles.reference_network:
-            state.opt_reference.step()
-
+    breakdown = _epoch(state, labeled, unlabeled, beta, config)
     state.theta_t = TeacherParams(
         state.theta_t.arch,
         ema_update(state.theta_t.params, state.theta_s.params, config.alpha),
     )
-    state.epoch = epoch + 1
-    return LossBreakdown.from_terms(
-        sum_s / n,
-        sum_r / n,
-        sum_u / unlab_count if unlab_count else 0.0,
-        beta,
-    )
+    return breakdown
 
 
 # -- full runs ----------------------------------------------------------------
@@ -657,6 +617,34 @@ def _safe_val_spearman(net: TeacherParams | None, val_set) -> float:
     return rho
 
 
+def _run_epochs(
+    config: TrainConfig,
+    labeled_set: Sequence[FeatureSequence],
+    unlabeled_set: Sequence[FeatureSequence],
+    val_set: Sequence[FeatureSequence] | None,
+    arch: NetworkArch | None,
+    student_epoch: Callable[[TrsState, int], LossBreakdown],
+) -> tuple[TrsState, list[EpochMetrics]]:
+    """Burn-in epochs, the student at the boundary, then ``student_epoch``."""
+    config.validate()
+    _check_training_sets(labeled_set, unlabeled_set)
+    t, d = labeled_set[0].features.shape
+    state = init_state(config, arch or NetworkArch(t=t, d=d))
+    val = list(val_set) if val_set is not None else list(labeled_set)
+
+    metrics: list[EpochMetrics] = []
+    for epoch in range(config.max_epochs):
+        if epoch < config.burn_in_epochs:
+            bd = burn_in_epoch(state, labeled_set, config)
+        else:
+            if epoch == config.burn_in_epochs:
+                initialize_student(state, config)
+            bd = student_epoch(state, epoch)
+        rho = _safe_val_spearman(state.theta_s, val)
+        metrics.append(EpochMetrics.from_breakdown(epoch, bd, rho))
+    return state, metrics
+
+
 def train(
     config: TrainConfig,
     labeled_set: Sequence[FeatureSequence],
@@ -673,28 +661,15 @@ def train(
     labeled training samples are used. When ``checkpoint_dir`` is given the
     final run state is saved there.
     """
-    config.validate()
-    _check_training_sets(labeled_set, unlabeled_set)
-    t, d = labeled_set[0].features.shape
-    arch = arch or NetworkArch(t=t, d=d)
     schedule = config.schedule()
-    state = init_state(config, arch)
-    val = list(val_set) if val_set is not None else list(labeled_set)
 
-    metrics: list[EpochMetrics] = []
-    for epoch in range(config.max_epochs):
-        if epoch < config.burn_in_epochs:
-            bd = burn_in_epoch(state, labeled_set, config)
-            rho = float("nan")
-        else:
-            if epoch == config.burn_in_epochs:
-                initialize_student(state, config)
-            bd = trs_epoch(
-                state, labeled_set, unlabeled_set, beta_at(epoch, schedule), config
-            )
-            rho = _safe_val_spearman(state.theta_s, val)
-        metrics.append(EpochMetrics.from_breakdown(epoch, bd, rho))
+    def student_epoch(state: TrsState, epoch: int) -> LossBreakdown:
+        beta = beta_at(epoch, schedule)
+        return trs_epoch(state, labeled_set, unlabeled_set, beta, config)
 
+    state, metrics = _run_epochs(
+        config, labeled_set, unlabeled_set, val_set, arch, student_epoch
+    )
     if checkpoint_dir is not None:
         save_checkpoint(checkpoint_dir, state, config)
     return state.theta_t, state.theta_s, metrics
@@ -708,44 +683,19 @@ def train_supervised(
 ) -> tuple[TeacherParams, list[EpochMetrics]]:
     """Labeled-data-only baseline with the same epoch budget.
 
-    Mirrors the two-stage structure (parameter copy and fresh optimizer at
+    Runs the same epochs as ``train`` (parameter copy and fresh optimizer at
     the burn-in boundary) so its loss trajectory is epoch-for-epoch
-    comparable with a semi-supervised run, but involves no unlabeled data,
-    pseudo-labels, memories, EMA or reference network.
+    comparable with a semi-supervised run, but with the component toggles
+    forced off and no unlabeled data: no pseudo-labels, memories, EMA or
+    reference network. Returns the student and one metrics row per epoch.
     """
-    config.validate()
-    _check_training_sets(labeled_set, [])
-    t, d = labeled_set[0].features.shape
-    arch = arch or NetworkArch(t=t, d=d)
-    net = init_teacher_params(arch, streams.derive(config.seed, streams.INIT_TEACHER))
-    opt = adam_for(net.params, config)
-    x = _stack(labeled_set)
-    s = _labels(labeled_set)
-    n = len(labeled_set)
-    val = list(val_set) if val_set is not None else list(labeled_set)
+    config = replace(config, component_toggles=ComponentToggles(False, False, False))
 
-    metrics: list[EpochMetrics] = []
-    for epoch in range(config.max_epochs):
-        if epoch == config.burn_in_epochs:
-            net = net.copy()
-            opt = adam_for(net.params, config)
-        order = streams.derive(config.seed, streams.SHUFFLE_LABELED, epoch).permutation(n)
-        sum_s = 0.0
-        for lo, hi in _batch_bounds(n, config.batch_size):
-            idx = order[lo:hi]
-            opt.zero_grad()
-            batch_s = _direct_nll(net, x[idx], s[idx])
-            ad.mul(batch_s, Tensor(1.0 / idx.size)).backward()
-            opt.step()
-            sum_s += batch_s.item()
-        rho = (
-            _safe_val_spearman(net, val)
-            if epoch >= config.burn_in_epochs
-            else float("nan")
-        )
-        bd = LossBreakdown.from_terms(sum_s / n, 0.0, 0.0, 0.0)
-        metrics.append(EpochMetrics.from_breakdown(epoch, bd, rho))
-    return net, metrics
+    def student_epoch(state: TrsState, epoch: int) -> LossBreakdown:
+        return _epoch(state, labeled_set, (), 0.0, config)
+
+    state, metrics = _run_epochs(config, labeled_set, (), val_set, arch, student_epoch)
+    return state.theta_s, metrics
 
 
 # -- checkpointing ------------------------------------------------------------

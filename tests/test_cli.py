@@ -153,6 +153,24 @@ class TestConfigFile:
 
             TrainConfig.from_dict(parse_config_file(config_file))
 
+    @pytest.mark.parametrize(
+        "line", ["seed=abc", "max_epochs=1.5", "teacher_memory=maybe", "learning_rate=nan"]
+    )
+    def test_bad_value_exits_2_naming_line_and_key(self, tiny_data, tmp_path, capsys, line):
+        train_file, _ = tiny_data
+        config_file = tmp_path / "bad.cfg"
+        config_file.write_text("# comment\n" + line + "\n")
+        key = line.split("=")[0]
+        with pytest.raises(ConfigurationError, match=f"bad.cfg:2: {key}"):
+            parse_config_file(config_file)
+        code = run_cli(
+            ["train", "--data", train_file, "--out-dir", tmp_path / "out",
+             "--config", config_file]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"bad.cfg:2: {key}" in err and "Traceback" not in err
+
     def test_malformed_line(self, tmp_path):
         config_file = tmp_path / "bad.cfg"
         config_file.write_text("just words\n")

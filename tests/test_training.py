@@ -299,8 +299,9 @@ class TestTrsEpoch:
         seen: dict[str, float] = {}
         for _ in range(4):
             epoch = state.epoch
-            from trscore.training import _augmented_stack, _predict_direct
+            from trscore import autodiff as ad
             from trscore import rng as streams
+            from trscore.training import _augmented_stack
 
             # teacher parameters are frozen within an epoch (EMA happens at
             # its end), so per-sample predictions can be replayed up front
@@ -308,7 +309,8 @@ class TestTrsEpoch:
                 unlabeled, "weak", streams.AUGMENT_WEAK, state.seed, epoch,
                 config.augment_noise_std,
             )
-            _, sigma_now = _predict_direct(state.theta_t, x_weak, config.batch_size)
+            with ad.no_grad():
+                sigma_now = teacher_forward(state.theta_t, Tensor(x_weak)).sigma_values
             for s, sig in zip(unlabeled, sigma_now):
                 seen[s.sample_id] = min(seen.get(s.sample_id, np.inf), sig)
             trs_epoch(state, labeled, unlabeled, beta=0.05, config=config)
@@ -351,7 +353,81 @@ class TestTrsEpoch:
             trs_epoch(state, labeled, unlabeled, beta=0.0, config=config)
 
 
+def _reference_train_supervised(config, labeled_set, val_set=None, arch=None):
+    """The labeled-only baseline as a loop of its own, kept as a test oracle.
+
+    ``train_supervised`` runs through the same epoch body and driver as
+    ``train``, so comparing the two no longer checks the baseline; this copy
+    of the original loop does.
+    """
+    from trscore import autodiff as ad
+    from trscore import rng as streams
+    from trscore.networks import init_teacher_params
+    from trscore.objectives import LossBreakdown
+    from trscore.training import (
+        EpochMetrics,
+        _batch_bounds,
+        _check_training_sets,
+        _direct_nll,
+        _labels,
+        _safe_val_spearman,
+        _stack,
+        adam_for,
+    )
+
+    config.validate()
+    _check_training_sets(labeled_set, [])
+    t, d = labeled_set[0].features.shape
+    arch = arch or NetworkArch(t=t, d=d)
+    net = init_teacher_params(arch, streams.derive(config.seed, streams.INIT_TEACHER))
+    opt = adam_for(net.params, config)
+    x = _stack(labeled_set)
+    s = _labels(labeled_set)
+    n = len(labeled_set)
+    val = list(val_set) if val_set is not None else list(labeled_set)
+
+    metrics = []
+    for epoch in range(config.max_epochs):
+        if epoch == config.burn_in_epochs:
+            net = net.copy()
+            opt = adam_for(net.params, config)
+        order = streams.derive(config.seed, streams.SHUFFLE_LABELED, epoch).permutation(n)
+        sum_s = 0.0
+        for lo, hi in _batch_bounds(n, config.batch_size):
+            idx = order[lo:hi]
+            opt.zero_grad()
+            batch_s = _direct_nll(net, x[idx], s[idx])
+            ad.mul(batch_s, Tensor(1.0 / idx.size)).backward()
+            opt.step()
+            sum_s += batch_s.item()
+        rho = (
+            _safe_val_spearman(net, val)
+            if epoch >= config.burn_in_epochs
+            else float("nan")
+        )
+        bd = LossBreakdown.from_terms(sum_s / n, 0.0, 0.0, 0.0)
+        metrics.append(EpochMetrics.from_breakdown(epoch, bd, rho))
+    return net, metrics
+
+
 class TestDegeneration:
+    def test_supervised_matches_reference_loop_with_toggles_on(self):
+        # the baseline must ignore the toggles: every one is on here
+        from dataclasses import astuple
+
+        labeled, _ = toy_sets(n=40, frac=0.5, seed=4)
+        val, _ = toy_sets(n=12, frac=1.0, seed=9)
+        config = quick_config(burn_in_epochs=3, max_epochs=8, batch_size=6)
+        assert config.component_toggles == ComponentToggles(True, True, True)
+        net, metrics = train_supervised(config, labeled, val_set=val)
+        ref_net, ref_metrics = _reference_train_supervised(config, labeled, val_set=val)
+        np.testing.assert_equal(
+            [astuple(row) for row in metrics], [astuple(row) for row in ref_metrics]
+        )
+        assert net.params.names() == ref_net.params.names()
+        for name, p in net.params.items():
+            assert np.array_equal(p.array, ref_net.params[name].array), name
+
     def test_beta_zero_toggles_off_matches_supervised(self):
         labeled, unlabeled = toy_sets(n=40, frac=0.5, seed=4)
         config = quick_config(
