@@ -9,6 +9,22 @@ corrupted by later code.
 
 Storage is a C-contiguous float64 numpy array; ``Tensor.data`` and
 ``Tensor.grad`` expose the flat row-major buffers.
+
+The code is dispatch-bound: a tape node costs more in Python than its tiny
+arithmetic. So the networks record each Mixer sublayer and each
+cross-attention block, and ``objectives`` records the Gaussian NLL, as one
+fused node with a hand-derived backward. The fused nodes share the array-level
+math below (``_layer_norm_forward``/``_backward``, ``_gelu_*``,
+``_softmax_*``, ``_matmul_backward``) with the unfused operations, and compute
+the same numpy expressions on operands of the same memory layout, so their
+values and gradients are bit-identical to the unfused compositions. The
+unfused operations stay public: they are the building blocks of small graphs
+and the oracles that the fused nodes are tested against.
+
+A ``ParameterSet`` keeps all its values in one contiguous float64 vector
+(``ParameterSet.data``) of which every parameter's tensor is a reshaped view,
+so whole-set updates (Adam, EMA, copies, checkpoint data) are single vector
+expressions.
 """
 
 from __future__ import annotations
@@ -132,8 +148,10 @@ class Tensor:
         if not self.requires_grad:
             return
         if self._grad is None:
-            self._grad = np.zeros_like(self._array)
-        self._grad += grad
+            # the first term is added to zero, bit for bit, without zero-filling
+            self._grad = np.add(grad, 0.0, out=np.empty_like(self._array))
+        else:
+            self._grad += grad
 
     def backward(self) -> None:
         """Reverse-mode pass from this scalar through the recorded graph."""
@@ -204,6 +222,16 @@ class Tensor:
 
 def _lift(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
+
+
+def _transposed(a: Array) -> Array:
+    """C-contiguous copy of ``a`` with its last two axes swapped.
+
+    The layout that ``transpose_last_two`` hands to the next operation; a
+    fused op that feeds a transposed operand to ``@`` copies it the same way,
+    because ``@`` may round differently on a strided operand.
+    """
+    return np.ascontiguousarray(np.swapaxes(a, -1, -2))
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -288,15 +316,24 @@ def log(x: Tensor) -> Tensor:
     return Tensor._from_op(out, (x,), backward)
 
 
+def _gelu_forward(x: Array) -> tuple[Array, Array]:
+    """GELU values and the Gaussian CDF that the backward pass reuses."""
+    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    return x * cdf, cdf
+
+
+def _gelu_backward(g: Array, x: Array, cdf: Array) -> Array:
+    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    return g * (cdf + x * pdf)
+
+
 def gelu(x: Tensor) -> Tensor:
     """GELU in the exact Gaussian-CDF form x * Phi(x)."""
     x_val = x.array
-    cdf = 0.5 * (1.0 + erf(x_val * _INV_SQRT2))
-    out = x_val * cdf
+    out, cdf = _gelu_forward(x_val)
 
     def backward(g: Array) -> None:
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x_val * x_val)
-        x._accumulate(g * (cdf + x_val * pdf))
+        x._accumulate(_gelu_backward(g, x_val, cdf))
 
     return Tensor._from_op(out, (x,), backward)
 
@@ -387,16 +424,53 @@ def mean(x: Tensor, axis: int | None = None) -> Tensor:
     return Tensor._from_op(out, (x,), backward)
 
 
+def _softmax_forward(x: Array) -> Array:
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_backward(g: Array, out: Array) -> Array:
+    inner = (g * out).sum(axis=-1, keepdims=True)
+    return out * (g - inner)
+
+
 def softmax_last_dim(x: Tensor) -> Tensor:
-    shifted = x.array - x.array.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = _softmax_forward(x.array)
 
     def backward(g: Array) -> None:
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        x._accumulate(out * (g - inner))
+        x._accumulate(_softmax_backward(g, out))
 
     return Tensor._from_op(out, (x,), backward)
+
+
+def _layer_norm_forward(
+    x: Array, scale: Array, shift: Array, eps: float = LAYER_NORM_EPS
+) -> tuple[Array, Array, Array]:
+    """Layer-norm values plus the normalized input and inverse std."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    return xhat * scale + shift, xhat, inv
+
+
+def _layer_norm_backward(
+    g: Array, xhat: Array, inv: Array, scale: Array, need_dx: bool = True
+) -> tuple[Array | None, Array, Array]:
+    """Gradients for (x, scale, shift); the x term is None unless needed."""
+    lead = tuple(range(g.ndim - 1))
+    d_shift = g.sum(axis=lead)
+    d_scale = (g * xhat).sum(axis=lead)
+    if not need_dx:
+        return None, d_scale, d_shift
+    gx = g * scale
+    dx = inv * (
+        gx
+        - gx.mean(axis=-1, keepdims=True)
+        - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+    )
+    return dx, d_scale, d_shift
 
 
 def layer_norm(
@@ -409,29 +483,21 @@ def layer_norm(
             f"layer_norm scale/shift must have shape ({d},), got "
             f"{scale.shape} and {shift.shape}"
         )
-    mu = x.array.mean(axis=-1, keepdims=True)
-    centered = x.array - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = xhat * scale.array + shift.array
+    out, xhat, inv = _layer_norm_forward(x.array, scale.array, shift.array, eps)
     scale_val = scale.array
 
     def backward(g: Array) -> None:
-        lead = tuple(range(g.ndim - 1))
-        shift._accumulate(g.sum(axis=lead))
-        scale._accumulate((g * xhat).sum(axis=lead))
-        gx = g * scale_val
-        x._accumulate(
-            inv
-            * (
-                gx
-                - gx.mean(axis=-1, keepdims=True)
-                - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-            )
-        )
+        dx, d_scale, d_shift = _layer_norm_backward(g, xhat, inv, scale_val)
+        shift._accumulate(d_shift)
+        scale._accumulate(d_scale)
+        x._accumulate(dx)
 
     return Tensor._from_op(out, (x, scale, shift), backward)
+
+
+def _matmul_backward(g: Array, a: Array, b: Array) -> tuple[Array, Array]:
+    """Gradients of ``a @ b`` for both operands, before unbroadcasting."""
+    return g @ np.swapaxes(b, -1, -2), np.swapaxes(a, -1, -2) @ g
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -456,8 +522,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a_val, b_val = a.array, b.array
 
     def backward(g: Array) -> None:
-        a._accumulate(_unbroadcast(g @ np.swapaxes(b_val, -1, -2), a.shape))
-        b._accumulate(_unbroadcast(np.swapaxes(a_val, -1, -2) @ g, b.shape))
+        da, db = _matmul_backward(g, a_val, b_val)
+        a._accumulate(_unbroadcast(da, a.shape))
+        b._accumulate(_unbroadcast(db, b.shape))
 
     return Tensor._from_op(out, (a, b), backward)
 
@@ -545,25 +612,66 @@ class Parameter:
     def zero_grad(self) -> None:
         self.tensor.zero_grad()
 
-    def copy(self) -> "Parameter":
-        return Parameter(self.name, self.array)
-
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.tensor.shape})"
 
 
 class ParameterSet:
-    """Ordered collection of uniquely named parameters."""
+    """Ordered collection of uniquely named parameters in one flat arena.
+
+    ``data`` is a contiguous float64 vector holding every value in insertion
+    order; each parameter's tensor is a reshaped view into it, so writes
+    through ``Parameter.assign`` and writes to ``data`` are the same writes.
+    ``add``/``new`` grow the vector and re-point the existing views.
+    """
 
     def __init__(self, params: Iterable[Parameter] = ()):
         self._params: dict[str, Parameter] = {}
+        self.data: Array = np.zeros(0)
         for p in params:
             self.add(p)
+
+    @classmethod
+    def from_layout(
+        cls, layout: Iterable[tuple[str, tuple[int, ...]]], data: Array
+    ) -> "ParameterSet":
+        """Parameters named and shaped by ``layout`` over the vector ``data``.
+
+        ``data`` is adopted, not copied.
+        """
+        out = cls()
+        size = 0  # the module's own ``sum`` shadows the builtin
+        for name, shape in layout:
+            if name in out._params:
+                raise ContractError(f"duplicate parameter name {name!r}")
+            out._params[name] = Parameter(name, np.empty(shape))
+            size += out._params[name].tensor.numel
+        if data.shape != (size,) or data.dtype != np.float64:
+            raise ContractError(
+                f"arena needs {size} float64 values, got {data.dtype} {data.shape}"
+            )
+        out._bind(data)
+        return out
+
+    def with_data(self, data: Array) -> "ParameterSet":
+        """A new set with this set's names and shapes over ``data``."""
+        return ParameterSet.from_layout(
+            ((name, p.tensor.shape) for name, p in self.items()), data
+        )
+
+    def _bind(self, data: Array) -> None:
+        self.data = data
+        offset = 0
+        for p in self._params.values():
+            size = p.tensor.numel
+            p.tensor._array = data[offset : offset + size].reshape(p.tensor.shape)
+            offset += size
 
     def add(self, param: Parameter) -> Parameter:
         if param.name in self._params:
             raise ContractError(f"duplicate parameter name {param.name!r}")
         self._params[param.name] = param
+        self._bind(np.concatenate([self.data, param.array.reshape(-1)]))
         return param
 
     def new(self, name: str, values) -> Parameter:
@@ -592,7 +700,7 @@ class ParameterSet:
             p.zero_grad()
 
     def copy(self) -> "ParameterSet":
-        return ParameterSet(p.copy() for p in self._params.values())
+        return self.with_data(self.data.copy())
 
     def assert_matches(self, other: "ParameterSet") -> None:
         """Raise unless both sets share names and shapes."""
@@ -608,4 +716,4 @@ class ParameterSet:
                 )
 
     def num_values(self) -> int:
-        return int(np.sum([p.tensor.numel for p in self]))
+        return int(self.data.size)

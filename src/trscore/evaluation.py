@@ -31,13 +31,19 @@ def _ranks(values: np.ndarray) -> np.ndarray:
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
-    """Spearman's rank correlation: Pearson correlation of the rank series."""
+    """Spearman's rank correlation: Pearson correlation of the rank series.
+
+    A NaN in either series raises ``MetricUndefinedError``, so that diverged
+    predictions never report a finite correlation.
+    """
     a = np.asarray(x, dtype=np.float64).reshape(-1)
     b = np.asarray(y, dtype=np.float64).reshape(-1)
     if a.size != b.size:
         raise MetricUndefinedError(f"length mismatch: {a.size} vs {b.size}")
     if a.size < 2:
         raise MetricUndefinedError(f"need at least 2 values, got {a.size}")
+    if np.isnan(a).any() or np.isnan(b).any():
+        raise MetricUndefinedError("rank correlation is undefined for a series holding NaN")
     if np.all(a == a[0]) or np.all(b == b[0]):
         raise MetricUndefinedError("rank correlation is undefined for a constant series")
     ra = _ranks(a) - (a.size + 1) / 2.0

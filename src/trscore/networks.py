@@ -10,6 +10,15 @@ Two architectures share one Gaussian regression head:
 
 Forward functions accept a single ``T x D`` sequence or a stacked
 ``B x T x D`` batch and return predictions of matching rank.
+
+Each Mixer sublayer (token mixing, channel mixing) and each cross-attention
+block is recorded as one fused tape node with a hand-derived backward: about
+20 unfused nodes per layer cost more in Python dispatch than their arithmetic.
+A fused node computes the same numpy expressions, in the same order and on
+operands of the same layout, as the composition of ``autodiff`` operations it
+replaces, so values and gradients are bit-identical to it; the tests keep
+those compositions as oracles. Fused nodes read ``ps[name].tensor`` when they
+are called, so a caller may swap a parameter's tensor to probe its gradient.
 """
 
 from __future__ import annotations
@@ -160,50 +169,76 @@ class ReferenceParams:
         return ReferenceParams(self.arch, self.params.copy())
 
 
-def _weight(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+Layout = list[tuple[str, tuple[int, ...]]]
 
 
-def _add_head(ps: ParameterSet, rng: np.random.Generator, d: int) -> None:
+def teacher_layout(arch: NetworkArch) -> Layout:
+    """Names and shapes of the Mixer encoder + head parameters, in order."""
+    layout = []
+    for i in range(arch.mixer_layers):
+        prefix = f"mixer.{i}"
+        layout += [
+            (f"{prefix}.norm_token.scale", (arch.d,)),
+            (f"{prefix}.norm_token.shift", (arch.d,)),
+            (f"{prefix}.token_in", (arch.t, arch.token_hidden)),
+            (f"{prefix}.token_out", (arch.token_hidden, arch.t)),
+            (f"{prefix}.norm_channel.scale", (arch.d,)),
+            (f"{prefix}.norm_channel.shift", (arch.d,)),
+            (f"{prefix}.channel_in", (arch.d, arch.channel_hidden)),
+            (f"{prefix}.channel_out", (arch.channel_hidden, arch.d)),
+        ]
+    return layout + _head_layout(arch)
+
+
+def reference_layout(arch: NetworkArch) -> Layout:
+    """Names and shapes of the cross-attention + head parameters, in order."""
+    layout = []
+    for i in range(arch.attn_blocks):
+        prefix = f"attn.{i}"
+        layout += [
+            (f"{prefix}.norm_in.scale", (arch.d,)),
+            (f"{prefix}.norm_in.shift", (arch.d,)),
+            (f"{prefix}.w_query", (arch.d, arch.d_k)),
+            (f"{prefix}.w_key", (arch.d, arch.d_k)),
+            (f"{prefix}.w_value", (arch.d, arch.d_k)),
+            (f"{prefix}.w_out", (arch.d_k, arch.d)),
+            (f"{prefix}.norm_mlp.scale", (arch.d,)),
+            (f"{prefix}.norm_mlp.shift", (arch.d,)),
+            (f"{prefix}.mlp_in", (arch.d, arch.attn_mlp_hidden)),
+            (f"{prefix}.mlp_out", (arch.attn_mlp_hidden, arch.d)),
+        ]
+    return layout + _head_layout(arch)
+
+
+def _head_layout(arch: NetworkArch) -> Layout:
     # two raw outputs: mu and the log of sigma
-    ps.new("head.weight", _weight(rng, d, 2))
-    ps.new("head.bias", np.zeros(2))
+    return [("head.weight", (arch.d, 2)), ("head.bias", (2,))]
+
+
+def _init_params(layout: Layout, rng: np.random.Generator) -> ParameterSet:
+    """Scales start at one, shifts and biases at zero; weight matrices are
+    uniform in +-1/sqrt(fan_in), drawn in layout order."""
+    values = []
+    for name, shape in layout:
+        if name.endswith(".scale"):
+            values.append(np.ones(shape))
+        elif name.endswith((".shift", ".bias")):
+            values.append(np.zeros(shape))
+        else:
+            limit = 1.0 / math.sqrt(shape[0])  # shape is (fan_in, fan_out)
+            values.append(rng.uniform(-limit, limit, size=shape))
+    return ParameterSet.from_layout(layout, np.concatenate([v.reshape(-1) for v in values]))
 
 
 def init_teacher_params(arch: NetworkArch, rng: np.random.Generator) -> TeacherParams:
     """Fresh encoder+head parameters; identical seeds give identical values."""
-    ps = ParameterSet()
-    for i in range(arch.mixer_layers):
-        ps.new(f"mixer.{i}.norm_token.scale", np.ones(arch.d))
-        ps.new(f"mixer.{i}.norm_token.shift", np.zeros(arch.d))
-        ps.new(f"mixer.{i}.token_in", _weight(rng, arch.t, arch.token_hidden))
-        ps.new(f"mixer.{i}.token_out", _weight(rng, arch.token_hidden, arch.t))
-        ps.new(f"mixer.{i}.norm_channel.scale", np.ones(arch.d))
-        ps.new(f"mixer.{i}.norm_channel.shift", np.zeros(arch.d))
-        ps.new(f"mixer.{i}.channel_in", _weight(rng, arch.d, arch.channel_hidden))
-        ps.new(f"mixer.{i}.channel_out", _weight(rng, arch.channel_hidden, arch.d))
-    _add_head(ps, rng, arch.d)
-    return TeacherParams(arch, ps)
+    return TeacherParams(arch, _init_params(teacher_layout(arch), rng))
 
 
 def init_reference_params(
     arch: NetworkArch, rng: np.random.Generator
 ) -> ReferenceParams:
-    ps = ParameterSet()
-    for i in range(arch.attn_blocks):
-        ps.new(f"attn.{i}.norm_in.scale", np.ones(arch.d))
-        ps.new(f"attn.{i}.norm_in.shift", np.zeros(arch.d))
-        ps.new(f"attn.{i}.w_query", _weight(rng, arch.d, arch.d_k))
-        ps.new(f"attn.{i}.w_key", _weight(rng, arch.d, arch.d_k))
-        ps.new(f"attn.{i}.w_value", _weight(rng, arch.d, arch.d_k))
-        ps.new(f"attn.{i}.w_out", _weight(rng, arch.d_k, arch.d))
-        ps.new(f"attn.{i}.norm_mlp.scale", np.ones(arch.d))
-        ps.new(f"attn.{i}.norm_mlp.shift", np.zeros(arch.d))
-        ps.new(f"attn.{i}.mlp_in", _weight(rng, arch.d, arch.attn_mlp_hidden))
-        ps.new(f"attn.{i}.mlp_out", _weight(rng, arch.attn_mlp_hidden, arch.d))
-    _add_head(ps, rng, arch.d)
-    return ReferenceParams(arch, ps)
+    return ReferenceParams(arch, _init_params(reference_layout(arch), rng))
 
 
 def _as_tensor(x) -> Tensor:
@@ -222,36 +257,76 @@ def _check_sequence_shape(x: Tensor, arch: NetworkArch, what: str) -> None:
         )
 
 
+def _prenorm_mlp(x, scale, shift, w_in, w_out, across_tokens: bool):
+    """Arrays only: ``x + MLP(layer_norm(x))`` with GELU between projections.
+
+    With ``across_tokens`` the MLP mixes along the snippet axis (the
+    normalized input is transposed before it and the result back after it).
+    Returns the output and a function that maps the output gradient to the
+    gradients of (x, scale, shift, w_in, w_out); the x term (residual plus
+    layer norm) is None when ``need_dx`` is false.
+    """
+    normed, xhat, inv = ad._layer_norm_forward(x, scale, shift)
+    h_in = ad._transposed(normed) if across_tokens else normed
+    pre = h_in @ w_in
+    act, cdf = ad._gelu_forward(pre)
+    mixed = act @ w_out
+    out = x + (np.swapaxes(mixed, -1, -2) if across_tokens else mixed)
+
+    def backward(g, need_dx: bool = True):
+        g_mixed = ad._transposed(g) if across_tokens else g
+        g_act, d_w_out = ad._matmul_backward(g_mixed, act, w_out)
+        g_pre = ad._gelu_backward(g_act, pre, cdf)
+        g_h_in, d_w_in = ad._matmul_backward(g_pre, h_in, w_in)
+        g_normed = ad._transposed(g_h_in) if across_tokens else g_h_in
+        dx, d_scale, d_shift = ad._layer_norm_backward(
+            g_normed, xhat, inv, scale, need_dx
+        )
+        return (
+            g + dx if need_dx else None,
+            d_scale,
+            d_shift,
+            ad._unbroadcast(d_w_in, w_in.shape),
+            ad._unbroadcast(d_w_out, w_out.shape),
+        )
+
+    return out, backward
+
+
+def _mixer_sublayer(ps: ParameterSet, prefix: str, kind: str, x: Tensor) -> Tensor:
+    """One pre-norm residual Mixer MLP (``kind`` token or channel) as one node."""
+    params = tuple(
+        ps[f"{prefix}.{name}"].tensor
+        for name in (f"norm_{kind}.scale", f"norm_{kind}.shift", f"{kind}_in", f"{kind}_out")
+    )
+    out, mlp_backward = _prenorm_mlp(
+        x.array, *(p.array for p in params), across_tokens=kind == "token"
+    )
+
+    def backward(g) -> None:
+        dx, *grads = mlp_backward(g, x.requires_grad)
+        if dx is not None:
+            x._accumulate(dx)
+        for p, grad in zip(params, grads):
+            p._accumulate(grad)
+
+    return Tensor._from_op(out, (x, *params), backward)
+
+
 def mixer_forward(params: TeacherParams, features) -> Tensor:
     """Encode a sequence through the Mixer layers (shape-preserving).
 
     Each layer applies a pre-norm token-mixing MLP across the snippet axis
     with a residual connection, then a pre-norm channel-mixing MLP across the
     feature axis with a residual connection. GELU sits between the paired
-    projections.
+    projections. Each of the two sublayers is one fused tape node.
     """
     x = _as_tensor(features)
     _check_sequence_shape(x, params.arch, "mixer input")
     ps = params.params
     for i in range(params.arch.mixer_layers):
-        normed = ad.layer_norm(
-            x, ps[f"mixer.{i}.norm_token.scale"].tensor,
-            ps[f"mixer.{i}.norm_token.shift"].tensor,
-        )
-        tok = ad.transpose_last_two(normed)
-        tok = ad.matmul(tok, ps[f"mixer.{i}.token_in"].tensor)
-        tok = ad.gelu(tok)
-        tok = ad.matmul(tok, ps[f"mixer.{i}.token_out"].tensor)
-        x = ad.add(x, ad.transpose_last_two(tok))
-
-        normed = ad.layer_norm(
-            x, ps[f"mixer.{i}.norm_channel.scale"].tensor,
-            ps[f"mixer.{i}.norm_channel.shift"].tensor,
-        )
-        ch = ad.matmul(normed, ps[f"mixer.{i}.channel_in"].tensor)
-        ch = ad.gelu(ch)
-        ch = ad.matmul(ch, ps[f"mixer.{i}.channel_out"].tensor)
-        x = ad.add(x, ch)
+        x = _mixer_sublayer(ps, f"mixer.{i}", "token", x)
+        x = _mixer_sublayer(ps, f"mixer.{i}", "channel", x)
     return x
 
 
@@ -290,31 +365,75 @@ def teacher_forward(params: TeacherParams, v) -> ScorePrediction:
 def _attention_block(
     params: ReferenceParams, i: int, x: Tensor, exemplar: Tensor
 ) -> tuple[Tensor, Tensor]:
-    """One cross-attention block; returns (output, attention weights)."""
-    ps = params.params
-    scale = ps[f"attn.{i}.norm_in.scale"].tensor
-    shift = ps[f"attn.{i}.norm_in.shift"].tensor
-    q_in = ad.layer_norm(x, scale, shift)
-    kv_in = ad.layer_norm(exemplar, scale, shift)
-    q = ad.matmul(q_in, ps[f"attn.{i}.w_query"].tensor)
-    k = ad.matmul(kv_in, ps[f"attn.{i}.w_key"].tensor)
-    v = ad.matmul(kv_in, ps[f"attn.{i}.w_value"].tensor)
-    logits = ad.mul(
-        ad.matmul(q, ad.transpose_last_two(k)),
-        Tensor(1.0 / math.sqrt(params.arch.d_k)),
-    )
-    weights = ad.softmax_last_dim(logits)
-    attended = ad.matmul(ad.matmul(weights, v), ps[f"attn.{i}.w_out"].tensor)
-    x = ad.add(x, attended)
+    """One cross-attention block; returns (output, attention weights).
 
-    normed = ad.layer_norm(
-        x, ps[f"attn.{i}.norm_mlp.scale"].tensor,
-        ps[f"attn.{i}.norm_mlp.shift"].tensor,
+    The block (shared pre-norm, attention of the query over the exemplar,
+    residual, then a pre-norm residual MLP) is one fused tape node. The
+    weights are returned as a constant tensor: no loss differentiates
+    through them.
+    """
+    ps = params.params
+    prefix = f"attn.{i}"
+    scale, shift, w_query, w_key, w_value, w_out = (
+        ps[f"{prefix}.{name}"].tensor
+        for name in (
+            "norm_in.scale", "norm_in.shift", "w_query", "w_key", "w_value", "w_out"
+        )
     )
-    h = ad.matmul(normed, ps[f"attn.{i}.mlp_in"].tensor)
-    h = ad.gelu(h)
-    h = ad.matmul(h, ps[f"attn.{i}.mlp_out"].tensor)
-    return ad.add(x, h), weights
+    mlp_params = tuple(
+        ps[f"{prefix}.{name}"].tensor
+        for name in ("norm_mlp.scale", "norm_mlp.shift", "mlp_in", "mlp_out")
+    )
+    q_in, xhat_q, inv_q = ad._layer_norm_forward(x.array, scale.array, shift.array)
+    kv_in, xhat_kv, inv_kv = ad._layer_norm_forward(
+        exemplar.array, scale.array, shift.array
+    )
+    q = q_in @ w_query.array
+    k = kv_in @ w_key.array
+    v = kv_in @ w_value.array
+    k_t = ad._transposed(k)
+    logit_scale = 1.0 / math.sqrt(params.arch.d_k)
+    weights = ad._softmax_forward((q @ k_t) * logit_scale)
+    mixed = weights @ v
+    x1 = x.array + mixed @ w_out.array
+    out, mlp_backward = _prenorm_mlp(
+        x1, *(p.array for p in mlp_params), across_tokens=False
+    )
+
+    def backward(g) -> None:
+        g_x1, *mlp_grads = mlp_backward(g)
+        for p, grad in zip(mlp_params, mlp_grads):
+            p._accumulate(grad)
+        g_mixed, d_w_out = ad._matmul_backward(g_x1, mixed, w_out.array)
+        w_out._accumulate(ad._unbroadcast(d_w_out, w_out.shape))
+        g_weights, g_v = ad._matmul_backward(g_mixed, weights, v)
+        g_scores = ad._softmax_backward(g_weights, weights) * logit_scale
+        g_q, g_k_t = ad._matmul_backward(g_scores, q, k_t)
+        g_kv_k, d_w_key = ad._matmul_backward(ad._transposed(g_k_t), kv_in, w_key.array)
+        g_kv_v, d_w_value = ad._matmul_backward(g_v, kv_in, w_value.array)
+        g_q_in, d_w_query = ad._matmul_backward(g_q, q_in, w_query.array)
+        w_key._accumulate(ad._unbroadcast(d_w_key, w_key.shape))
+        w_value._accumulate(ad._unbroadcast(d_w_value, w_value.shape))
+        w_query._accumulate(ad._unbroadcast(d_w_query, w_query.shape))
+        dx, d_scale_q, d_shift_q = ad._layer_norm_backward(
+            g_q_in, xhat_q, inv_q, scale.array, x.requires_grad
+        )
+        d_ex, d_scale_kv, d_shift_kv = ad._layer_norm_backward(
+            g_kv_k + g_kv_v, xhat_kv, inv_kv, scale.array, exemplar.requires_grad
+        )
+        scale._accumulate(d_scale_q + d_scale_kv)
+        shift._accumulate(d_shift_q + d_shift_kv)
+        if dx is not None:
+            x._accumulate(g_x1 + dx)
+        if d_ex is not None:
+            exemplar._accumulate(d_ex)
+
+    node = Tensor._from_op(
+        out,
+        (x, exemplar, scale, shift, w_query, w_key, w_value, w_out, *mlp_params),
+        backward,
+    )
+    return node, Tensor._from_op(weights, (), None)
 
 
 def reference_forward(params: ReferenceParams, v_query, v_exemplar) -> ScorePrediction:

@@ -25,6 +25,7 @@ and ``train_supervised`` share one epoch driver.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -35,7 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from . import rng as streams
 from .autodiff import ParameterSet, Tensor
-from .errors import ConfigurationError, ContractError, MetricUndefinedError
+from .errors import ConfigurationError, ContractError, MetricUndefinedError, ParseError
 from .memory import REFERENCE, TEACHER, ConfidenceMemory, fuse_pseudo_label
 from .networks import (
     FeatureSequence,
@@ -45,7 +46,9 @@ from .networks import (
     init_reference_params,
     init_teacher_params,
     reference_forward,
+    reference_layout,
     teacher_forward,
+    teacher_layout,
 )
 from .objectives import (
     BetaSchedule,
@@ -159,7 +162,11 @@ def coerce_config_value(key: str, value) -> bool | int | float:
 
 
 class Adam:
-    """Adam with bias correction over one parameter set."""
+    """Adam with bias correction over one parameter set.
+
+    The moments are flat vectors parallel to the set's arena, so a step is a
+    handful of vector expressions over every parameter at once.
+    """
 
     def __init__(
         self,
@@ -175,31 +182,38 @@ class Adam:
         self.beta2 = beta2
         self.epsilon = epsilon
         self._step = 0
-        self._m = {name: np.zeros(p.tensor.numel) for name, p in params.items()}
-        self._v = {name: np.zeros(p.tensor.numel) for name, p in params.items()}
+        self._m = np.zeros(params.num_values())
+        self._v = np.zeros(params.num_values())
 
     def zero_grad(self) -> None:
         self.params.zero_grad()
 
     def step(self) -> None:
+        """Move every parameter, or none when no gradient arrived at all.
+
+        Raises ``ContractError``, moving nothing, when only some parameters
+        received a gradient since ``zero_grad``.
+        """
+        grads = [p.tensor.grad for p in self.params]
+        missing = [p.name for p, g in zip(self.params, grads) if g is None]
+        if missing and len(missing) < len(grads):
+            raise ContractError(f"no gradient since zero_grad for {missing}")
         self._step += 1
+        if missing:
+            return
+        g = np.concatenate(grads)
         correct1 = 1.0 - self.beta1 ** self._step
         correct2 = 1.0 - self.beta2 ** self._step
-        for name, p in self.params.items():
-            g = p.tensor.grad
-            if g is None:
-                continue
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = self.learning_rate * (m / correct1) / (
-                np.sqrt(v / correct2) + self.epsilon
-            )
-            flat = p.array.reshape(-1) - update
-            p.assign(flat.reshape(p.array.shape))
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        self.params.data -= self.learning_rate * (m / correct1) / (
+            np.sqrt(v / correct2) + self.epsilon
+        )
+        for p in self.params:
+            p.version += 1
 
 
 def adam_for(params: ParameterSet, config: TrainConfig) -> Adam:
@@ -220,10 +234,7 @@ def ema_update(theta_t: ParameterSet, theta_s: ParameterSet, alpha: float) -> Pa
     if not 0.0 < alpha < 1.0:
         raise ContractError(f"alpha must lie in (0, 1), got {alpha}")
     theta_t.assert_matches(theta_s)
-    blended = ParameterSet()
-    for name, p in theta_t.items():
-        blended.new(name, alpha * p.array + (1.0 - alpha) * theta_s[name].array)
-    return blended
+    return theta_t.with_data(alpha * theta_t.data + (1.0 - alpha) * theta_s.data)
 
 
 def augment(
@@ -712,35 +723,62 @@ def save_parameter_set(params: ParameterSet, path) -> None:
         chunks.append(encoded)
         chunks.append(struct.pack("<B", p.tensor.ndim))
         chunks.append(struct.pack(f"<{p.tensor.ndim}I", *p.tensor.shape))
-    for p in params:
-        chunks.append(p.array.astype("<f8").tobytes())
+    chunks.append(params.data.astype("<f8").tobytes())
     Path(path).write_bytes(b"".join(chunks))
 
 
 def load_parameter_set(path) -> ParameterSet:
+    """Inverse of ``save_parameter_set``.
+
+    A malformed file (truncated anywhere, a bad version, name or shape, or
+    bytes after the data section) raises ``ParseError`` naming the file and
+    the byte offset.
+    """
     blob = Path(path).read_bytes()
-    version, count = struct.unpack_from("<II", blob, 0)
+
+    def fail(message: str, offset: int) -> ParseError:
+        return ParseError(f"{path}: {message}", offset)
+
+    def unpack(fmt: str, offset: int, what: str) -> tuple:
+        if offset + struct.calcsize(fmt) > len(blob):
+            raise fail(f"file ends inside {what}", offset)
+        return struct.unpack_from(fmt, blob, offset)
+
+    version, count = unpack("<II", 0, "the header")
     if version != _BIN_VERSION:
-        raise ContractError(f"unsupported parameter file version {version}")
+        raise fail(f"unsupported parameter file version {version}", 0)
     offset = 8
-    table: list[tuple[str, tuple[int, ...]]] = []
+    layout: dict[str, tuple[int, ...]] = {}
+    size = 0
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
+        start = offset
+        (name_len,) = unpack("<H", offset, "a name length")
         offset += 2
-        name = blob[offset : offset + name_len].decode("utf-8")
+        if offset + name_len > len(blob):
+            raise fail("file ends inside a parameter name", offset)
+        try:
+            name = blob[offset : offset + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise fail("parameter name is not UTF-8", offset) from None
+        if not name or name in layout:
+            raise fail(f"empty or duplicate parameter name {name!r}", start)
         offset += name_len
-        (ndim,) = struct.unpack_from("<B", blob, offset)
+        (ndim,) = unpack("<B", offset, "a rank")
         offset += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, offset)
+        shape = unpack(f"<{ndim}I", offset, "a shape")
         offset += 4 * ndim
-        table.append((name, tuple(shape)))
-    params = ParameterSet()
-    for name, shape in table:
-        numel = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        values = np.frombuffer(blob, dtype="<f8", count=numel, offset=offset)
-        offset += 8 * numel
-        params.new(name, values.reshape(shape))
-    return params
+        layout[name] = shape
+        size += math.prod(shape)
+    end = offset + 8 * size
+    if len(blob) < end:
+        raise fail(
+            f"data section holds {len(blob) - offset} bytes, the name table "
+            f"needs {8 * size}", offset,
+        )
+    if len(blob) > end:
+        raise fail(f"{len(blob) - end} bytes after the data section", end)
+    data = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).astype(np.float64)
+    return ParameterSet.from_layout(layout.items(), data)
 
 
 def save_checkpoint(directory, state: TrsState, config: TrainConfig) -> None:
@@ -765,33 +803,91 @@ def save_checkpoint(directory, state: TrsState, config: TrainConfig) -> None:
     )
 
 
+_STATE_KEYS = {"epoch": int, "stage": str, "rng_state": dict, "config": dict, "arch": dict}
+
+
+def _read_state_json(path: Path) -> dict:
+    """``state.json`` with every key ``load_checkpoint`` reads type-checked.
+
+    Malformed JSON raises ``ParseError`` at its byte offset; a missing or
+    mistyped key raises ``ConfigurationError`` naming the key and the file.
+    """
+    blob = path.read_bytes()
+    try:
+        payload = json.loads(blob.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8", exc.start) from None
+    except json.JSONDecodeError as exc:
+        offset = len(exc.doc[: exc.pos].encode("utf-8"))
+        raise ParseError(f"{path}: {exc.msg}", offset) from None
+
+    def check(table, key: str, kind: type, label: str) -> None:
+        if key not in table:
+            raise ConfigurationError(f"{path}: key {label!r} is missing")
+        value = table[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ConfigurationError(
+                f"{path}: key {label!r} must be {kind.__name__}, got {value!r}"
+            )
+
+    if not isinstance(payload, dict):
+        raise ConfigurationError(f"{path}: expected a JSON object")
+    for key, kind in _STATE_KEYS.items():
+        check(payload, key, kind, key)
+    check(payload["rng_state"], "seed", int, "rng_state.seed")
+    if payload["stage"] not in (BURN_IN, TRS):
+        raise ConfigurationError(
+            f"{path}: key 'stage' must be {BURN_IN!r} or {TRS!r}, got {payload['stage']!r}"
+        )
+    if payload["epoch"] < 0:
+        raise ConfigurationError(f"{path}: key 'epoch' must be >= 0, got {payload['epoch']}")
+    return payload
+
+
 def load_checkpoint(directory) -> tuple[TrsState, TrainConfig]:
     """Restore a saved run state.
 
     Optimizer moments are not part of the checkpoint layout, so resumed
-    optimizers start fresh.
+    optimizers start fresh. A malformed ``state.json`` or parameter file
+    raises ``ParseError`` or ``ConfigurationError`` naming the file.
     """
     directory = Path(directory)
-    payload = json.loads((directory / "state.json").read_text(encoding="utf-8"))
-    config = TrainConfig.from_dict(payload["config"])
-    arch = NetworkArch.from_dict(payload["arch"])
-    theta_t = TeacherParams(arch, load_parameter_set(directory / "params_t.bin"))
-    theta_f = ReferenceParams(arch, load_parameter_set(directory / "params_f.bin"))
-    student_path = directory / "params_s.bin"
+    state_path = directory / "state.json"
+    payload = _read_state_json(state_path)
+    try:
+        config = TrainConfig.from_dict(payload["config"])
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{state_path}: config: {exc}") from None
+    try:
+        arch = NetworkArch.from_dict(payload["arch"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{state_path}: arch: {exc}") from None
+
+    def load(name: str, layout) -> ParameterSet:
+        # the fused network ops index parameters by the arch's shapes
+        params = load_parameter_set(directory / name)
+        if [(key, p.tensor.shape) for key, p in params.items()] != layout:
+            raise ConfigurationError(
+                f"{directory / name}: parameter names or shapes do not match {arch}"
+            )
+        return params
+
+    theta_t = TeacherParams(arch, load("params_t.bin", teacher_layout(arch)))
+    theta_f = ReferenceParams(arch, load("params_f.bin", reference_layout(arch)))
     theta_s = (
-        TeacherParams(arch, load_parameter_set(student_path))
-        if student_path.exists()
+        TeacherParams(arch, load("params_s.bin", teacher_layout(arch)))
+        if (directory / "params_s.bin").exists()
         else None
     )
     state = TrsState(
         theta_t=theta_t,
         theta_s=theta_s,
         theta_f=theta_f,
-        epoch=int(payload["epoch"]),
-        stage=str(payload["stage"]),
+        epoch=payload["epoch"],
+        stage=payload["stage"],
         m_t=ConfidenceMemory.load_tsv(directory / "memory_t.tsv", TEACHER),
         m_r=ConfidenceMemory.load_tsv(directory / "memory_r.tsv", REFERENCE),
-        seed=int(payload["rng_state"]["seed"]),
+        seed=payload["rng_state"]["seed"],
         opt_teacher=adam_for(theta_t.params, config),
         opt_student=adam_for(theta_s.params, config) if theta_s is not None else None,
         opt_reference=adam_for(theta_f.params, config),

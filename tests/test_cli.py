@@ -103,6 +103,37 @@ class TestTrainEval:
         assert code == 2
         assert "student" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ("state.json", "'epoch'"),
+            ("params_s.bin", "byte offset"),
+            ("params_t.bin", "byte offset"),
+        ],
+    )
+    def test_eval_malformed_checkpoint_exits_2(self, tiny_data, tmp_path, capsys, defect, message):
+        import json
+
+        train_file, test_file = tiny_data
+        out_dir = tmp_path / "run"
+        assert run_cli(
+            ["train", "--data", train_file, "--out-dir", out_dir,
+             "--epochs", 3, "--burn-in", 2, "--seed", 1]
+        ) == 0
+        target = out_dir / "checkpoint" / defect
+        if defect == "state.json":
+            payload = json.loads(target.read_text())
+            del payload["epoch"]
+            target.write_text(json.dumps(payload))
+        else:
+            target.write_bytes(target.read_bytes()[:-3])
+        capsys.readouterr()
+        code = run_cli(["eval", "--data", test_file, "--checkpoint", out_dir / "checkpoint"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and defect in err
+        assert "Traceback" not in err
+
     def test_subprocess_determinism(self, tiny_data, tmp_path):
         # two separate processes must produce byte-identical metrics
         train_file, _ = tiny_data

@@ -44,6 +44,13 @@ class TestSpearman:
         with pytest.raises(MetricUndefinedError):
             spearman([1, 2, 3], [5, 5, 5])
 
+    def test_nan_in_either_series_rejected(self):
+        with pytest.raises(MetricUndefinedError, match="NaN"):
+            spearman([1, 2, np.nan, 4], [1, 2, 3, 4])
+        with pytest.raises(MetricUndefinedError, match="NaN"):
+            spearman([1, 2, 3, 4], [np.nan] * 4)
+        assert spearman([1, 2, np.inf, 4], [1, 2, 3, 4]) == pytest.approx(0.8, abs=1e-12)
+
     def test_ties_get_average_ranks(self):
         # with y tied in the middle, agreement is partial and symmetric
         assert spearman([1, 2, 3, 4], [1, 2, 2, 3]) == pytest.approx(
@@ -122,6 +129,12 @@ class TestEvaluate:
             params = init_teacher_params(NetworkArch(10, 64), np.random.default_rng(seed))
             rho, _ = evaluate(params, samples)
             assert abs(rho) < 0.3
+
+    def test_diverged_network_metric_undefined(self):
+        params = init_teacher_params(NetworkArch(4, 8), np.random.default_rng(0))
+        params.params["head.bias"].assign(np.array([np.nan, 0.0]))
+        with pytest.raises(MetricUndefinedError, match="NaN"):
+            evaluate(params, labeled_samples(5))
 
     def test_never_mutates_parameters(self):
         params = init_teacher_params(NetworkArch(4, 8), np.random.default_rng(4))

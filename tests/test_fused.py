@@ -1,0 +1,376 @@
+"""Fused tape nodes and the flat parameter arena against unfused oracles.
+
+The Mixer sublayers, the cross-attention block and the Gaussian NLL are each
+one fused tape node, and Adam and the EMA update work on each parameter set's
+flat arena. The oracles below are the unfused compositions of public
+``autodiff`` operations and the per-array update loops that they replace,
+kept verbatim. Every comparison is exact (``np.array_equal``): the fused
+paths evaluate the same numpy expressions in the same order.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from trscore import autodiff as ad
+from trscore.autodiff import ParameterSet, Tensor
+from trscore.errors import ContractError
+from trscore.networks import (
+    NetworkArch,
+    ScorePrediction,
+    init_reference_params,
+    init_teacher_params,
+    mixer_forward,
+    regression_head,
+    teacher_forward,
+    _attention_block,
+)
+from trscore.objectives import gaussian_nll
+from trscore.training import Adam, ema_update
+
+# -- oracles: the unfused compositions ----------------------------------------
+
+
+def oracle_mixer_forward(params, x):
+    ps = params.params
+    for i in range(params.arch.mixer_layers):
+        normed = ad.layer_norm(
+            x, ps[f"mixer.{i}.norm_token.scale"].tensor,
+            ps[f"mixer.{i}.norm_token.shift"].tensor,
+        )
+        tok = ad.transpose_last_two(normed)
+        tok = ad.matmul(tok, ps[f"mixer.{i}.token_in"].tensor)
+        tok = ad.gelu(tok)
+        tok = ad.matmul(tok, ps[f"mixer.{i}.token_out"].tensor)
+        x = ad.add(x, ad.transpose_last_two(tok))
+
+        normed = ad.layer_norm(
+            x, ps[f"mixer.{i}.norm_channel.scale"].tensor,
+            ps[f"mixer.{i}.norm_channel.shift"].tensor,
+        )
+        ch = ad.matmul(normed, ps[f"mixer.{i}.channel_in"].tensor)
+        ch = ad.gelu(ch)
+        ch = ad.matmul(ch, ps[f"mixer.{i}.channel_out"].tensor)
+        x = ad.add(x, ch)
+    return x
+
+
+def oracle_attention_block(params, i, x, exemplar):
+    ps = params.params
+    scale = ps[f"attn.{i}.norm_in.scale"].tensor
+    shift = ps[f"attn.{i}.norm_in.shift"].tensor
+    q_in = ad.layer_norm(x, scale, shift)
+    kv_in = ad.layer_norm(exemplar, scale, shift)
+    q = ad.matmul(q_in, ps[f"attn.{i}.w_query"].tensor)
+    k = ad.matmul(kv_in, ps[f"attn.{i}.w_key"].tensor)
+    v = ad.matmul(kv_in, ps[f"attn.{i}.w_value"].tensor)
+    logits = ad.mul(
+        ad.matmul(q, ad.transpose_last_two(k)),
+        Tensor(1.0 / math.sqrt(params.arch.d_k)),
+    )
+    weights = ad.softmax_last_dim(logits)
+    attended = ad.matmul(ad.matmul(weights, v), ps[f"attn.{i}.w_out"].tensor)
+    x = ad.add(x, attended)
+
+    normed = ad.layer_norm(
+        x, ps[f"attn.{i}.norm_mlp.scale"].tensor,
+        ps[f"attn.{i}.norm_mlp.shift"].tensor,
+    )
+    h = ad.matmul(normed, ps[f"attn.{i}.mlp_in"].tensor)
+    h = ad.gelu(h)
+    h = ad.matmul(h, ps[f"attn.{i}.mlp_out"].tensor)
+    return ad.add(x, h), weights
+
+
+def oracle_gaussian_nll(target, pred):
+    target = target if isinstance(target, Tensor) else Tensor(np.asarray(target, dtype=np.float64))
+    residual = ad.sub(target, pred.mu)
+    squared = ad.mul(residual, residual)
+    var2 = ad.mul(ad.mul(pred.sigma, pred.sigma), Tensor(2.0))
+    return ad.add(ad.log(pred.sigma), ad.div(squared, var2))
+
+
+# -- oracles: the per-array update loops --------------------------------------
+
+
+class OracleAdam:
+    """The per-array Adam loop that the flat arena replaced, verbatim."""
+
+    def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8):
+        self.params = params
+        self.learning_rate = learning_rate
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.epsilon = epsilon
+        self._step = 0
+        self._m = {name: np.zeros(p.tensor.numel) for name, p in params.items()}
+        self._v = {name: np.zeros(p.tensor.numel) for name, p in params.items()}
+
+    def step(self) -> None:
+        self._step += 1
+        correct1 = 1.0 - self.beta1 ** self._step
+        correct2 = 1.0 - self.beta2 ** self._step
+        for name, p in self.params.items():
+            g = p.tensor.grad
+            if g is None:
+                continue
+            m = self._m[name]
+            v = self._v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            update = self.learning_rate * (m / correct1) / (
+                np.sqrt(v / correct2) + self.epsilon
+            )
+            flat = p.array.reshape(-1) - update
+            p.assign(flat.reshape(p.array.shape))
+
+
+def oracle_ema_update(theta_t, theta_s, alpha):
+    blended = ParameterSet()
+    for name, p in theta_t.items():
+        blended.new(name, alpha * p.array + (1.0 - alpha) * theta_s[name].array)
+    return blended
+
+
+# -- helpers ------------------------------------------------------------------
+
+ARCH_T, ARCH_D = 5, 8
+BATCHES = (None, 1, 2, 3, 4, 5)  # None: a single T x D input
+
+
+def _input(gen, batch):
+    shape = (ARCH_T, ARCH_D) if batch is None else (batch, ARCH_T, ARCH_D)
+    return gen.normal(size=shape)
+
+
+def _assert_same_grads(fused_params, oracle_params):
+    """Equal gradients; every parameter but an unused head got one."""
+    for name, p in fused_params.items():
+        q = oracle_params[name]
+        if name.startswith("head.") and q.grad is None:
+            assert p.grad is None, name
+            continue
+        assert p.grad is not None and q.grad is not None, name
+        assert np.array_equal(p.grad, q.grad), name
+
+
+def _run_both(fused_fn, oracle_fn, fused_net, oracle_net, arrays, weights):
+    """Forward both sides on fresh leaves, backprop sum(out * weights)."""
+    outs = []
+    for fn, net in ((fused_fn, fused_net), (oracle_fn, oracle_net)):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = fn(net, *leaves)
+        ad.sum(ad.mul(out, Tensor(weights))).backward()
+        outs.append((out, leaves))
+    return outs
+
+
+# -- fused nodes --------------------------------------------------------------
+
+
+class TestFusedMixer:
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_bit_identical_to_unfused(self, layers, batch):
+        gen = np.random.default_rng(100 * layers + (batch or 0))
+        net = init_teacher_params(NetworkArch(t=ARCH_T, d=ARCH_D, mixer_layers=layers), gen)
+        oracle_net = net.copy()
+        x = _input(gen, batch)
+        weights = gen.normal(size=x.shape)
+        (out, (x_f,)), (ref, (x_o,)) = _run_both(
+            mixer_forward, oracle_mixer_forward, net, oracle_net, [x], weights
+        )
+        assert np.array_equal(out.array, ref.array)
+        assert np.array_equal(x_f.grad, x_o.grad)
+        _assert_same_grads(net.params, oracle_net.params)
+
+    def test_one_node_per_sublayer(self):
+        net = init_teacher_params(NetworkArch(t=ARCH_T, d=ARCH_D, mixer_layers=2),
+                                  np.random.default_rng(0))
+        out = mixer_forward(net, Tensor(np.ones((2, ARCH_T, ARCH_D)), requires_grad=True))
+        assert len(out._parents) == 5  # input + four parameters
+        assert len(out._parents[0]._parents) == 5
+
+
+class TestFusedAttention:
+    @pytest.mark.parametrize("blocks", [1, 2])
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_bit_identical_to_unfused(self, blocks, batch):
+        gen = np.random.default_rng(200 * blocks + (batch or 0))
+        net = init_reference_params(NetworkArch(t=ARCH_T, d=ARCH_D, attn_blocks=blocks), gen)
+        oracle_net = net.copy()
+        x, ex = _input(gen, batch), _input(gen, batch)
+        weights = gen.normal(size=x.shape)
+        maps = {}
+
+        def chain(block):
+            def run(params, query, exemplar):
+                maps[block] = []
+                for i in range(params.arch.attn_blocks):
+                    query, w = block(params, i, query, exemplar)
+                    maps[block].append(w.array)
+                return query
+            return run
+
+        (out, leaves_f), (ref, leaves_o) = _run_both(
+            chain(_attention_block), chain(oracle_attention_block),
+            net, oracle_net, [x, ex], weights,
+        )
+        assert np.array_equal(out.array, ref.array)
+        for w_f, w_o in zip(maps[_attention_block], maps[oracle_attention_block]):
+            assert np.array_equal(w_f, w_o)
+        for leaf_f, leaf_o in zip(leaves_f, leaves_o):  # query and exemplar
+            assert np.array_equal(leaf_f.grad, leaf_o.grad)
+        _assert_same_grads(net.params, oracle_net.params)
+
+    def test_constant_inputs_get_no_gradient(self):
+        net = init_reference_params(NetworkArch(t=ARCH_T, d=ARCH_D), np.random.default_rng(1))
+        x, ex = Tensor(np.ones((ARCH_T, ARCH_D))), Tensor(np.zeros((ARCH_T, ARCH_D)))
+        out, weights = _attention_block(net, 0, x, ex)
+        ad.sum(out).backward()
+        assert x.grad is None and ex.grad is None and not weights.requires_grad
+        assert all(p.grad is not None for name, p in net.params.items()
+                   if name.startswith("attn."))
+
+
+class TestFusedNll:
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_bit_identical_to_unfused(self, batch):
+        gen = np.random.default_rng(300 + (batch or 0))
+        for _ in range(200):
+            shape = () if batch is None else (batch,)
+            mu0 = gen.normal(size=shape) * 3.0
+            sigma0 = np.exp(gen.normal(size=shape))
+            target = gen.normal(size=shape) * 3.0
+            g_out = gen.normal(size=shape)
+            sides = []
+            for nll in (gaussian_nll, oracle_gaussian_nll):
+                mu = Tensor(mu0, requires_grad=True)
+                sigma = Tensor(sigma0, requires_grad=True)
+                out = nll(target, ScorePrediction(mu, sigma))
+                ad.sum(ad.mul(out, Tensor(g_out))).backward()
+                sides.append((out.array, mu.grad, sigma.grad))
+            for fused, oracle in zip(*sides):
+                assert np.array_equal(fused, oracle)
+
+    def test_broadcast_target_and_tensor_target(self):
+        gen = np.random.default_rng(9)
+        mu0, sigma0 = gen.normal(size=()), np.exp(gen.normal(size=()))
+        target0 = gen.normal(size=4)
+        sides = []
+        for nll in (gaussian_nll, oracle_gaussian_nll):
+            mu = Tensor(mu0, requires_grad=True)
+            sigma = Tensor(sigma0, requires_grad=True)
+            target = Tensor(target0, requires_grad=True)
+            out = nll(target, ScorePrediction(mu, sigma))
+            ad.sum(out).backward()
+            sides.append((out.array, mu.grad, sigma.grad, target.grad))
+        for fused, oracle in zip(*sides):
+            assert np.array_equal(fused, oracle)
+
+    def test_teacher_loss_end_to_end(self):
+        gen = np.random.default_rng(17)
+        net = init_teacher_params(NetworkArch(t=ARCH_T, d=ARCH_D), gen)
+        oracle_net = net.copy()
+        x, targets = gen.normal(size=(4, ARCH_T, ARCH_D)), gen.normal(size=4)
+        losses = []
+        for forward, nll, params in (
+            (teacher_forward, gaussian_nll, net),
+            (lambda p, t: regression_head(p, oracle_mixer_forward(p, t)),
+             oracle_gaussian_nll, oracle_net),
+        ):
+            loss = ad.sum(nll(targets, forward(params, Tensor(x))))
+            loss.backward()
+            losses.append(loss.item())
+        assert losses[0] == losses[1]
+        _assert_same_grads(net.params, oracle_net.params)
+
+
+# -- the arena ----------------------------------------------------------------
+
+
+class TestArena:
+    def test_parameters_are_views_of_one_vector(self):
+        ps = ParameterSet()
+        w = ps.new("w", np.arange(6.0).reshape(2, 3))
+        b = ps.new("b", [7.0, 8.0])  # growing re-points the earlier views
+        np.testing.assert_array_equal(ps.data, [0, 1, 2, 3, 4, 5, 7, 8])
+        w.assign(np.zeros((2, 3)))
+        assert w.version == 1 and b.version == 0
+        np.testing.assert_array_equal(ps.data, [0, 0, 0, 0, 0, 0, 7, 8])
+        ps.data[-1] = 9.0
+        assert b.array[-1] == 9.0
+
+    def test_copy_and_layout(self):
+        ps = ParameterSet()
+        ps.new("w", np.ones((2, 2)))
+        ps.new("s", np.array(3.0))
+        dup = ps.copy()
+        assert dup.names() == ps.names() and dup["s"].array.shape == ()
+        dup.data[:] = 0.0
+        assert ps.data.sum() == 7.0
+        with pytest.raises(ContractError):
+            ParameterSet.from_layout([("a", (2,))], np.zeros(3))
+        with pytest.raises(ContractError):
+            ParameterSet.from_layout([("a", (1,)), ("a", (1,))], np.zeros(2))
+
+
+def _loss_step(net, x, targets):
+    net.params.zero_grad()
+    ad.sum(gaussian_nll(targets, teacher_forward(net, Tensor(x)))).backward()
+
+
+class TestArenaAdam:
+    def test_fifty_steps_match_per_array_loop(self):
+        gen = np.random.default_rng(5)
+        net = init_teacher_params(NetworkArch(t=ARCH_T, d=ARCH_D), gen)
+        oracle_net = net.copy()
+        opt = Adam(net.params, 3e-3)
+        oracle = OracleAdam(oracle_net.params, 3e-3)
+        for step in range(50):
+            x, targets = gen.normal(size=(4, ARCH_T, ARCH_D)), gen.normal(size=4)
+            _loss_step(net, x, targets)
+            _loss_step(oracle_net, x, targets)
+            opt.step()
+            oracle.step()
+            assert np.array_equal(net.params.data, oracle_net.params.data), step
+        assert all(p.version == 50 for p in net.params)
+        assert [p.version for p in net.params] == [p.version for p in oracle_net.params]
+
+    def test_partial_gradient_moves_nothing(self):
+        ps = ParameterSet()
+        a = ps.new("a", [1.0, 2.0])
+        ps.new("b", [3.0])
+        opt = Adam(ps, 0.1)
+        ad.sum(ad.mul(a.tensor, a.tensor)).backward()  # "b" gets no gradient
+        before = ps.data.copy()
+        with pytest.raises(ContractError, match="'b'"):
+            opt.step()
+        assert np.array_equal(ps.data, before)
+        assert [p.version for p in ps] == [0, 0]
+        assert opt._step == 0
+
+    def test_no_gradient_at_all_moves_nothing(self):
+        ps = ParameterSet()
+        ps.new("a", [1.0])
+        opt = Adam(ps, 0.1)
+        opt.step()
+        assert ps["a"].array[0] == 1.0 and ps["a"].version == 0
+
+
+class TestArenaEma:
+    def test_matches_per_array_loop(self):
+        gen = np.random.default_rng(6)
+        arch = NetworkArch(t=ARCH_T, d=ARCH_D)
+        teacher = init_teacher_params(arch, gen).params
+        student = init_teacher_params(arch, gen).params
+        current, oracle = teacher, teacher
+        for _ in range(20):
+            current = ema_update(current, student, 0.99)
+            oracle = oracle_ema_update(oracle, student, 0.99)
+            assert np.array_equal(current.data, oracle.data)
+            assert current.names() == oracle.names()
+            assert current is not teacher and current.data is not teacher.data
