@@ -6,6 +6,7 @@ from .evaluation import evaluate, spearman
 from .memory import ConfidenceMemory, MemoryEntry, fuse_pseudo_label
 from .networks import (
     FeatureSequence,
+    Network,
     NetworkArch,
     ReferenceParams,
     ScorePrediction,

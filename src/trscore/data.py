@@ -167,13 +167,23 @@ def generate_synthetic(spec: SyntheticSpec, split: str = "train") -> Dataset:
 
 
 class _Cursor:
-    def __init__(self, blob: bytes):
+    """Bounds-checked little-endian reader over the bytes of the file ``source``.
+
+    Its errors are ``ParseError``s that name the file and carry a byte offset.
+    """
+
+    def __init__(self, blob: bytes, source):
         self.blob = blob
         self.offset = 0
+        self.source = source
+
+    def error(self, message: str, offset: int | None = None) -> ParseError:
+        where = self.offset if offset is None else offset
+        return ParseError(f"{self.source}: {message}", where)
 
     def take(self, n: int, what: str) -> bytes:
         if self.offset + n > len(self.blob):
-            raise ParseError(f"truncated while reading {what}", self.offset)
+            raise self.error(f"truncated while reading {what}")
         out = self.blob[self.offset : self.offset + n]
         self.offset += n
         return out
@@ -204,13 +214,13 @@ def save_features(dataset: Dataset, path) -> None:
 
 def load_features(path) -> Dataset:
     """Parse an AQAF file; malformed input raises ParseError with its offset."""
-    cur = _Cursor(Path(path).read_bytes())
+    cur = _Cursor(Path(path).read_bytes(), path)
     magic = cur.take(4, "magic")
     if magic != AQAF_MAGIC:
-        raise ParseError(f"bad magic {magic!r}, expected {AQAF_MAGIC!r}", 0)
+        raise cur.error(f"bad magic {magic!r}, expected {AQAF_MAGIC!r}", 0)
     (version,) = cur.unpack("I", "version")
     if version != AQAF_VERSION:
-        raise ParseError(f"unsupported version {version}", 4)
+        raise cur.error(f"unsupported version {version}", 4)
     (count,) = cur.unpack("I", "sample count")
 
     samples: list[FeatureSequence] = []
@@ -224,32 +234,41 @@ def load_features(path) -> Dataset:
         try:
             sample_id = cur.take(id_len, "id").decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError(f"id is not valid UTF-8: {exc}", id_offset + 2) from exc
+            raise cur.error(f"id is not valid UTF-8: {exc}", id_offset + 2) from exc
         if sample_id in seen:
-            raise ParseError(f"duplicate sample id {sample_id!r}", id_offset)
+            raise cur.error(f"duplicate sample id {sample_id!r}", id_offset)
         seen.add(sample_id)
         (has_score,) = cur.unpack("B", "score flag")
         if has_score not in (0, 1):
-            raise ParseError(f"score flag must be 0 or 1, got {has_score}", cur.offset - 1)
+            raise cur.error(f"score flag must be 0 or 1, got {has_score}", cur.offset - 1)
+        score_offset = cur.offset
         score = cur.unpack("d", "score")[0] if has_score else None
+        if score is not None and not math.isfinite(score):
+            raise cur.error(f"score of {sample_id!r} is {score}", score_offset)
         dims_offset = cur.offset
         t, d = cur.unpack("II", "dimensions")
         if t < 1 or d < 1:
-            raise ParseError(f"dimensions must be positive, got {t} x {d}", dims_offset)
+            raise cur.error(f"dimensions must be positive, got {t} x {d}", dims_offset)
         if shape is None:
             shape = (t, d)
         elif (t, d) != shape:
-            raise ParseError(
+            raise cur.error(
                 f"sample {sample_id!r} has {t} x {d} features, dataset uses "
                 f"{shape[0]} x {shape[1]}",
                 dims_offset,
             )
+        features_offset = cur.offset
         raw = cur.take(8 * t * d, f"features of {sample_id!r}")
         features = np.frombuffer(raw, dtype="<f8").reshape(t, d).copy()
+        flat = features.reshape(-1)
+        # one dot product is cheaper than an element-wise test; the sum of
+        # squares is finite unless a value is non-finite or above ~1e154
+        if not math.isfinite(flat @ flat) and not np.isfinite(flat).all():
+            raise cur.error(f"features of {sample_id!r} are not all finite", features_offset)
         samples.append(FeatureSequence(Tensor(features), sample_id, score))
         (labeled_ids if has_score else unlabeled_ids).append(sample_id)
     if cur.offset != len(cur.blob):
-        raise ParseError("trailing bytes after last sample", cur.offset)
+        raise cur.error("trailing bytes after last sample")
 
     scores = [s.score for s in samples if s.score is not None]
     score_range = (min(scores), max(scores)) if scores else (0.0, 1.0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -11,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, MetricUndefinedError
-from .networks import FeatureSequence, TeacherParams, teacher_forward
+from .networks import FeatureSequence, Network, teacher_forward
 
 _EVAL_CHUNK = 256
 
@@ -60,7 +61,7 @@ class PredictionRow:
 
 
 def evaluate(
-    student: TeacherParams, test_set: Sequence[FeatureSequence]
+    student: Network, test_set: Sequence[FeatureSequence]
 ) -> tuple[float, list[PredictionRow]]:
     """Score a labeled test set with the student network only, unaugmented.
 
@@ -92,8 +93,19 @@ def evaluate(
     return rho, rows
 
 
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    """RFC 4180: a field holding a comma, a quote or a line break is quoted."""
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_predictions_csv(rows: Sequence[PredictionRow], path) -> None:
+    """One row per sample; every line ends in ``\\n``."""
     lines = ["sample_id,truth,mu,sigma\n"]
     for r in rows:
-        lines.append(f"{r.sample_id},{r.truth!r},{r.mu!r},{r.sigma!r}\n")
-    Path(path).write_text("".join(lines), encoding="utf-8")
+        lines.append(f"{_csv_field(r.sample_id)},{r.truth!r},{r.mu!r},{r.sigma!r}\n")
+    Path(path).write_bytes("".join(lines).encode("utf-8"))

@@ -9,10 +9,11 @@ therefore the running minimum over a sample's lifetime and never increases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ContractError, FusionUnavailableError
+from .errors import ConfigurationError, ContractError, FusionUnavailableError, ParseError
 
 TEACHER = "teacher"
 REFERENCE = "reference"
@@ -65,22 +66,60 @@ class ConfidenceMemory:
     def save_tsv(self, path) -> None:
         """One line per entry: id, score, sigma, epoch (tab-separated).
 
-        Floats use 17 significant digits so the round-trip is exact.
+        Floats use 17 significant digits so the round-trip is exact. Lines
+        end in ``\\n`` and the id is everything before the last three tabs,
+        so an id may hold any character but ``\\n``; one that holds ``\\n``
+        raises ``ConfigurationError``.
         """
-        lines = [
-            f"{sample_id}\t{e.score:.17g}\t{e.sigma:.17g}\t{e.epoch_written}\n"
-            for sample_id, e in self.entries.items()
-        ]
-        Path(path).write_text("".join(lines), encoding="utf-8")
+        lines = []
+        for sample_id, e in self.entries.items():
+            if "\n" in sample_id:
+                raise ConfigurationError(
+                    f"{path}: sample id {sample_id!r} contains a newline"
+                )
+            lines.append(
+                f"{sample_id}\t{e.score:.17g}\t{e.sigma:.17g}\t{e.epoch_written}\n"
+            )
+        Path(path).write_bytes("".join(lines).encode("utf-8"))
 
     @classmethod
     def load_tsv(cls, path, kind: str) -> "ConfidenceMemory":
+        """Inverse of ``save_tsv``.
+
+        A malformed line (not UTF-8, fewer than four fields, a bad number, a
+        non-finite score, a sigma that is not finite and positive, a negative
+        epoch or a repeated id) raises ``ParseError`` naming the file, at the
+        line's byte offset.
+        """
         mem = cls(kind)
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if not line:
-                continue
-            sample_id, score, sigma, epoch = line.split("\t")
-            mem.entries[sample_id] = MemoryEntry(float(score), float(sigma), int(epoch))
+        lines = Path(path).read_bytes().split(b"\n")
+        if not lines[-1]:
+            lines.pop()  # the terminator of the last line
+        offset = 0
+        for raw in lines:
+            start, offset = offset, offset + len(raw) + 1
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError(f"{path}: line is not UTF-8", start) from None
+            try:
+                sample_id, score, sigma, epoch = line.rsplit("\t", 3)
+                score, sigma, epoch = float(score), float(sigma), int(epoch)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: expected id, score, sigma and epoch separated by "
+                    f"tabs, got {line[:80]!r}", start,
+                ) from None
+            if not (math.isfinite(score) and math.isfinite(sigma) and sigma > 0.0):
+                raise ParseError(
+                    f"{path}: {sample_id!r} needs a finite score and a finite "
+                    f"positive sigma, got {score!r} and {sigma!r}", start,
+                )
+            if epoch < 0:
+                raise ParseError(f"{path}: {sample_id!r} has negative epoch {epoch}", start)
+            if sample_id in mem.entries:
+                raise ParseError(f"{path}: duplicate sample id {sample_id!r}", start)
+            mem.entries[sample_id] = MemoryEntry(score, sigma, epoch)
         return mem
 
 

@@ -8,6 +8,10 @@ Two architectures share one Gaussian regression head:
 * a cross-attention comparator that scores one sequence against a reference
   exemplar sequence and regresses their score difference.
 
+Teacher, student and reference network are one type, ``Network``; the forward
+function a network is passed to picks its body. ``TeacherParams`` and
+``ReferenceParams`` stay as its aliases for code that names networks by role.
+
 Forward functions accept a single ``T x D`` sequence or a stacked
 ``B x T x D`` batch and return predictions of matching rank.
 
@@ -148,25 +152,17 @@ class ScorePrediction:
 
 
 @dataclass
-class TeacherParams:
-    """Mixer encoder + regression head; used by teacher and student alike."""
+class Network:
+    """A network body's parameters and the arch that shapes them."""
 
     arch: NetworkArch
     params: ParameterSet
 
-    def copy(self) -> "TeacherParams":
-        return TeacherParams(self.arch, self.params.copy())
+    def copy(self) -> "Network":
+        return Network(self.arch, self.params.copy())
 
 
-@dataclass
-class ReferenceParams:
-    """Cross-attention comparator + regression head."""
-
-    arch: NetworkArch
-    params: ParameterSet
-
-    def copy(self) -> "ReferenceParams":
-        return ReferenceParams(self.arch, self.params.copy())
+TeacherParams = ReferenceParams = Network
 
 
 Layout = list[tuple[str, tuple[int, ...]]]
@@ -230,15 +226,13 @@ def _init_params(layout: Layout, rng: np.random.Generator) -> ParameterSet:
     return ParameterSet.from_layout(layout, np.concatenate([v.reshape(-1) for v in values]))
 
 
-def init_teacher_params(arch: NetworkArch, rng: np.random.Generator) -> TeacherParams:
+def init_teacher_params(arch: NetworkArch, rng: np.random.Generator) -> Network:
     """Fresh encoder+head parameters; identical seeds give identical values."""
-    return TeacherParams(arch, _init_params(teacher_layout(arch), rng))
+    return Network(arch, _init_params(teacher_layout(arch), rng))
 
 
-def init_reference_params(
-    arch: NetworkArch, rng: np.random.Generator
-) -> ReferenceParams:
-    return ReferenceParams(arch, _init_params(reference_layout(arch), rng))
+def init_reference_params(arch: NetworkArch, rng: np.random.Generator) -> Network:
+    return Network(arch, _init_params(reference_layout(arch), rng))
 
 
 def _as_tensor(x) -> Tensor:
@@ -313,7 +307,7 @@ def _mixer_sublayer(ps: ParameterSet, prefix: str, kind: str, x: Tensor) -> Tens
     return Tensor._from_op(out, (x, *params), backward)
 
 
-def mixer_forward(params: TeacherParams, features) -> Tensor:
+def mixer_forward(params: Network, features) -> Tensor:
     """Encode a sequence through the Mixer layers (shape-preserving).
 
     Each layer applies a pre-norm token-mixing MLP across the snippet axis
@@ -330,12 +324,12 @@ def mixer_forward(params: TeacherParams, features) -> Tensor:
     return x
 
 
-def regression_head(params, encoded: Tensor) -> ScorePrediction:
+def regression_head(params: Network, encoded: Tensor) -> ScorePrediction:
     """Mean-pool over snippets, then a linear map to (mu, log sigma).
 
     sigma is the exponential of the second raw output, so positivity holds by
-    construction. Works for any container whose parameter set carries
-    ``head.weight`` and ``head.bias``.
+    construction. Both bodies' layouts end in ``head.weight`` and
+    ``head.bias``, so every network shares this head.
     """
     ps = params.params
     if encoded.ndim < 2:
@@ -357,13 +351,13 @@ def regression_head(params, encoded: Tensor) -> ScorePrediction:
     return ScorePrediction(mu, sigma)
 
 
-def teacher_forward(params: TeacherParams, v) -> ScorePrediction:
+def teacher_forward(params: Network, v) -> ScorePrediction:
     """Directly regress a quality score from one sequence (teacher/student)."""
     return regression_head(params, mixer_forward(params, v))
 
 
 def _attention_block(
-    params: ReferenceParams, i: int, x: Tensor, exemplar: Tensor
+    params: Network, i: int, x: Tensor, exemplar: Tensor
 ) -> tuple[Tensor, Tensor]:
     """One cross-attention block; returns (output, attention weights).
 
@@ -436,7 +430,7 @@ def _attention_block(
     return node, Tensor._from_op(weights, (), None)
 
 
-def reference_forward(params: ReferenceParams, v_query, v_exemplar) -> ScorePrediction:
+def reference_forward(params: Network, v_query, v_exemplar) -> ScorePrediction:
     """Regress the relative score of ``v_query`` against a scored exemplar.
 
     The query sequence attends over the exemplar (queries from the first
@@ -456,7 +450,7 @@ def reference_forward(params: ReferenceParams, v_query, v_exemplar) -> ScorePred
     return regression_head(params, x)
 
 
-def attention_maps(params: ReferenceParams, v_query, v_exemplar) -> list[np.ndarray]:
+def attention_maps(params: Network, v_query, v_exemplar) -> list[np.ndarray]:
     """Per-block attention weights (query snippets x exemplar snippets)."""
     with ad.no_grad():
         x = _as_tensor(v_query)

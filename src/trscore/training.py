@@ -36,13 +36,13 @@ import numpy as np
 from . import autodiff as ad
 from . import rng as streams
 from .autodiff import ParameterSet, Tensor
+from .data import _Cursor
 from .errors import ConfigurationError, ContractError, MetricUndefinedError, ParseError
 from .memory import REFERENCE, TEACHER, ConfidenceMemory, fuse_pseudo_label
 from .networks import (
     FeatureSequence,
+    Network,
     NetworkArch,
-    ReferenceParams,
-    TeacherParams,
     init_reference_params,
     init_teacher_params,
     reference_forward,
@@ -261,19 +261,28 @@ def augment(
 
 @dataclass
 class TrsState:
-    """Everything the two-stage loop mutates between epochs."""
+    """Everything the two-stage loop mutates between epochs, each fact once:
+    the stage is burn-in until ``theta_s`` exists, and ``opt_trained`` steps
+    the ``trained`` network (the teacher in burn-in, the student after it).
+    """
 
-    theta_t: TeacherParams
-    theta_s: TeacherParams | None
-    theta_f: ReferenceParams
+    theta_t: Network
+    theta_s: Network | None
+    theta_f: Network
     epoch: int
-    stage: str
     m_t: ConfidenceMemory
     m_r: ConfidenceMemory
     seed: int
-    opt_teacher: Adam
-    opt_student: Adam | None
+    opt_trained: Adam
     opt_reference: Adam
+
+    @property
+    def stage(self) -> str:
+        return BURN_IN if self.theta_s is None else TRS
+
+    @property
+    def trained(self) -> Network:
+        return self.theta_t if self.theta_s is None else self.theta_s
 
 
 def init_state(config: TrainConfig, arch: NetworkArch) -> TrsState:
@@ -286,12 +295,10 @@ def init_state(config: TrainConfig, arch: NetworkArch) -> TrsState:
         theta_s=None,
         theta_f=theta_f,
         epoch=0,
-        stage=BURN_IN,
         m_t=ConfidenceMemory(TEACHER),
         m_r=ConfidenceMemory(REFERENCE),
         seed=config.seed,
-        opt_teacher=adam_for(theta_t.params, config),
-        opt_student=None,
+        opt_trained=adam_for(theta_t.params, config),
         opt_reference=adam_for(theta_f.params, config),
     )
 
@@ -327,14 +334,14 @@ def _batch_bounds(n: int, batch_size: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
 
 
-def _direct_nll(net: TeacherParams, x: np.ndarray, targets: np.ndarray) -> Tensor:
+def _direct_nll(net: Network, x: np.ndarray, targets: np.ndarray) -> Tensor:
     """Summed Gaussian NLL of direct predictions over a stacked batch."""
     return ad.sum(gaussian_nll(targets, teacher_forward(net, Tensor(x))))
 
 
 def _supervised_batch(
-    direct_net: TeacherParams,
-    reference_net: ReferenceParams,
+    direct_net: Network,
+    reference_net: Network,
     x: np.ndarray,
     x_exemplar: np.ndarray,
     s: np.ndarray,
@@ -366,10 +373,7 @@ def _epoch(
     """
     if not labeled:
         raise ConfigurationError("an epoch requires at least one labeled sample")
-    if state.stage == BURN_IN:
-        net, opt = state.theta_t, state.opt_teacher
-    else:
-        net, opt = state.theta_s, state.opt_student
+    net, opt = state.trained, state.opt_trained
     use_reference = config.component_toggles.reference_network
     epoch = state.epoch
     n = len(labeled)
@@ -453,8 +457,8 @@ def burn_in_epoch(
     The shared epoch body without unlabeled data: the teacher and the
     reference network learn from the labeled batches only. Advances the epoch.
     """
-    if state.stage != BURN_IN:
-        raise ContractError(f"burn_in_epoch requires stage {BURN_IN!r}, got {state.stage!r}")
+    if state.theta_s is not None:
+        raise ContractError(f"burn_in_epoch requires stage {BURN_IN!r}, got {TRS!r}")
     return _epoch(state, labeled, (), 0.0, config)
 
 
@@ -462,18 +466,17 @@ def initialize_student(state: TrsState, config: TrainConfig) -> TrsState:
     """Copy the teacher into a fresh student and enter the TRS stage.
 
     Clears both confidence memories (they describe unlabeled data, which
-    burn-in never touched) and gives the student its own optimizer.
+    burn-in never touched); a fresh optimizer over the student replaces the teacher's.
     """
-    if state.stage != BURN_IN or state.theta_s is not None:
-        raise ContractError("student already initialized")
+    if state.theta_s is not None:
+        raise ContractError(f"student already initialized (stage {TRS!r})")
     if state.epoch != config.burn_in_epochs:
         raise ContractError(
             f"student must be initialized at epoch {config.burn_in_epochs}, "
             f"current epoch is {state.epoch}"
         )
     state.theta_s = state.theta_t.copy()
-    state.opt_student = adam_for(state.theta_s.params, config)
-    state.stage = TRS
+    state.opt_trained = adam_for(state.theta_s.params, config)
     state.m_t.clear()
     state.m_r.clear()
     return state
@@ -547,10 +550,10 @@ def trs_epoch(
     teacher receives no gradients; it trails the student by a single EMA
     update after the last step of the epoch.
     """
-    if state.stage != TRS:
-        raise ContractError(f"trs_epoch requires stage {TRS!r}, got {state.stage!r}")
+    if state.theta_s is None:
+        raise ContractError(f"trs_epoch requires stage {TRS!r}, got {BURN_IN!r}")
     breakdown = _epoch(state, labeled, unlabeled, beta, config)
-    state.theta_t = TeacherParams(
+    state.theta_t = Network(
         state.theta_t.arch,
         ema_update(state.theta_t.params, state.theta_s.params, config.alpha),
     )
@@ -616,7 +619,7 @@ def _check_training_sets(
     return t, d
 
 
-def _safe_val_spearman(net: TeacherParams | None, val_set) -> float:
+def _safe_val_spearman(net: Network | None, val_set) -> float:
     from .evaluation import evaluate
 
     if net is None or not val_set:
@@ -663,7 +666,7 @@ def train(
     val_set: Sequence[FeatureSequence] | None = None,
     arch: NetworkArch | None = None,
     checkpoint_dir=None,
-) -> tuple[TeacherParams, TeacherParams, list[EpochMetrics]]:
+) -> tuple[Network, Network, list[EpochMetrics]]:
     """Run burn-in, student initialization and the TRS stage end to end.
 
     Returns the final teacher and student parameters and one metrics row per
@@ -691,7 +694,7 @@ def train_supervised(
     labeled_set: Sequence[FeatureSequence],
     val_set: Sequence[FeatureSequence] | None = None,
     arch: NetworkArch | None = None,
-) -> tuple[TeacherParams, list[EpochMetrics]]:
+) -> tuple[Network, list[EpochMetrics]]:
     """Labeled-data-only baseline with the same epoch budget.
 
     Runs the same epochs as ``train`` (parameter copy and fresh optimizer at
@@ -734,50 +737,27 @@ def load_parameter_set(path) -> ParameterSet:
     bytes after the data section) raises ``ParseError`` naming the file and
     the byte offset.
     """
-    blob = Path(path).read_bytes()
-
-    def fail(message: str, offset: int) -> ParseError:
-        return ParseError(f"{path}: {message}", offset)
-
-    def unpack(fmt: str, offset: int, what: str) -> tuple:
-        if offset + struct.calcsize(fmt) > len(blob):
-            raise fail(f"file ends inside {what}", offset)
-        return struct.unpack_from(fmt, blob, offset)
-
-    version, count = unpack("<II", 0, "the header")
+    cur = _Cursor(Path(path).read_bytes(), path)
+    version, count = cur.unpack("II", "the header")
     if version != _BIN_VERSION:
-        raise fail(f"unsupported parameter file version {version}", 0)
-    offset = 8
+        raise cur.error(f"unsupported parameter file version {version}", 0)
     layout: dict[str, tuple[int, ...]] = {}
-    size = 0
     for _ in range(count):
-        start = offset
-        (name_len,) = unpack("<H", offset, "a name length")
-        offset += 2
-        if offset + name_len > len(blob):
-            raise fail("file ends inside a parameter name", offset)
+        start = cur.offset
+        (name_len,) = cur.unpack("H", "a name length")
         try:
-            name = blob[offset : offset + name_len].decode("utf-8")
+            name = cur.take(name_len, "a parameter name").decode("utf-8")
         except UnicodeDecodeError:
-            raise fail("parameter name is not UTF-8", offset) from None
+            raise cur.error("parameter name is not UTF-8", start + 2) from None
         if not name or name in layout:
-            raise fail(f"empty or duplicate parameter name {name!r}", start)
-        offset += name_len
-        (ndim,) = unpack("<B", offset, "a rank")
-        offset += 1
-        shape = unpack(f"<{ndim}I", offset, "a shape")
-        offset += 4 * ndim
-        layout[name] = shape
-        size += math.prod(shape)
-    end = offset + 8 * size
-    if len(blob) < end:
-        raise fail(
-            f"data section holds {len(blob) - offset} bytes, the name table "
-            f"needs {8 * size}", offset,
-        )
-    if len(blob) > end:
-        raise fail(f"{len(blob) - end} bytes after the data section", end)
-    data = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).astype(np.float64)
+            raise cur.error(f"empty or duplicate parameter name {name!r}", start)
+        (ndim,) = cur.unpack("B", "a rank")
+        layout[name] = cur.unpack(f"{ndim}I", "a shape")
+    size = sum(math.prod(shape) for shape in layout.values())
+    raw = cur.take(8 * size, f"the data section ({size} values)")
+    if cur.offset != len(cur.blob):
+        raise cur.error(f"{len(cur.blob) - cur.offset} bytes after the data section")
+    data = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     return ParameterSet.from_layout(layout.items(), data)
 
 
@@ -848,8 +828,9 @@ def load_checkpoint(directory) -> tuple[TrsState, TrainConfig]:
     """Restore a saved run state.
 
     Optimizer moments are not part of the checkpoint layout, so resumed
-    optimizers start fresh. A malformed ``state.json`` or parameter file
-    raises ``ParseError`` or ``ConfigurationError`` naming the file.
+    optimizers start fresh. A malformed file, or a ``state.json`` that
+    contradicts the others, raises ``ParseError`` or ``ConfigurationError``
+    naming the file.
     """
     directory = Path(directory)
     state_path = directory / "state.json"
@@ -863,33 +844,33 @@ def load_checkpoint(directory) -> tuple[TrsState, TrainConfig]:
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{state_path}: arch: {exc}") from None
 
-    def load(name: str, layout) -> ParameterSet:
+    if payload["rng_state"]["seed"] != config.seed:
+        raise ConfigurationError(f"{state_path}: rng_state.seed differs from config.seed")
+    trs = payload["stage"] == TRS
+    if trs != (directory / "params_s.bin").exists():
+        where = "missing" if trs else "present"
+        raise ConfigurationError(f"{state_path}: stage {payload['stage']!r}, params_s.bin {where}")
+
+    def load(name: str, layout) -> Network:
         # the fused network ops index parameters by the arch's shapes
         params = load_parameter_set(directory / name)
         if [(key, p.tensor.shape) for key, p in params.items()] != layout:
             raise ConfigurationError(
                 f"{directory / name}: parameter names or shapes do not match {arch}"
             )
-        return params
+        return Network(arch, params)
 
-    theta_t = TeacherParams(arch, load("params_t.bin", teacher_layout(arch)))
-    theta_f = ReferenceParams(arch, load("params_f.bin", reference_layout(arch)))
-    theta_s = (
-        TeacherParams(arch, load("params_s.bin", teacher_layout(arch)))
-        if (directory / "params_s.bin").exists()
-        else None
-    )
-    state = TrsState(
+    theta_t = load("params_t.bin", teacher_layout(arch))
+    theta_s = load("params_s.bin", teacher_layout(arch)) if trs else None
+    theta_f = load("params_f.bin", reference_layout(arch))
+    return TrsState(
         theta_t=theta_t,
         theta_s=theta_s,
         theta_f=theta_f,
         epoch=payload["epoch"],
-        stage=payload["stage"],
         m_t=ConfidenceMemory.load_tsv(directory / "memory_t.tsv", TEACHER),
         m_r=ConfidenceMemory.load_tsv(directory / "memory_r.tsv", REFERENCE),
-        seed=payload["rng_state"]["seed"],
-        opt_teacher=adam_for(theta_t.params, config),
-        opt_student=adam_for(theta_s.params, config) if theta_s is not None else None,
+        seed=config.seed,
+        opt_trained=adam_for((theta_s if trs else theta_t).params, config),
         opt_reference=adam_for(theta_f.params, config),
-    )
-    return state, config
+    ), config

@@ -1,8 +1,9 @@
-"""Malformed checkpoint files: ``params_*.bin`` and ``state.json``.
+"""Malformed checkpoint files: ``params_*.bin``, ``memory_*.tsv`` and ``state.json``.
 
 Every defect must surface as a typed error (``ParseError`` with a byte
 offset, or ``ConfigurationError`` naming the key and the file), never as a
-raw ``struct.error``, ``ValueError`` or ``KeyError``.
+raw ``struct.error``, ``ValueError`` or ``KeyError``. So must a ``state.json``
+that contradicts the other files of its checkpoint.
 """
 
 import json
@@ -15,10 +16,12 @@ from hypothesis import strategies as st
 
 from trscore.autodiff import ParameterSet
 from trscore.errors import ConfigurationError, ParseError
+from trscore.memory import TEACHER, ConfidenceMemory
 from trscore.networks import NetworkArch
 from trscore.training import (
     TrainConfig,
     init_state,
+    initialize_student,
     load_checkpoint,
     load_parameter_set,
     save_checkpoint,
@@ -145,3 +148,113 @@ class TestStateJson:
         with pytest.raises(ConfigurationError, match="params_t.bin"):
             load_checkpoint(directory)
 
+
+def _staged_checkpoint(tmp_path, stage: str):
+    config = TrainConfig(burn_in_epochs=1, max_epochs=2, seed=4)
+    state = init_state(config, NetworkArch(4, 8))
+    if stage == "trs":
+        state.epoch = config.burn_in_epochs
+        initialize_student(state, config)
+    directory = tmp_path / stage
+    save_checkpoint(directory, state, config)
+    return directory
+
+
+class TestContradictoryStateJson:
+    @pytest.mark.parametrize("stage", ["burn_in", "trs"])
+    def test_consistent_checkpoint_loads_its_stage(self, tmp_path, stage):
+        state, config = load_checkpoint(_staged_checkpoint(tmp_path, stage))
+        assert state.stage == stage
+        assert (state.theta_s is not None) == (stage == "trs")
+        assert state.seed == config.seed == 4
+        assert state.opt_trained.params is state.trained.params
+
+    def test_trs_stage_without_student(self, tmp_path):
+        directory = _staged_checkpoint(tmp_path, "trs")
+        (directory / "params_s.bin").unlink()
+        with pytest.raises(ConfigurationError, match="state.json.*params_s.bin missing"):
+            load_checkpoint(directory)
+
+    def test_burn_in_stage_with_student(self, tmp_path):
+        directory = _staged_checkpoint(tmp_path, "burn_in")
+        (directory / "params_s.bin").write_bytes((directory / "params_t.bin").read_bytes())
+        with pytest.raises(ConfigurationError, match="state.json.*params_s.bin present"):
+            load_checkpoint(directory)
+
+    def test_rng_seed_must_equal_config_seed(self, tmp_path):
+        directory = _staged_checkpoint(tmp_path, "trs")
+        _rewrite_state(directory, lambda p: p["rng_state"].update(seed=5))
+        with pytest.raises(ConfigurationError, match="state.json.*rng_state.seed"):
+            load_checkpoint(directory)
+
+
+# ids that are legal in AQAF and hold a tab, a carriage return or a
+# character that str.splitlines treats as a line break
+_AWKWARD_IDS = ["a\tb", "tab\t\t", "c\rd", "end\r", "e\x85f", "g\u2028h", "i\x0bj", "", "plain"]
+
+
+def _load_tsv(tmp_path, blob: bytes):
+    path = tmp_path / "memory_t.tsv"
+    path.write_bytes(blob)
+    return ConfidenceMemory.load_tsv(path, TEACHER)
+
+
+class TestMemoryFile:
+    def test_awkward_ids_round_trip(self, tmp_path):
+        mem = ConfidenceMemory(TEACHER)
+        for i, sample_id in enumerate(_AWKWARD_IDS):
+            mem.maybe_write(sample_id, i - 3.25, 0.5 + i, i)
+        path = tmp_path / "memory_t.tsv"
+        mem.save_tsv(path)
+        assert ConfidenceMemory.load_tsv(path, TEACHER).entries == mem.entries
+
+    def test_newline_in_id_rejected_on_save(self, tmp_path):
+        mem = ConfidenceMemory(TEACHER)
+        mem.maybe_write("two\nlines", 1.0, 0.5, 0)
+        with pytest.raises(ConfigurationError, match="two\\\\nlines"):
+            mem.save_tsv(tmp_path / "memory_t.tsv")
+
+    @pytest.mark.parametrize(
+        "blob, offset",
+        [
+            (b"ok\t1\t0.5\t3\nclip1\t0.5\n", 11),  # too few fields
+            (b"clip\tx\t0.5\t3\n", 0),  # bad float
+            (b"clip\t1.0\t0.5\t3.5\n", 0),  # bad int
+            (b"clip\t1.0\tnan\t3\n", 0),
+            (b"clip\t1.0\t-0.5\t3\n", 0),
+            (b"clip\t1.0\t0\t3\n", 0),
+            (b"clip\tinf\t0.5\t3\n", 0),
+            (b"clip\t1.0\t0.5\t-1\n", 0),
+            (b"a\t1\t1\t1\na\t2\t0.5\t1\n", 8),  # duplicate id
+            (b"a\t1\t1\t1\n\nb\t1\t1\t1\n", 8),  # empty line
+            (b"a\t1\t1\t1\n\xff\t1\t1\t1\n", 8),  # not UTF-8
+        ],
+    )
+    def test_malformed_line_raises_parse_error_at_line(self, tmp_path, blob, offset):
+        with pytest.raises(ParseError, match="memory_t.tsv") as err:
+            _load_tsv(tmp_path, blob)
+        assert err.value.offset == offset
+
+    def test_malformed_memory_fails_checkpoint_load(self, tmp_path):
+        directory = _staged_checkpoint(tmp_path, "trs")
+        (directory / "memory_t.tsv").write_bytes(b"clip1\t0.5\n")
+        with pytest.raises(ParseError, match="memory_t.tsv"):
+            load_checkpoint(directory)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_byte_mutations_load_or_raise_parse_error(self, tmp_path_factory, data):
+        tmp_path = tmp_path_factory.mktemp("tsv")
+        mem = ConfidenceMemory(TEACHER)
+        for i, sample_id in enumerate(_AWKWARD_IDS):
+            mem.maybe_write(sample_id, i * 1.5, 0.25 + i, i)
+        mem.save_tsv(tmp_path / "memory_t.tsv")
+        blob = bytearray((tmp_path / "memory_t.tsv").read_bytes())
+        for _ in range(data.draw(st.integers(1, 4))):
+            blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+        try:
+            loaded = _load_tsv(tmp_path, bytes(blob))
+        except ParseError:
+            return
+        for entry in loaded.entries.values():
+            assert entry.sigma > 0.0 and entry.epoch_written >= 0

@@ -134,6 +134,46 @@ class TestTrainEval:
         assert message in err and defect in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ("no student", "params_s.bin missing"),
+            ("student in burn-in", "params_s.bin present"),
+            ("seed mismatch", "rng_state.seed"),
+            ("short memory line", "memory_t.tsv"),
+        ],
+    )
+    def test_eval_inconsistent_checkpoint_exits_2(
+        self, tiny_data, tmp_path, capsys, defect, message
+    ):
+        import json
+
+        train_file, test_file = tiny_data
+        out_dir = tmp_path / "run"
+        assert run_cli(
+            ["train", "--data", train_file, "--out-dir", out_dir,
+             "--epochs", 3, "--burn-in", 2, "--seed", 1]
+        ) == 0
+        checkpoint = out_dir / "checkpoint"
+        state_path = checkpoint / "state.json"
+        payload = json.loads(state_path.read_text())
+        if defect == "no student":
+            (checkpoint / "params_s.bin").unlink()
+        elif defect == "student in burn-in":
+            payload["stage"] = "burn_in"
+        elif defect == "seed mismatch":
+            payload["rng_state"]["seed"] = 2
+        else:
+            (checkpoint / "memory_t.tsv").write_text("clip1\t0.5\n")
+        state_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = run_cli(["eval", "--data", test_file, "--checkpoint", checkpoint])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "memory_t.tsv" in err or "state.json" in err
+        assert "Traceback" not in err
+
     def test_subprocess_determinism(self, tiny_data, tmp_path):
         # two separate processes must produce byte-identical metrics
         train_file, _ = tiny_data

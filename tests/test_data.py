@@ -251,3 +251,37 @@ class TestGoldenFixture:
         assert first.score == 7.5
         np.testing.assert_array_equal(first.features.array, features_a)
         assert ds.samples[1].score is None
+
+
+class TestNonFiniteValues:
+    """A NaN or infinite score or feature fails the load at its block."""
+
+    @staticmethod
+    def _blob(has_score: bool) -> bytearray:
+        # one sample "a" with 2 x 3 features: header 12 bytes, id 3, flag 1
+        chunks = [struct.pack("<4sII", AQAF_MAGIC, 1, 1), struct.pack("<H", 1), b"a"]
+        chunks.append(struct.pack("<Bd", 1, 2.5) if has_score else struct.pack("<B", 0))
+        chunks.append(struct.pack("<II", 2, 3))
+        chunks.append(np.arange(6.0).astype("<f8").tobytes())
+        return bytearray(b"".join(chunks))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_score(self, tmp_path, value):
+        blob = self._blob(has_score=True)
+        struct.pack_into("<d", blob, 16, value)
+        path = tmp_path / "score.aqaf"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ParseError, match="score") as err:
+            load_features(path)
+        assert err.value.offset == 16
+
+    @pytest.mark.parametrize("has_score, block", [(True, 32), (False, 24)])
+    @pytest.mark.parametrize("position", [0, 5])
+    def test_non_finite_feature(self, tmp_path, has_score, block, position):
+        blob = self._blob(has_score)
+        struct.pack_into("<d", blob, block + 8 * position, float("nan"))
+        path = tmp_path / "features.aqaf"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ParseError, match="features.aqaf") as err:
+            load_features(path)
+        assert err.value.offset == block

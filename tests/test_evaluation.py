@@ -156,3 +156,27 @@ class TestEvaluate:
         lines = path.read_text().splitlines()
         assert lines[0] == "sample_id,truth,mu,sigma"
         assert len(lines) == 7
+
+
+class TestPredictionsCsv:
+    def test_ids_needing_quotes_read_back_with_csv_reader(self, tmp_path):
+        import csv
+
+        from trscore.evaluation import PredictionRow
+
+        ids = ["plain", "clip,7", 'say "hi"', "cr\rinside", "two\nlines", ""]
+        rows = [PredictionRow(sample_id, i + 0.5, i * 0.1, 1.0 + i) for i, sample_id in enumerate(ids)]
+        path = tmp_path / "pred.csv"
+        write_predictions_csv(rows, path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            table = list(csv.reader(fh))
+        assert table[0] == ["sample_id", "truth", "mu", "sigma"]
+        assert [r[0] for r in table[1:]] == ids
+        for row, read in zip(rows, table[1:]):
+            assert [float(v) for v in read[1:]] == [row.truth, row.mu, row.sigma]
+        blob = path.read_bytes()
+        assert b"\r\n" not in blob.replace(b"cr\rinside", b"")
+        assert blob.endswith(b"\n")
+        # an id that needs no quoting keeps the unquoted row
+        assert b"\nplain,0.5,0.0,1.0\n" in blob
+        assert b'\n"clip,7",1.5,' in blob and b'\n"say ""hi""",2.5,' in blob

@@ -216,3 +216,14 @@ class TestReferenceForward:
             return ad.mean(gaussian_nll(np.abs(np.array([1.5, -0.5])), pred))
 
         assert ad.grad_check(f, Tensor(rand((2, 3, 6), 9))) < 1e-4
+
+
+class TestNetworkType:
+    def test_role_names_are_one_type(self):
+        from trscore import Network, ReferenceParams, TeacherParams
+
+        assert TeacherParams is ReferenceParams is Network
+        arch = small_arch()
+        teacher = init_teacher_params(arch, np.random.default_rng(0))
+        reference = init_reference_params(arch, np.random.default_rng(1))
+        assert type(teacher) is type(reference) is Network

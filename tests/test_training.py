@@ -273,6 +273,41 @@ class TestInitializeStudent:
         )
 
 
+class TestStateFacts:
+    """The stage follows from the student; one optimizer steps the trained net."""
+
+    def test_stage_and_optimizer_follow_the_student(self):
+        labeled, _ = toy_sets()
+        config = quick_config()
+        state = init_state(config, NetworkArch(t=4, d=8))
+        assert state.stage == "burn_in" and state.theta_s is None
+        assert state.trained is state.theta_t
+        assert state.opt_trained.params is state.theta_t.params
+        for _ in range(config.burn_in_epochs):
+            burn_in_epoch(state, labeled, config)
+        initialize_student(state, config)
+        assert state.stage == "trs"
+        assert state.trained is state.theta_s
+        assert state.opt_trained.params is state.theta_s.params
+        assert state.opt_trained._step == 0
+        with pytest.raises(AttributeError):
+            state.stage = "burn_in"
+
+    def test_stage_errors_name_the_stage(self):
+        labeled, unlabeled = toy_sets()
+        config = quick_config()
+        state = init_state(config, NetworkArch(t=4, d=8))
+        with pytest.raises(ContractError, match="'trs'.*'burn_in'"):
+            trs_epoch(state, labeled, unlabeled, 0.1, config)
+        for _ in range(config.burn_in_epochs):
+            burn_in_epoch(state, labeled, config)
+        initialize_student(state, config)
+        with pytest.raises(ContractError, match="'burn_in'.*'trs'"):
+            burn_in_epoch(state, labeled, config)
+        with pytest.raises(ContractError, match="'trs'"):
+            initialize_student(state, config)
+
+
 class TestTrsEpoch:
     def _ready_state(self, config, labeled):
         state = init_state(config, NetworkArch(t=4, d=8))
