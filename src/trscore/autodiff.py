@@ -181,48 +181,6 @@ class Tensor:
             if node._backward is not None and node._grad is not None:
                 node._backward(node._grad)
 
-    # -- operator sugar ------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _lift(other))
-
-    def __rtruediv__(self, other):
-        return div(_lift(other), self)
-
-    def __neg__(self):
-        return mul(self, Tensor(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
-
-    def sum(self, axis: int | None = None) -> "Tensor":
-        return sum(self, axis)
-
-    def mean(self, axis: int | None = None) -> "Tensor":
-        return mean(self, axis)
-
-
-def _lift(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
-
 
 def _transposed(a: Array) -> Array:
     """C-contiguous copy of ``a`` with its last two axes swapped.
@@ -248,7 +206,6 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
     out = a.array + b.array
 
     def backward(g: Array) -> None:
@@ -259,7 +216,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
     out = a.array - b.array
 
     def backward(g: Array) -> None:
@@ -270,7 +226,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
     out = a.array * b.array
     a_val, b_val = a.array, b.array
 
@@ -282,7 +237,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
     if np.any(b.array == 0.0):
         raise DomainError("division by zero")
     out = a.array / b.array
@@ -502,7 +456,6 @@ def _matmul_backward(g: Array, a: Array, b: Array) -> tuple[Array, Array]:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes; leading axes broadcast."""
-    a, b = _lift(a), _lift(b)
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(
             f"matmul requires >= 2 dimensions on both operands, got "

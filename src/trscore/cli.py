@@ -11,6 +11,7 @@ from .errors import (
     ConfigurationError,
     ContractError,
     DimensionError,
+    DivergenceError,
     MetricUndefinedError,
     ParseError,
 )
@@ -258,6 +259,7 @@ def main(argv=None) -> int:
         ConfigurationError,
         ContractError,
         DimensionError,
+        DivergenceError,
         MetricUndefinedError,
         ParseError,
         OSError,

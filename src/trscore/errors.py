@@ -21,6 +21,10 @@ class MetricUndefinedError(ValueError):
     """The requested metric is undefined for the given inputs."""
 
 
+class DivergenceError(ArithmeticError):
+    """Training produced a non-finite loss term."""
+
+
 class FusionUnavailableError(LookupError):
     """Pseudo-label fusion requires both memory entries to be present."""
 

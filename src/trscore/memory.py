@@ -45,9 +45,10 @@ class ConfidenceMemory:
         """Insert or replace the entry if this prediction is more confident.
 
         Returns True when written, False when the existing entry is kept.
-        Ties keep the old entry.
+        Ties keep the old entry. A sigma that is not positive (NaN included)
+        raises ``ContractError``.
         """
-        if sigma <= 0.0:
+        if not sigma > 0.0:
             raise ContractError(f"sigma must be strictly positive, got {sigma}")
         current = self.entries.get(sample_id)
         if current is not None and sigma >= current.sigma:

@@ -27,14 +27,14 @@ are called, so a caller may swap a parameter's tensor to probe its gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 import math
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterSet, Tensor
-from .errors import ContractError, DimensionError
+from .errors import ConfigurationError, ContractError, DimensionError
 
 LOG_SIGMA_BOUND = 10.0
 
@@ -87,28 +87,27 @@ class NetworkArch:
     attn_blocks: int = 1
 
     def __post_init__(self):
-        if self.t < 1 or self.d < 1:
-            raise DimensionError(f"need T >= 1 and D >= 1, got {self.t} x {self.d}")
+        if min(self.t, self.d, self.mixer_layers, self.attn_blocks) < 1:
+            raise DimensionError(
+                f"need t, d, mixer_layers and attn_blocks >= 1, got {self}"
+            )
+        if min(self.token_hidden, self.channel_hidden, self.d_k, self.attn_mlp_hidden) < 0:
+            raise DimensionError(f"hidden sizes and d_k must be >= 0 (0 = default), got {self}")
         object.__setattr__(self, "token_hidden", self.token_hidden or self.t)
         object.__setattr__(self, "channel_hidden", self.channel_hidden or self.d)
         object.__setattr__(self, "d_k", self.d_k or max(1, self.d // 4))
         object.__setattr__(self, "attn_mlp_hidden", self.attn_mlp_hidden or self.d)
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "d": self.d,
-            "mixer_layers": self.mixer_layers,
-            "token_hidden": self.token_hidden,
-            "channel_hidden": self.channel_hidden,
-            "d_k": self.d_k,
-            "attn_mlp_hidden": self.attn_mlp_hidden,
-            "attn_blocks": self.attn_blocks,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "NetworkArch":
-        return cls(**{k: int(v) for k, v in raw.items()})
+        """Inverse of ``to_dict``; every value must be an int (not a bool)."""
+        for key, value in raw.items():
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigurationError(f"{key}: expected int, got {value!r}")
+        return cls(**raw)
 
 
 @dataclass

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -37,8 +37,14 @@ from . import autodiff as ad
 from . import rng as streams
 from .autodiff import ParameterSet, Tensor
 from .data import _Cursor
-from .errors import ConfigurationError, ContractError, MetricUndefinedError, ParseError
-from .memory import REFERENCE, TEACHER, ConfidenceMemory, fuse_pseudo_label
+from .errors import (
+    ConfigurationError,
+    ContractError,
+    DivergenceError,
+    MetricUndefinedError,
+    ParseError,
+)
+from .memory import REFERENCE, TEACHER, ConfidenceMemory
 from .networks import (
     FeatureSequence,
     Network,
@@ -264,6 +270,7 @@ class TrsState:
     """Everything the two-stage loop mutates between epochs, each fact once:
     the stage is burn-in until ``theta_s`` exists, and ``opt_trained`` steps
     the ``trained`` network (the teacher in burn-in, the student after it).
+    The run seed is not part of it: it lives in ``TrainConfig.seed``.
     """
 
     theta_t: Network
@@ -272,7 +279,6 @@ class TrsState:
     epoch: int
     m_t: ConfidenceMemory
     m_r: ConfidenceMemory
-    seed: int
     opt_trained: Adam
     opt_reference: Adam
 
@@ -297,7 +303,6 @@ def init_state(config: TrainConfig, arch: NetworkArch) -> TrsState:
         epoch=0,
         m_t=ConfidenceMemory(TEACHER),
         m_r=ConfidenceMemory(REFERENCE),
-        seed=config.seed,
         opt_trained=adam_for(theta_t.params, config),
         opt_reference=adam_for(theta_f.params, config),
     )
@@ -315,18 +320,15 @@ def _labels(samples: Sequence[FeatureSequence]) -> np.ndarray:
 
 
 def _augmented_stack(
-    samples: Sequence[FeatureSequence],
-    strength: str,
-    purpose: int,
-    seed: int,
-    epoch: int,
-    noise_std: float,
+    samples: Sequence[FeatureSequence], strength: str, epoch: int, config: TrainConfig
 ) -> np.ndarray:
-    """Stack per-sample augmented views, one RNG stream per (sample, epoch)."""
+    """Stack per-sample augmented views, one RNG stream per (strength, sample,
+    epoch), so a sample repeated within an epoch gets the same view."""
+    purpose = streams.AUGMENT_WEAK if strength == "weak" else streams.AUGMENT_STRONG
     out = []
     for s in samples:
-        gen = streams.derive(seed, purpose, epoch, streams.id_hash(s.sample_id))
-        out.append(augment(s, strength, gen, noise_std).features.array)
+        gen = streams.derive(config.seed, purpose, epoch, streams.id_hash(s.sample_id))
+        out.append(augment(s, strength, gen, config.augment_noise_std).features.array)
     return np.stack(out)
 
 
@@ -370,6 +372,7 @@ def _epoch(
     the reference network on labeled pairs when enabled. With unlabeled data
     each labeled batch gets an unlabeled batch whose strong views learn,
     with weight ``beta``, from pseudo-labels made on their weak views.
+    A non-finite loss term raises ``DivergenceError`` before its step.
     """
     if not labeled:
         raise ConfigurationError("an epoch requires at least one labeled sample")
@@ -381,20 +384,20 @@ def _epoch(
     x_lab = _stack(labeled)
     s_lab = _labels(labeled)
 
-    order = streams.derive(state.seed, streams.SHUFFLE_LABELED, epoch).permutation(n)
+    order = streams.derive(config.seed, streams.SHUFFLE_LABELED, epoch).permutation(n)
     if use_reference:
-        partner = streams.derive(state.seed, streams.PAIR_LABELED, epoch).integers(0, n, n)
+        partner = streams.derive(config.seed, streams.PAIR_LABELED, epoch).integers(0, n, n)
     if m:
         unlab_order = streams.derive(
-            state.seed, streams.SHUFFLE_UNLABELED, epoch
+            config.seed, streams.SHUFFLE_UNLABELED, epoch
         ).permutation(m)
         if use_reference:
             unlab_partner = streams.derive(
-                state.seed, streams.PAIR_UNLABELED, epoch
+                config.seed, streams.PAIR_UNLABELED, epoch
             ).integers(0, n, m)
 
-    sum_s = sum_r = sum_u = 0.0
-    for lo, hi in _batch_bounds(n, config.batch_size):
+    sums = {"l_reg_s": 0.0, "l_reg_r": 0.0, "l_unsup": 0.0}
+    for b, (lo, hi) in enumerate(_batch_bounds(n, config.batch_size)):
         idx = order[lo:hi]
         opt.zero_grad()
         state.opt_reference.zero_grad()
@@ -408,37 +411,36 @@ def _epoch(
                 ad.mul(batch_s, Tensor(1.0 / idx.size)),
                 ad.mul(batch_r, Tensor(1.0 / idx.size)),
             )
-            sum_r += batch_r.item()
+            terms = {"l_reg_s": batch_s.item(), "l_reg_r": batch_r.item()}
         else:
             batch_s = _direct_nll(net, x_lab[idx], s_lab[idx])
             total = ad.mul(batch_s, Tensor(1.0 / idx.size))
-        sum_s += batch_s.item()
+            terms = {"l_reg_s": batch_s.item()}
 
         if m:
             # 1:1 pairing: an unlabeled batch of the same size, wrapping over
             # the per-epoch shuffle when the pool runs out
             slots = unlab_order[np.arange(lo, hi) % m]
             batch = [unlabeled[int(j)] for j in slots]
-            x_weak = _augmented_stack(
-                batch, "weak", streams.AUGMENT_WEAK, state.seed, epoch,
-                config.augment_noise_std,
-            )
-            x_strong = _augmented_stack(
-                batch, "strong", streams.AUGMENT_STRONG, state.seed, epoch,
-                config.augment_noise_std,
-            )
+            exemplars = None
             if use_reference:
-                exemplar = unlab_partner[slots]
-                s_bar = _pseudo_labels(
-                    state, batch, x_weak, x_lab[exemplar], s_lab[exemplar], config
-                )
-            else:
-                s_bar = _pseudo_labels(state, batch, x_weak, None, None, config)
+                pair = unlab_partner[slots]
+                exemplars = (x_lab[pair], s_lab[pair])
+            s_bar = _pseudo_labels(state, batch, exemplars, config)
+            x_strong = _augmented_stack(batch, "strong", epoch, config)
             strong_pred = teacher_forward(net, Tensor(x_strong))
             batch_u = ad.sum(unsupervised_loss(strong_pred, s_bar))
             total = ad.add(total, ad.mul(batch_u, Tensor(beta / len(batch))))
-            sum_u += batch_u.item()
+            terms["l_unsup"] = batch_u.item()
 
+        diverged = [name for name, value in terms.items() if not math.isfinite(value)]
+        if diverged:
+            raise DivergenceError(
+                f"epoch {epoch}, batch {b}: non-finite {', '.join(diverged)}; "
+                "no parameter of this step was updated"
+            )
+        for name, value in terms.items():
+            sums[name] += value
         total.backward()
         opt.step()
         if use_reference:
@@ -446,7 +448,9 @@ def _epoch(
 
     state.epoch = epoch + 1
     # with unlabeled data every labeled sample was paired with one unlabeled
-    return LossBreakdown.from_terms(sum_s / n, sum_r / n, sum_u / n if m else 0.0, beta)
+    return LossBreakdown.from_terms(
+        **{name: value / n for name, value in sums.items()}, beta=beta
+    )
 
 
 def burn_in_epoch(
@@ -482,58 +486,61 @@ def initialize_student(state: TrsState, config: TrainConfig) -> TrsState:
     return state
 
 
+def _memory_side(
+    memory: ConfidenceMemory,
+    enabled: bool,
+    batch: Sequence[FeatureSequence],
+    scores: np.ndarray,
+    sigmas: np.ndarray,
+    epoch: int,
+) -> np.ndarray:
+    """One side of the pseudo-label: the predicted ``scores`` themselves, or,
+    with the memory on, each sample's stored score after the memory was
+    offered the prediction."""
+    if not enabled:
+        return scores
+    for sample, score, sigma in zip(batch, scores, sigmas):
+        memory.maybe_write(sample.sample_id, score, sigma, epoch)
+    return np.array([memory.read(sample.sample_id).score for sample in batch])
+
+
 def _pseudo_labels(
     state: TrsState,
     batch: Sequence[FeatureSequence],
-    x_weak: np.ndarray,
-    x_exemplar: np.ndarray | None,
-    s_exemplar: np.ndarray | None,
+    exemplars: tuple[np.ndarray, np.ndarray] | None,
     config: TrainConfig,
 ) -> np.ndarray:
-    """Assemble pseudo-labels for one unlabeled batch (no gradients).
+    """Pseudo-labels for one unlabeled batch, made on its weak views (no
+    gradients).
 
-    The teacher side is the memory score (or the current prediction when the
-    teacher memory is off); the reference side recovers an absolute score as
-    exemplar label plus predicted difference, again memory-filtered when
-    enabled. Without the reference network the teacher side alone is the
-    pseudo-label.
+    The teacher side is the teacher's prediction; the reference side, given
+    the labeled ``exemplars`` (features and scores) the samples are compared
+    with, is the exemplar's label plus the predicted difference. Each side
+    passes through its own confidence memory when that memory is on, and the
+    pseudo-label is the mean of the two sides (``fuse_pseudo_label``), or the
+    teacher side alone without the reference network. A sample repeated
+    within a batch has the same weak view, so its second write is a tie and
+    the memory keeps the first.
     """
     toggles = config.component_toggles
-    epoch = state.epoch
-
+    x_weak = Tensor(_augmented_stack(batch, "weak", state.epoch, config))
     with ad.no_grad():
-        teacher_pred = teacher_forward(state.theta_t, Tensor(x_weak))
-    mu_t, sigma_t = teacher_pred.mu_values, teacher_pred.sigma_values
-    t_side = np.empty(len(batch))
-    for j, sample in enumerate(batch):
-        if toggles.teacher_memory:
-            state.m_t.maybe_write(sample.sample_id, mu_t[j], sigma_t[j], epoch)
-            t_side[j] = state.m_t.read(sample.sample_id).score
-        else:
-            t_side[j] = mu_t[j]
-
-    if not toggles.reference_network:
+        teacher_pred = teacher_forward(state.theta_t, x_weak)
+    t_side = _memory_side(
+        state.m_t, toggles.teacher_memory, batch,
+        teacher_pred.mu_values, teacher_pred.sigma_values, state.epoch,
+    )
+    if exemplars is None:
         return t_side
 
+    x_exemplar, s_exemplar = exemplars
     with ad.no_grad():
-        relative_pred = reference_forward(state.theta_f, Tensor(x_weak), Tensor(x_exemplar))
-    recovered = s_exemplar + relative_pred.mu_values
-    delta_sigma = relative_pred.sigma_values
-
-    s_bar = np.empty(len(batch))
-    for j, sample in enumerate(batch):
-        if toggles.reference_memory:
-            state.m_r.maybe_write(sample.sample_id, recovered[j], delta_sigma[j], epoch)
-            r_score = state.m_r.read(sample.sample_id).score
-        else:
-            r_score = recovered[j]
-        if toggles.teacher_memory and toggles.reference_memory:
-            s_bar[j] = fuse_pseudo_label(
-                state.m_t.read(sample.sample_id), state.m_r.read(sample.sample_id)
-            )
-        else:
-            s_bar[j] = (t_side[j] + r_score) / 2.0
-    return s_bar
+        relative_pred = reference_forward(state.theta_f, x_weak, Tensor(x_exemplar))
+    r_side = _memory_side(
+        state.m_r, toggles.reference_memory, batch,
+        s_exemplar + relative_pred.mu_values, relative_pred.sigma_values, state.epoch,
+    )
+    return (t_side + r_side) / 2.0
 
 
 def trs_epoch(
@@ -582,17 +589,13 @@ class EpochMetrics:
         )
 
 
-METRICS_COLUMNS = ("epoch", "l_reg_s", "l_reg_r", "l_unsup", "beta", "total", "val_spearman")
+METRICS_COLUMNS = tuple(f.name for f in fields(EpochMetrics))
 
 
 def write_metrics_csv(rows: Sequence[EpochMetrics], path) -> None:
     """Metrics CSV with shortest-round-trip float formatting."""
     lines = [",".join(METRICS_COLUMNS) + "\n"]
-    for r in rows:
-        lines.append(
-            f"{r.epoch},{r.l_reg_s!r},{r.l_reg_r!r},{r.l_unsup!r},"
-            f"{r.beta!r},{r.total!r},{r.val_spearman!r}\n"
-        )
+    lines += [",".join(map(repr, astuple(r))) + "\n" for r in rows]
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
@@ -774,7 +777,6 @@ def save_checkpoint(directory, state: TrsState, config: TrainConfig) -> None:
     payload = {
         "epoch": state.epoch,
         "stage": state.stage,
-        "rng_state": {"seed": state.seed, "next_epoch": state.epoch},
         "config": config.to_dict(),
         "arch": state.theta_t.arch.to_dict(),
     }
@@ -783,7 +785,7 @@ def save_checkpoint(directory, state: TrsState, config: TrainConfig) -> None:
     )
 
 
-_STATE_KEYS = {"epoch": int, "stage": str, "rng_state": dict, "config": dict, "arch": dict}
+_STATE_KEYS = {"epoch": int, "stage": str, "config": dict, "arch": dict}
 
 
 def _read_state_json(path: Path) -> dict:
@@ -801,20 +803,16 @@ def _read_state_json(path: Path) -> dict:
         offset = len(exc.doc[: exc.pos].encode("utf-8"))
         raise ParseError(f"{path}: {exc.msg}", offset) from None
 
-    def check(table, key: str, kind: type, label: str) -> None:
-        if key not in table:
-            raise ConfigurationError(f"{path}: key {label!r} is missing")
-        value = table[key]
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise ConfigurationError(
-                f"{path}: key {label!r} must be {kind.__name__}, got {value!r}"
-            )
-
     if not isinstance(payload, dict):
         raise ConfigurationError(f"{path}: expected a JSON object")
     for key, kind in _STATE_KEYS.items():
-        check(payload, key, kind, key)
-    check(payload["rng_state"], "seed", int, "rng_state.seed")
+        if key not in payload:
+            raise ConfigurationError(f"{path}: key {key!r} is missing")
+        value = payload[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ConfigurationError(
+                f"{path}: key {key!r} must be {kind.__name__}, got {value!r}"
+            )
     if payload["stage"] not in (BURN_IN, TRS):
         raise ConfigurationError(
             f"{path}: key 'stage' must be {BURN_IN!r} or {TRS!r}, got {payload['stage']!r}"
@@ -844,8 +842,6 @@ def load_checkpoint(directory) -> tuple[TrsState, TrainConfig]:
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{state_path}: arch: {exc}") from None
 
-    if payload["rng_state"]["seed"] != config.seed:
-        raise ConfigurationError(f"{state_path}: rng_state.seed differs from config.seed")
     trs = payload["stage"] == TRS
     if trs != (directory / "params_s.bin").exists():
         where = "missing" if trs else "present"
@@ -870,7 +866,6 @@ def load_checkpoint(directory) -> tuple[TrsState, TrainConfig]:
         epoch=payload["epoch"],
         m_t=ConfidenceMemory.load_tsv(directory / "memory_t.tsv", TEACHER),
         m_r=ConfidenceMemory.load_tsv(directory / "memory_r.tsv", REFERENCE),
-        seed=config.seed,
         opt_trained=adam_for((theta_s if trs else theta_t).params, config),
         opt_reference=adam_for(theta_f.params, config),
     ), config

@@ -118,12 +118,13 @@ class TestStateJson:
             ("epoch", lambda p: p.update(epoch="3")),
             ("stage", lambda p: p.update(stage=1)),
             ("stage", lambda p: p.update(stage="warmup")),
-            ("rng_state", lambda p: p.pop("rng_state")),
-            ("rng_state.seed", lambda p: p["rng_state"].pop("seed")),
             ("config", lambda p: p.update(config=[])),
             ("config", lambda p: p["config"].update(seed="abc")),
             ("arch", lambda p: p.pop("arch")),
             ("arch", lambda p: p["arch"].pop("t")),
+            ("arch", lambda p: p["arch"].update(t=10.7)),
+            ("arch", lambda p: p["arch"].update(mixer_layers=True)),
+            ("arch", lambda p: p["arch"].update(d_k=-1)),
         ],
     )
     def test_missing_or_mistyped_key_names_key_and_file(self, tmp_path, key, edit):
@@ -132,6 +133,24 @@ class TestStateJson:
         with pytest.raises(ConfigurationError) as err:
             load_checkpoint(directory)
         assert key.split(".")[0] in str(err.value)
+        assert "state.json" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "blob, error, message",
+        [
+            (b"[1, 2]", ConfigurationError, "JSON object"),
+            (None, ConfigurationError, "'epoch' must be >= 0"),
+            (b'{"epoch": "\xff"}', ParseError, "not UTF-8"),
+        ],
+    )
+    def test_malformed_document_rejected(self, tmp_path, blob, error, message):
+        directory = _checkpoint(tmp_path)
+        if blob is None:
+            _rewrite_state(directory, lambda p: p.update(epoch=-1))
+        else:
+            (directory / "state.json").write_bytes(blob)
+        with pytest.raises(error, match=message) as err:
+            load_checkpoint(directory)
         assert "state.json" in str(err.value)
 
     def test_malformed_json_raises_parse_error_at_offset(self, tmp_path):
@@ -166,7 +185,7 @@ class TestContradictoryStateJson:
         state, config = load_checkpoint(_staged_checkpoint(tmp_path, stage))
         assert state.stage == stage
         assert (state.theta_s is not None) == (stage == "trs")
-        assert state.seed == config.seed == 4
+        assert config.seed == 4
         assert state.opt_trained.params is state.trained.params
 
     def test_trs_stage_without_student(self, tmp_path):
@@ -181,11 +200,15 @@ class TestContradictoryStateJson:
         with pytest.raises(ConfigurationError, match="state.json.*params_s.bin present"):
             load_checkpoint(directory)
 
-    def test_rng_seed_must_equal_config_seed(self, tmp_path):
+    def test_older_state_json_with_rng_state_loads(self, tmp_path):
+        # checkpoints used to repeat the seed and the epoch under "rng_state";
+        # the key is ignored, the config's seed is the run's seed
         directory = _staged_checkpoint(tmp_path, "trs")
-        _rewrite_state(directory, lambda p: p["rng_state"].update(seed=5))
-        with pytest.raises(ConfigurationError, match="state.json.*rng_state.seed"):
-            load_checkpoint(directory)
+        _rewrite_state(
+            directory, lambda p: p.update(rng_state={"seed": 4, "next_epoch": p["epoch"]})
+        )
+        state, config = load_checkpoint(directory)
+        assert state.stage == "trs" and state.epoch == 1 and config.seed == 4
 
 
 # ids that are legal in AQAF and hold a tab, a carriage return or a

@@ -139,7 +139,6 @@ class TestTrainEval:
         [
             ("no student", "params_s.bin missing"),
             ("student in burn-in", "params_s.bin present"),
-            ("seed mismatch", "rng_state.seed"),
             ("short memory line", "memory_t.tsv"),
         ],
     )
@@ -161,8 +160,6 @@ class TestTrainEval:
             (checkpoint / "params_s.bin").unlink()
         elif defect == "student in burn-in":
             payload["stage"] = "burn_in"
-        elif defect == "seed mismatch":
-            payload["rng_state"]["seed"] = 2
         else:
             (checkpoint / "memory_t.tsv").write_text("clip1\t0.5\n")
         state_path.write_text(json.dumps(payload))
@@ -172,6 +169,32 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert message in err
         assert "memory_t.tsv" in err or "state.json" in err
+        assert "Traceback" not in err
+
+    def test_eval_test_file_with_unlabeled_samples_exits_2(self, tiny_data, tmp_path, capsys):
+        train_file, _ = tiny_data
+        out_dir = tmp_path / "run"
+        assert run_cli(
+            ["train", "--data", train_file, "--out-dir", out_dir,
+             "--epochs", 3, "--burn-in", 2, "--seed", 1]
+        ) == 0
+        capsys.readouterr()
+        code = run_cli(["eval", "--data", train_file, "--checkpoint", out_dir / "checkpoint"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unlabeled samples" in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_run_exits_2(self, tiny_data, tmp_path, capsys):
+        # a learning rate of 1e300 overflows the first updated parameters
+        train_file, _ = tiny_data
+        code = run_cli(
+            ["train", "--data", train_file, "--out-dir", tmp_path / "run",
+             "--epochs", 3, "--burn-in", 2, "--lr", 1e300, "--seed", 1]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "epoch 0, batch 1: non-finite l_reg_s" in err
         assert "Traceback" not in err
 
     def test_subprocess_determinism(self, tiny_data, tmp_path):

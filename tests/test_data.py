@@ -103,6 +103,15 @@ class TestDatasetValidation:
         with pytest.raises(ConfigurationError):
             Dataset([self._seq("a", 1.0), odd], {"a"}, {"b"}, (0.0, 5.0))
 
+    @pytest.mark.parametrize("labeled, unlabeled", [({"a"}, set()), ({"a"}, {"b", "c"})])
+    def test_id_sets_must_cover_the_samples(self, labeled, unlabeled):
+        with pytest.raises(ConfigurationError, match="cover"):
+            Dataset([self._seq("a", 1.0), self._seq("b")], labeled, unlabeled, (0.0, 5.0))
+
+    def test_unlabeled_sample_with_score(self):
+        with pytest.raises(ConfigurationError, match="carries a score"):
+            Dataset([self._seq("a", 1.0)], set(), {"a"}, (0.0, 5.0))
+
 
 def random_dataset(seed):
     gen = np.random.default_rng(seed)
@@ -207,6 +216,36 @@ class TestAqafErrors:
         path.write_bytes(b"".join(chunks))
         with pytest.raises(ParseError, match="3 x 2"):
             load_features(path)
+
+    @pytest.mark.parametrize(
+        "sample_id, flag, dims, offset, message",
+        [
+            (b"a", 2, (1, 1), 15, "score flag"),
+            (b"a", 0, (0, 1), 16, "dimensions must be positive"),
+            (b"a", 0, (1, 0), 16, "dimensions must be positive"),
+            (b"\xffa", 0, (1, 1), 14, "UTF-8"),
+        ],
+    )
+    def test_malformed_sample_header(self, tmp_path, sample_id, flag, dims, offset, message):
+        blob = b"".join([
+            struct.pack("<4sII", AQAF_MAGIC, 1, 1),
+            struct.pack("<H", len(sample_id)), sample_id,
+            struct.pack("<B", flag),
+            struct.pack("<II", *dims),
+            np.zeros(dims[0] * dims[1]).astype("<f8").tobytes(),
+        ])
+        path = tmp_path / "header.aqaf"
+        path.write_bytes(blob)
+        with pytest.raises(ParseError, match=message) as err:
+            load_features(path)
+        assert err.value.offset == offset
+
+    def test_id_over_65535_bytes_rejected_on_save(self, tmp_path):
+        seq = FeatureSequence(Tensor(np.zeros((1, 1))), "é" * 32768, None)
+        dataset = Dataset([seq], set(), {seq.sample_id}, (0.0, 1.0))
+        with pytest.raises(ConfigurationError, match="too long"):
+            save_features(dataset, tmp_path / "long.aqaf")
+        assert not (tmp_path / "long.aqaf").exists()
 
     def test_duplicate_id_in_file(self, tmp_path):
         chunks = [struct.pack("<4sII", AQAF_MAGIC, 1, 2)]

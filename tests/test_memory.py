@@ -46,6 +46,14 @@ class TestMaybeWrite:
         with pytest.raises(ContractError):
             mem.maybe_write("a", 80.0, -1.0, 0)
 
+    def test_nan_sigma_rejected(self):
+        # NaN fails every comparison; accepted, it would be replaced by every
+        # later write and save a memory file that cannot be loaded
+        mem = ConfidenceMemory(TEACHER)
+        with pytest.raises(ContractError):
+            mem.maybe_write("a", 80.0, float("nan"), 0)
+        assert "a" not in mem
+
     def test_repeated_pair_idempotent(self):
         mem = ConfidenceMemory(TEACHER)
         mem.maybe_write("a", 80.0, 0.5, 0)

@@ -5,7 +5,7 @@ import pytest
 
 from trscore import autodiff as ad
 from trscore.autodiff import ParameterSet, Tensor
-from trscore.errors import ContractError, DimensionError
+from trscore.errors import ConfigurationError, ContractError, DimensionError
 from trscore.networks import (
     FeatureSequence,
     NetworkArch,
@@ -216,6 +216,29 @@ class TestReferenceForward:
             return ad.mean(gaussian_nll(np.abs(np.array([1.5, -0.5])), pred))
 
         assert ad.grad_check(f, Tensor(rand((2, 3, 6), 9))) < 1e-4
+
+
+class TestNetworkArch:
+    @pytest.mark.parametrize("value", [10.7, 4.0, True, "4", None])
+    def test_from_dict_accepts_only_ints(self, value):
+        with pytest.raises(ConfigurationError, match="mixer_layers"):
+            NetworkArch.from_dict({"t": 4, "d": 8, "mixer_layers": value})
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(t=0), dict(d=0), dict(mixer_layers=0), dict(attn_blocks=0),
+            dict(token_hidden=-1), dict(channel_hidden=-1), dict(d_k=-1),
+            dict(attn_mlp_hidden=-1),
+        ],
+    )
+    def test_out_of_range_sizes_rejected(self, fields):
+        with pytest.raises(DimensionError):
+            NetworkArch(**{"t": 4, "d": 8, **fields})
+
+    def test_zero_sizes_take_defaults(self):
+        arch = NetworkArch(4, 8, token_hidden=0, d_k=0)
+        assert (arch.token_hidden, arch.d_k) == (4, 2)
 
 
 class TestNetworkType:

@@ -5,7 +5,7 @@ import pytest
 
 from trscore.autodiff import ParameterSet, Tensor
 from trscore.data import SyntheticSpec, generate_synthetic
-from trscore.errors import ConfigurationError, ContractError
+from trscore.errors import ConfigurationError, ContractError, DivergenceError
 from trscore.networks import FeatureSequence, NetworkArch, teacher_forward
 from trscore.training import (
     ComponentToggles,
@@ -206,6 +206,34 @@ class TestBurnIn:
         with pytest.raises(ConfigurationError):
             burn_in_epoch(state, [], config)
 
+    def test_non_finite_loss_raises_before_the_step(self):
+        labeled, _ = toy_sets()
+        config = quick_config()
+        state = init_state(config, NetworkArch(t=4, d=8))
+        state.theta_t.params["head.weight"].array[...] = np.nan
+        with pytest.raises(DivergenceError, match=r"epoch 0, batch 0: non-finite l_reg_s\b"):
+            burn_in_epoch(state, labeled, config)
+        assert all(p.version == 0 for p in state.theta_t.params)
+        assert all(p.version == 0 for p in state.theta_f.params)
+        assert state.epoch == 0
+
+    def test_non_finite_reference_and_unlabeled_terms_named(self):
+        labeled, unlabeled = toy_sets()
+        config = quick_config()
+        state = init_state(config, NetworkArch(t=4, d=8))
+        for _ in range(config.burn_in_epochs):
+            burn_in_epoch(state, labeled, config)
+        initialize_student(state, config)
+        state.theta_f.params["head.bias"].array[...] = np.inf
+        # the reference side of every pseudo-label is infinite too
+        with pytest.raises(DivergenceError, match="epoch 2, batch 0: non-finite l_reg_r, l_unsup;"):
+            trs_epoch(state, labeled, unlabeled, 0.1, config)
+        state.theta_f.params["head.bias"].array[...] = 0.0
+        state.theta_s.params["head.weight"].array[...] = np.nan
+        with pytest.raises(DivergenceError, match="epoch 2, batch 0: non-finite l_reg_s, l_unsup;"):
+            trs_epoch(state, labeled, unlabeled, 0.1, config)
+        assert all(p.version == 0 for p in state.theta_s.params)
+
 
 class TestInitializeStudent:
     def _state_at_boundary(self, config, labeled):
@@ -335,15 +363,11 @@ class TestTrsEpoch:
         for _ in range(4):
             epoch = state.epoch
             from trscore import autodiff as ad
-            from trscore import rng as streams
             from trscore.training import _augmented_stack
 
             # teacher parameters are frozen within an epoch (EMA happens at
             # its end), so per-sample predictions can be replayed up front
-            x_weak = _augmented_stack(
-                unlabeled, "weak", streams.AUGMENT_WEAK, state.seed, epoch,
-                config.augment_noise_std,
-            )
+            x_weak = _augmented_stack(unlabeled, "weak", epoch, config)
             with ad.no_grad():
                 sigma_now = teacher_forward(state.theta_t, Tensor(x_weak)).sigma_values
             for s, sig in zip(unlabeled, sigma_now):
@@ -505,6 +529,33 @@ class TestTrain:
         labeled, unlabeled = toy_sets()
         with pytest.raises(ConfigurationError):
             train(quick_config(max_epochs=2, burn_in_epochs=2), labeled, unlabeled)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("alpha", 1.0),
+            ("burn_in_epochs", 0),
+            ("learning_rate", 0.0),
+            ("batch_size", 0),
+            ("augment_noise_std", -0.1),
+        ],
+    )
+    def test_each_invalid_field_rejected(self, field, value):
+        labeled, unlabeled = toy_sets()
+        with pytest.raises(ConfigurationError, match=field):
+            train(quick_config(**{field: value}), labeled, unlabeled)
+
+    @pytest.mark.parametrize("defect", ["no labeled", "labeled without score", "shape"])
+    def test_malformed_training_sets_rejected(self, defect):
+        labeled, unlabeled = toy_sets()
+        if defect == "no labeled":
+            labeled = []
+        elif defect == "labeled without score":
+            labeled = labeled[:-1] + [FeatureSequence(labeled[-1].features, "x", None)]
+        else:
+            unlabeled = unlabeled + [FeatureSequence(np.zeros((5, 8)), "x", None)]
+        with pytest.raises(ConfigurationError, match="labeled sample|shape"):
+            train(quick_config(), labeled, unlabeled)
 
     def test_duplicate_ids_rejected(self):
         labeled, _ = toy_sets()
