@@ -397,14 +397,12 @@ def softmax_last_dim(x: Tensor) -> Tensor:
     return Tensor._from_op(out, (x,), backward)
 
 
-def _layer_norm_forward(
-    x: Array, scale: Array, shift: Array, eps: float = LAYER_NORM_EPS
-) -> tuple[Array, Array, Array]:
+def _layer_norm_forward(x: Array, scale: Array, shift: Array) -> tuple[Array, Array, Array]:
     """Layer-norm values plus the normalized input and inverse std."""
     mu = x.mean(axis=-1, keepdims=True)
     centered = x - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv
     return xhat * scale + shift, xhat, inv
 
@@ -427,9 +425,7 @@ def _layer_norm_backward(
     return dx, d_scale, d_shift
 
 
-def layer_norm(
-    x: Tensor, scale: Tensor, shift: Tensor, eps: float = LAYER_NORM_EPS
-) -> Tensor:
+def layer_norm(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
     """Normalize over the last dimension with learnable scale and shift."""
     d = x.shape[-1] if x.ndim >= 1 else 0
     if scale.shape != (d,) or shift.shape != (d,):
@@ -437,7 +433,7 @@ def layer_norm(
             f"layer_norm scale/shift must have shape ({d},), got "
             f"{scale.shape} and {shift.shape}"
         )
-    out, xhat, inv = _layer_norm_forward(x.array, scale.array, shift.array, eps)
+    out, xhat, inv = _layer_norm_forward(x.array, scale.array, shift.array)
     scale_val = scale.array
 
     def backward(g: Array) -> None:

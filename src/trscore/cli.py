@@ -17,6 +17,7 @@ from .errors import (
 )
 from .evaluation import evaluate, write_predictions_csv
 from .training import (
+    _FLAT_KINDS,
     ComponentToggles,
     TrainConfig,
     coerce_config_value,
@@ -48,22 +49,29 @@ def parse_config_file(path) -> dict:
     return raw
 
 
+# every flat config key: its flag and help text, in --help order
+_CONFIG_FLAGS = {
+    "max_epochs": ("--epochs", "total training epochs"),
+    "burn_in_epochs": ("--burn-in", "supervised-only epochs before the student starts"),
+    "learning_rate": ("--lr", "Adam learning rate"),
+    "alpha": ("--alpha", "teacher EMA momentum"),
+    "seed": ("--seed", "run seed"),
+    "batch_size": ("--batch-size", "labeled samples per optimizer step; each TRS step "
+                   "pairs them with as many unlabeled samples"),
+    "augment_noise_std": ("--augment-noise-std", "strong-augmentation noise std"),
+    "beta_peak": ("--beta-peak", "peak unsupervised loss weight"),
+    "reference_network": ("--reference-network", None),
+    "teacher_memory": ("--teacher-memory", None),
+    "reference_memory": ("--reference-memory", None),
+}
+
+
 def _build_config(args) -> TrainConfig:
     raw = parse_config_file(args.config) if args.config else {}
-    overrides = {
-        "max_epochs": args.epochs,
-        "burn_in_epochs": args.burn_in,
-        "learning_rate": args.lr,
-        "alpha": args.alpha,
-        "seed": args.seed,
-        "batch_size": args.batch_size,
-        "augment_noise_std": args.augment_noise_std,
-        "beta_peak": args.beta_peak,
-        "reference_network": getattr(args, "reference_network", None),
-        "teacher_memory": getattr(args, "teacher_memory", None),
-        "reference_memory": getattr(args, "reference_memory", None),
-    }
-    raw.update({k: v for k, v in overrides.items() if v is not None})
+    for key, (flag, _) in _CONFIG_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)  # the flag's argparse dest
+        if value is not None:
+            raw[key] = value
     config = TrainConfig.from_dict(raw)
     config.validate()
     return config
@@ -71,29 +79,12 @@ def _build_config(args) -> TrainConfig:
 
 def _add_config_flags(parser: argparse.ArgumentParser, with_toggles: bool = True) -> None:
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--epochs", type=int, help="total training epochs")
-    parser.add_argument("--burn-in", type=int, help="supervised-only epochs before the student starts")
-    parser.add_argument("--lr", type=float, help="Adam learning rate")
-    parser.add_argument("--alpha", type=float, help="teacher EMA momentum")
-    parser.add_argument("--seed", type=int, help="run seed")
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        help="labeled samples per optimizer step; each TRS step pairs them "
-        "with as many unlabeled samples",
-    )
-    parser.add_argument("--augment-noise-std", type=float, help="strong-augmentation noise std")
-    parser.add_argument("--beta-peak", type=float, help="peak unsupervised loss weight")
-    if with_toggles:
-        parser.add_argument(
-            "--reference-network", action=argparse.BooleanOptionalAction, default=None
-        )
-        parser.add_argument(
-            "--teacher-memory", action=argparse.BooleanOptionalAction, default=None
-        )
-        parser.add_argument(
-            "--reference-memory", action=argparse.BooleanOptionalAction, default=None
-        )
+    for key, (flag, help_text) in _CONFIG_FLAGS.items():
+        kind = _FLAT_KINDS[key]
+        if kind is not bool:
+            parser.add_argument(flag, type=kind, help=help_text)
+        elif with_toggles:
+            parser.add_argument(flag, action=argparse.BooleanOptionalAction, help=help_text)
 
 
 def _load_labeled(path, what: str):

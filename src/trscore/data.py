@@ -212,6 +212,9 @@ def save_features(dataset: Dataset, path) -> None:
     Path(path).write_bytes(b"".join(chunks))
 
 
+# the finiteness shortcut's sum of squares may overflow or meet a signalling NaN;
+# the element-wise test behind it decides, so neither may warn
+@np.errstate(over="ignore", invalid="ignore")
 def load_features(path) -> Dataset:
     """Parse an AQAF file; malformed input raises ParseError with its offset."""
     cur = _Cursor(Path(path).read_bytes(), path)

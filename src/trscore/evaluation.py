@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractError, MetricUndefinedError
+from .errors import ContractError, DimensionError, MetricUndefinedError
 from .networks import FeatureSequence, Network, teacher_forward
 
 _EVAL_CHUNK = 256
@@ -66,12 +66,17 @@ def evaluate(
     """Score a labeled test set with the student network only, unaugmented.
 
     Returns Spearman's correlation against the ground truth and one
-    prediction row per sample. Parameters are read, never mutated.
+    prediction row per sample. Parameters are read, never mutated. A sample
+    without a score raises ``ContractError``; one whose shape is not the
+    network's (T, D) raises ``DimensionError``.
     """
     samples = list(test_set)
+    shape = (student.arch.t, student.arch.d)
     for s in samples:
         if s.score is None:
             raise ContractError(f"test sample {s.sample_id!r} has no score")
+        if s.features.shape != shape:
+            raise DimensionError(f"test sample {s.sample_id!r} is {s.features.shape}, not {shape}")
     mus: list[np.ndarray] = []
     sigmas: list[np.ndarray] = []
     with ad.no_grad():

@@ -45,11 +45,14 @@ class ConfidenceMemory:
         """Insert or replace the entry if this prediction is more confident.
 
         Returns True when written, False when the existing entry is kept.
-        Ties keep the old entry. A sigma that is not positive (NaN included)
-        raises ``ContractError``.
+        Ties keep the old entry. A score that is not finite, or a sigma that
+        is not finite and positive (NaN included), raises ``ContractError``:
+        ``load_tsv`` would reject it.
         """
-        if not sigma > 0.0:
-            raise ContractError(f"sigma must be strictly positive, got {sigma}")
+        if not (math.isfinite(score) and 0.0 < sigma < math.inf):
+            raise ContractError(
+                f"need a finite score and a finite positive sigma, got {score} and {sigma}"
+            )
         current = self.entries.get(sample_id)
         if current is not None and sigma >= current.sigma:
             return False

@@ -75,28 +75,22 @@ class FeatureSequence:
 
 @dataclass(frozen=True)
 class NetworkArch:
-    """Shapes of both network bodies for a dataset with T snippets, D dims."""
+    """Shapes of both network bodies for a dataset with T snippets, D dims:
+    the token-mixing MLP is T wide, the channel-mixing and attention MLPs are
+    D wide, and attention projects to ``d_k`` = max(1, D // 4) dimensions."""
 
     t: int
     d: int
     mixer_layers: int = 2
-    token_hidden: int = 0  # 0 = default (T)
-    channel_hidden: int = 0  # 0 = default (D)
-    d_k: int = 0  # 0 = default (max(1, D // 4))
-    attn_mlp_hidden: int = 0  # 0 = default (D)
     attn_blocks: int = 1
 
     def __post_init__(self):
         if min(self.t, self.d, self.mixer_layers, self.attn_blocks) < 1:
-            raise DimensionError(
-                f"need t, d, mixer_layers and attn_blocks >= 1, got {self}"
-            )
-        if min(self.token_hidden, self.channel_hidden, self.d_k, self.attn_mlp_hidden) < 0:
-            raise DimensionError(f"hidden sizes and d_k must be >= 0 (0 = default), got {self}")
-        object.__setattr__(self, "token_hidden", self.token_hidden or self.t)
-        object.__setattr__(self, "channel_hidden", self.channel_hidden or self.d)
-        object.__setattr__(self, "d_k", self.d_k or max(1, self.d // 4))
-        object.__setattr__(self, "attn_mlp_hidden", self.attn_mlp_hidden or self.d)
+            raise DimensionError(f"need t, d, mixer_layers and attn_blocks >= 1, got {self}")
+
+    @property
+    def d_k(self) -> int:
+        return max(1, self.d // 4)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -175,12 +169,12 @@ def teacher_layout(arch: NetworkArch) -> Layout:
         layout += [
             (f"{prefix}.norm_token.scale", (arch.d,)),
             (f"{prefix}.norm_token.shift", (arch.d,)),
-            (f"{prefix}.token_in", (arch.t, arch.token_hidden)),
-            (f"{prefix}.token_out", (arch.token_hidden, arch.t)),
+            (f"{prefix}.token_in", (arch.t, arch.t)),
+            (f"{prefix}.token_out", (arch.t, arch.t)),
             (f"{prefix}.norm_channel.scale", (arch.d,)),
             (f"{prefix}.norm_channel.shift", (arch.d,)),
-            (f"{prefix}.channel_in", (arch.d, arch.channel_hidden)),
-            (f"{prefix}.channel_out", (arch.channel_hidden, arch.d)),
+            (f"{prefix}.channel_in", (arch.d, arch.d)),
+            (f"{prefix}.channel_out", (arch.d, arch.d)),
         ]
     return layout + _head_layout(arch)
 
@@ -199,8 +193,8 @@ def reference_layout(arch: NetworkArch) -> Layout:
             (f"{prefix}.w_out", (arch.d_k, arch.d)),
             (f"{prefix}.norm_mlp.scale", (arch.d,)),
             (f"{prefix}.norm_mlp.shift", (arch.d,)),
-            (f"{prefix}.mlp_in", (arch.d, arch.attn_mlp_hidden)),
-            (f"{prefix}.mlp_out", (arch.attn_mlp_hidden, arch.d)),
+            (f"{prefix}.mlp_in", (arch.d, arch.d)),
+            (f"{prefix}.mlp_out", (arch.d, arch.d)),
         ]
     return layout + _head_layout(arch)
 

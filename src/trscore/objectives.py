@@ -24,29 +24,28 @@ from .errors import ContractError, DomainError
 from .networks import ScorePrediction
 
 
+# the ramp-up of temporal ensembling (Laine & Aila, arXiv:1610.02242)
+BETA_SHARPNESS, BETA_HORIZON = 5.0, 200.0
+
+
 @dataclass(frozen=True)
 class BetaSchedule:
     """Exponential warm-up of the unsupervised loss weight.
 
-    value(t) = peak * exp(-sharpness * (1 - t/horizon)^2), clamped to its
-    peak once t reaches the horizon; nondecreasing on [0, horizon].
+    value(t) = peak * exp(-BETA_SHARPNESS * (1 - t/BETA_HORIZON)^2), clamped
+    to its peak once t reaches the horizon; nondecreasing on [0, horizon].
     """
 
     peak: float = 0.2
-    sharpness: float = 5.0
-    horizon: float = 200.0
 
     def value(self, t: float) -> float:
         if t < 0:
             raise ContractError(f"schedule epoch must be nonnegative, got {t}")
-        u = min(float(t), self.horizon)
-        return self.peak * math.exp(-self.sharpness * (1.0 - u / self.horizon) ** 2)
+        u = min(float(t), BETA_HORIZON)
+        return self.peak * math.exp(-BETA_SHARPNESS * (1.0 - u / BETA_HORIZON) ** 2)
 
 
-DEFAULT_BETA_SCHEDULE = BetaSchedule()
-
-
-def beta_at(t: float, schedule: BetaSchedule = DEFAULT_BETA_SCHEDULE) -> float:
+def beta_at(t: float, schedule: BetaSchedule = BetaSchedule()) -> float:
     """Unsupervised-loss weight at training epoch ``t``."""
     return schedule.value(t)
 

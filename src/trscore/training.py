@@ -57,6 +57,8 @@ from .networks import (
     teacher_layout,
 )
 from .objectives import (
+    BETA_HORIZON,
+    BETA_SHARPNESS,
     BetaSchedule,
     LossBreakdown,
     beta_at,
@@ -80,6 +82,9 @@ class ComponentToggles:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Every setting of a run. Adam's betas and epsilon and the shape of the
+    unsupervised-weight ramp-up are constants; only its peak is a setting."""
+
     alpha: float = 0.99  # EMA momentum
     burn_in_epochs: int = 30
     max_epochs: int = 150
@@ -88,12 +93,7 @@ class TrainConfig:
     batch_size: int = 4
     component_toggles: ComponentToggles = field(default_factory=ComponentToggles)
     augment_noise_std: float = 0.4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     beta_peak: float = 0.2
-    beta_sharpness: float = 5.0
-    beta_horizon: float = 200.0
 
     def validate(self) -> None:
         if not 0.0 < self.alpha < 1.0:
@@ -119,7 +119,7 @@ class TrainConfig:
             )
 
     def schedule(self) -> BetaSchedule:
-        return BetaSchedule(self.beta_peak, self.beta_sharpness, self.beta_horizon)
+        return BetaSchedule(self.beta_peak)
 
     def to_dict(self) -> dict:
         """Flat key -> value map; the toggles sit beside the other fields."""
@@ -167,6 +167,9 @@ def coerce_config_value(key: str, value) -> bool | int | float:
     return parsed
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # Kingma & Ba, arXiv:1412.6980
+
+
 class Adam:
     """Adam with bias correction over one parameter set.
 
@@ -174,19 +177,9 @@ class Adam:
     handful of vector expressions over every parameter at once.
     """
 
-    def __init__(
-        self,
-        params: ParameterSet,
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ):
+    def __init__(self, params: ParameterSet, learning_rate: float):
         self.params = params
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self._step = 0
         self._m = np.zeros(params.num_values())
         self._v = np.zeros(params.num_values())
@@ -208,28 +201,18 @@ class Adam:
         if missing:
             return
         g = np.concatenate(grads)
-        correct1 = 1.0 - self.beta1 ** self._step
-        correct2 = 1.0 - self.beta2 ** self._step
+        correct1 = 1.0 - ADAM_BETA1 ** self._step
+        correct2 = 1.0 - ADAM_BETA2 ** self._step
         m, v = self._m, self._v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * (g * g)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
         self.params.data -= self.learning_rate * (m / correct1) / (
-            np.sqrt(v / correct2) + self.epsilon
+            np.sqrt(v / correct2) + ADAM_EPSILON
         )
         for p in self.params:
             p.version += 1
-
-
-def adam_for(params: ParameterSet, config: TrainConfig) -> Adam:
-    return Adam(
-        params,
-        config.learning_rate,
-        config.adam_beta1,
-        config.adam_beta2,
-        config.adam_epsilon,
-    )
 
 
 def ema_update(theta_t: ParameterSet, theta_s: ParameterSet, alpha: float) -> ParameterSet:
@@ -303,8 +286,8 @@ def init_state(config: TrainConfig, arch: NetworkArch) -> TrsState:
         epoch=0,
         m_t=ConfidenceMemory(TEACHER),
         m_r=ConfidenceMemory(REFERENCE),
-        opt_trained=adam_for(theta_t.params, config),
-        opt_reference=adam_for(theta_f.params, config),
+        opt_trained=Adam(theta_t.params, config.learning_rate),
+        opt_reference=Adam(theta_f.params, config.learning_rate),
     )
 
 
@@ -480,7 +463,7 @@ def initialize_student(state: TrsState, config: TrainConfig) -> TrsState:
             f"current epoch is {state.epoch}"
         )
     state.theta_s = state.theta_t.copy()
-    state.opt_trained = adam_for(state.theta_s.params, config)
+    state.opt_trained = Adam(state.theta_s.params, config.learning_rate)
     state.m_t.clear()
     state.m_r.clear()
     return state
@@ -496,8 +479,9 @@ def _memory_side(
 ) -> np.ndarray:
     """One side of the pseudo-label: the predicted ``scores`` themselves, or,
     with the memory on, each sample's stored score after the memory was
-    offered the prediction."""
-    if not enabled:
+    offered the prediction. Scores holding a non-finite value pass through
+    unoffered: the step's divergence check then names its loss term."""
+    if not enabled or not np.isfinite(scores).all():
         return scores
     for sample, score, sigma in zip(batch, scores, sigmas):
         memory.maybe_write(sample.sample_id, score, sigma, epoch)
@@ -600,8 +584,11 @@ def write_metrics_csv(rows: Sequence[EpochMetrics], path) -> None:
 
 
 def _check_training_sets(
-    labeled: Sequence[FeatureSequence], unlabeled: Sequence[FeatureSequence]
+    labeled: Sequence[FeatureSequence],
+    unlabeled: Sequence[FeatureSequence],
+    val: Sequence[FeatureSequence] = (),
 ) -> tuple[int, int]:
+    """The (T, D) of every sample; the validation set may repeat training ids."""
     if not labeled:
         raise ConfigurationError("training requires at least one labeled sample")
     seen: set[str] = set()
@@ -609,11 +596,12 @@ def _check_training_sets(
         if sample.sample_id in seen:
             raise ConfigurationError(f"duplicate sample id {sample.sample_id!r}")
         seen.add(sample.sample_id)
-    for sample in labeled:
-        if sample.score is None:
-            raise ConfigurationError(f"labeled sample {sample.sample_id!r} has no score")
+    for what, samples in (("labeled", labeled), ("validation", val)):
+        for sample in samples:
+            if sample.score is None:
+                raise ConfigurationError(f"{what} sample {sample.sample_id!r} has no score")
     t, d = labeled[0].features.shape
-    for sample in list(labeled) + list(unlabeled):
+    for sample in list(labeled) + list(unlabeled) + list(val):
         if sample.features.shape != (t, d):
             raise ConfigurationError(
                 f"sample {sample.sample_id!r} has shape {sample.features.shape}, "
@@ -639,15 +627,13 @@ def _run_epochs(
     labeled_set: Sequence[FeatureSequence],
     unlabeled_set: Sequence[FeatureSequence],
     val_set: Sequence[FeatureSequence] | None,
-    arch: NetworkArch | None,
     student_epoch: Callable[[TrsState, int], LossBreakdown],
 ) -> tuple[TrsState, list[EpochMetrics]]:
     """Burn-in epochs, the student at the boundary, then ``student_epoch``."""
     config.validate()
-    _check_training_sets(labeled_set, unlabeled_set)
-    t, d = labeled_set[0].features.shape
-    state = init_state(config, arch or NetworkArch(t=t, d=d))
     val = list(val_set) if val_set is not None else list(labeled_set)
+    t, d = _check_training_sets(labeled_set, unlabeled_set, val)
+    state = init_state(config, NetworkArch(t=t, d=d))
 
     metrics: list[EpochMetrics] = []
     for epoch in range(config.max_epochs):
@@ -667,7 +653,6 @@ def train(
     labeled_set: Sequence[FeatureSequence],
     unlabeled_set: Sequence[FeatureSequence],
     val_set: Sequence[FeatureSequence] | None = None,
-    arch: NetworkArch | None = None,
     checkpoint_dir=None,
 ) -> tuple[Network, Network, list[EpochMetrics]]:
     """Run burn-in, student initialization and the TRS stage end to end.
@@ -684,9 +669,7 @@ def train(
         beta = beta_at(epoch, schedule)
         return trs_epoch(state, labeled_set, unlabeled_set, beta, config)
 
-    state, metrics = _run_epochs(
-        config, labeled_set, unlabeled_set, val_set, arch, student_epoch
-    )
+    state, metrics = _run_epochs(config, labeled_set, unlabeled_set, val_set, student_epoch)
     if checkpoint_dir is not None:
         save_checkpoint(checkpoint_dir, state, config)
     return state.theta_t, state.theta_s, metrics
@@ -696,7 +679,6 @@ def train_supervised(
     config: TrainConfig,
     labeled_set: Sequence[FeatureSequence],
     val_set: Sequence[FeatureSequence] | None = None,
-    arch: NetworkArch | None = None,
 ) -> tuple[Network, list[EpochMetrics]]:
     """Labeled-data-only baseline with the same epoch budget.
 
@@ -711,7 +693,7 @@ def train_supervised(
     def student_epoch(state: TrsState, epoch: int) -> LossBreakdown:
         return _epoch(state, labeled_set, (), 0.0, config)
 
-    state, metrics = _run_epochs(config, labeled_set, (), val_set, arch, student_epoch)
+    state, metrics = _run_epochs(config, labeled_set, (), val_set, student_epoch)
     return state.theta_s, metrics
 
 
@@ -822,6 +804,24 @@ def _read_state_json(path: Path) -> dict:
     return payload
 
 
+# Settings that older state.json files carry and that are now constants: the
+# value each still loads at, and for the arch keys the attribute it equals.
+_RETIRED_CONFIG = {
+    "adam_beta1": ADAM_BETA1, "adam_beta2": ADAM_BETA2, "adam_epsilon": ADAM_EPSILON,
+    "beta_sharpness": BETA_SHARPNESS, "beta_horizon": BETA_HORIZON,
+}
+_RETIRED_ARCH = {"token_hidden": "t", "channel_hidden": "d", "d_k": "d_k", "attn_mlp_hidden": "d"}
+
+
+def _retire(raw: dict, fixed: dict) -> dict:
+    """``raw`` without its retired keys, each of which must hold its ``fixed``
+    value; any other value raises ``ConfigurationError`` naming the key."""
+    for key in fixed.keys() & raw.keys():
+        if isinstance(raw[key], bool) or raw[key] != fixed[key]:
+            raise ConfigurationError(f"{key} is now fixed at {fixed[key]!r}, got {raw[key]!r}")
+    return {key: value for key, value in raw.items() if key not in fixed}
+
+
 def load_checkpoint(directory) -> tuple[TrsState, TrainConfig]:
     """Restore a saved run state.
 
@@ -834,11 +834,13 @@ def load_checkpoint(directory) -> tuple[TrsState, TrainConfig]:
     state_path = directory / "state.json"
     payload = _read_state_json(state_path)
     try:
-        config = TrainConfig.from_dict(payload["config"])
+        config = TrainConfig.from_dict(_retire(payload["config"], _RETIRED_CONFIG))
     except ConfigurationError as exc:
         raise ConfigurationError(f"{state_path}: config: {exc}") from None
     try:
-        arch = NetworkArch.from_dict(payload["arch"])
+        raw_arch = payload["arch"]
+        arch = NetworkArch.from_dict({k: v for k, v in raw_arch.items() if k not in _RETIRED_ARCH})
+        _retire(raw_arch, {key: getattr(arch, name) for key, name in _RETIRED_ARCH.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{state_path}: arch: {exc}") from None
 
@@ -866,6 +868,6 @@ def load_checkpoint(directory) -> tuple[TrsState, TrainConfig]:
         epoch=payload["epoch"],
         m_t=ConfidenceMemory.load_tsv(directory / "memory_t.tsv", TEACHER),
         m_r=ConfidenceMemory.load_tsv(directory / "memory_r.tsv", REFERENCE),
-        opt_trained=adam_for((theta_s if trs else theta_t).params, config),
-        opt_reference=adam_for(theta_f.params, config),
+        opt_trained=Adam((theta_s if trs else theta_t).params, config.learning_rate),
+        opt_reference=Adam(theta_f.params, config.learning_rate),
     ), config

@@ -210,6 +210,32 @@ class TestContradictoryStateJson:
         state, config = load_checkpoint(directory)
         assert state.stage == "trs" and state.epoch == 1 and config.seed == 4
 
+    # settings that are now constants, at the values older checkpoints wrote
+    # for them (the arch's follow from t=4, d=8)
+    _RETIRED = {
+        "config": dict(adam_beta1=0.9, adam_beta2=0.999, adam_epsilon=1e-8,
+                       beta_sharpness=5.0, beta_horizon=200.0),
+        "arch": dict(token_hidden=4, channel_hidden=8, d_k=2, attn_mlp_hidden=8),
+    }
+
+    def test_older_state_json_with_retired_settings_loads(self, tmp_path):
+        directory = _staged_checkpoint(tmp_path, "trs")
+        expected = load_checkpoint(directory)
+        _rewrite_state(directory, lambda p: [p[s].update(v) for s, v in self._RETIRED.items()])
+        state, config = load_checkpoint(directory)
+        assert config == expected[1] and state.theta_t.arch == expected[0].theta_t.arch
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("config", "adam_beta1", 0.8), ("config", "beta_horizon", True),
+         ("arch", "d_k", 3), ("arch", "token_hidden", 8)],
+    )
+    def test_retired_setting_at_another_value_rejected(self, tmp_path, section, key, value):
+        directory = _staged_checkpoint(tmp_path, "trs")
+        _rewrite_state(directory, lambda p: p[section].update({key: value}))
+        with pytest.raises(ConfigurationError, match=f"state.json: {section}: {key}"):
+            load_checkpoint(directory)
+
 
 # ids that are legal in AQAF and hold a tab, a carriage return or a
 # character that str.splitlines treats as a line break

@@ -215,6 +215,14 @@ class TestTrainEval:
 
 
 class TestConfigFile:
+    def test_every_config_key_has_one_flag(self):
+        from trscore.cli import _CONFIG_FLAGS
+        from trscore.training import _FLAT_KINDS
+
+        assert set(_CONFIG_FLAGS) == set(_FLAT_KINDS)
+        flags = [flag for flag, _ in _CONFIG_FLAGS.values()]
+        assert len(set(flags)) == len(flags)
+
     def test_parse_and_precedence(self, tiny_data, tmp_path):
         train_file, _ = tiny_data
         config_file = tmp_path / "run.cfg"

@@ -1,9 +1,12 @@
 """Synthetic-task and AQAF-format tests."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trscore.autodiff import Tensor
 from trscore.data import (
@@ -165,6 +168,24 @@ class TestAqafErrors:
             save_features(ds, path)
             return path.read_bytes()
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_byte_mutations_load_or_raise_parse_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("aqaf") / "mutated.aqaf"
+        blob = bytearray(self._valid_bytes())
+        for _ in range(data.draw(st.integers(1, 4))):
+            blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+        path.write_bytes(bytes(blob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                loaded = load_features(path)
+            except ParseError:
+                return
+        for s in loaded.samples:
+            assert np.isfinite(s.features.array).all()
+            assert s.score is None or np.isfinite(s.score)
+
     def test_bad_magic_offset_zero(self, tmp_path):
         path = tmp_path / "bad.aqaf"
         path.write_bytes(b"XXXX" + self._valid_bytes()[4:])
@@ -313,6 +334,28 @@ class TestNonFiniteValues:
         with pytest.raises(ParseError, match="score") as err:
             load_features(path)
         assert err.value.offset == 16
+
+    def test_huge_finite_features_load_without_warning(self, tmp_path):
+        # their sum of squares overflows, which must not warn or reject them
+        blob = self._blob(has_score=True)
+        struct.pack_into("<6d", blob, 32, *[1e200, -1e200, 1e300, 0.0, 1.0, 1e154])
+        path = tmp_path / "huge.aqaf"
+        path.write_bytes(bytes(blob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            loaded = load_features(path)
+        assert loaded.samples[0].features.array[1, 0] == 0.0
+
+    def test_signalling_nan_feature_rejected_without_warning(self, tmp_path):
+        blob = self._blob(has_score=False)
+        struct.pack_into("<Q", blob, 24, 0x7FF0000000000001)
+        path = tmp_path / "snan.aqaf"
+        path.write_bytes(bytes(blob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ParseError) as err:
+                load_features(path)
+        assert err.value.offset == 24
 
     @pytest.mark.parametrize("has_score, block", [(True, 32), (False, 24)])
     @pytest.mark.parametrize("position", [0, 5])

@@ -8,7 +8,7 @@ from scipy import stats
 
 from trscore.autodiff import Tensor
 from trscore.data import SyntheticSpec, generate_synthetic
-from trscore.errors import ContractError, MetricUndefinedError
+from trscore.errors import ContractError, DimensionError, MetricUndefinedError
 from trscore.evaluation import evaluate, spearman, write_predictions_csv
 from trscore.networks import (
     FeatureSequence,
@@ -107,6 +107,15 @@ class TestEvaluate:
         bad = [FeatureSequence(Tensor(np.zeros((4, 8))), "u", None)]
         with pytest.raises(ContractError):
             evaluate(params, bad)
+
+    @pytest.mark.parametrize("t", [4, 5])
+    def test_sample_of_another_shape_rejected(self, t):
+        # a set of mixed shapes, and a set whose shape is not the network's
+        params = init_teacher_params(NetworkArch(4, 8), np.random.default_rng(0))
+        samples = labeled_samples(3, t=t) + [FeatureSequence(np.zeros((6, 8)), "odd", 1.0)]
+        first_bad = samples[-1] if t == 4 else samples[0]
+        with pytest.raises(DimensionError, match=repr(first_bad.sample_id)):
+            evaluate(params, samples)
 
     def test_memorizing_network_scores_one(self):
         # a network whose predictions happen to order five samples exactly as

@@ -54,6 +54,17 @@ class TestMaybeWrite:
             mem.maybe_write("a", 80.0, float("nan"), 0)
         assert "a" not in mem
 
+    @pytest.mark.parametrize(
+        "score, sigma",
+        [(float("inf"), 0.5), (float("-inf"), 0.5), (float("nan"), 0.5), (1.0, float("inf"))],
+    )
+    def test_non_finite_value_rejected(self, score, sigma):
+        # save_tsv would write it and load_tsv would reject the file
+        mem = ConfidenceMemory(TEACHER)
+        with pytest.raises(ContractError):
+            mem.maybe_write("a", score, sigma, 0)
+        assert "a" not in mem
+
     def test_repeated_pair_idempotent(self):
         mem = ConfidenceMemory(TEACHER)
         mem.maybe_write("a", 80.0, 0.5, 0)

@@ -15,8 +15,10 @@ from trscore.networks import (
     init_teacher_params,
     mixer_forward,
     reference_forward,
+    reference_layout,
     regression_head,
     teacher_forward,
+    teacher_layout,
 )
 from trscore.objectives import gaussian_nll
 
@@ -226,19 +228,18 @@ class TestNetworkArch:
 
     @pytest.mark.parametrize(
         "fields",
-        [
-            dict(t=0), dict(d=0), dict(mixer_layers=0), dict(attn_blocks=0),
-            dict(token_hidden=-1), dict(channel_hidden=-1), dict(d_k=-1),
-            dict(attn_mlp_hidden=-1),
-        ],
+        [dict(t=0), dict(d=0), dict(mixer_layers=0), dict(attn_blocks=0)],
     )
     def test_out_of_range_sizes_rejected(self, fields):
         with pytest.raises(DimensionError):
             NetworkArch(**{"t": 4, "d": 8, **fields})
 
-    def test_zero_sizes_take_defaults(self):
-        arch = NetworkArch(4, 8, token_hidden=0, d_k=0)
-        assert (arch.token_hidden, arch.d_k) == (4, 2)
+    def test_widths_follow_t_and_d(self):
+        arch = NetworkArch(4, 9)
+        assert arch.d_k == 2 and NetworkArch(4, 3).d_k == 1
+        shapes = dict(teacher_layout(arch) + reference_layout(arch))
+        assert shapes["mixer.1.token_in"] == (4, 4) and shapes["mixer.1.channel_out"] == (9, 9)
+        assert shapes["attn.0.w_out"] == (2, 9) and shapes["attn.0.mlp_in"] == (9, 9)
 
 
 class TestNetworkType:

@@ -225,14 +225,25 @@ class TestBurnIn:
             burn_in_epoch(state, labeled, config)
         initialize_student(state, config)
         state.theta_f.params["head.bias"].array[...] = np.inf
+
+        def memories_finite():
+            # a non-finite score would make the memory file unloadable
+            return all(
+                np.isfinite(e.score)
+                for memory in (state.m_t, state.m_r)
+                for e in memory.entries.values()
+            )
+
         # the reference side of every pseudo-label is infinite too
         with pytest.raises(DivergenceError, match="epoch 2, batch 0: non-finite l_reg_r, l_unsup;"):
             trs_epoch(state, labeled, unlabeled, 0.1, config)
+        assert len(state.m_t) > 0 and memories_finite()
         state.theta_f.params["head.bias"].array[...] = 0.0
         state.theta_s.params["head.weight"].array[...] = np.nan
         with pytest.raises(DivergenceError, match="epoch 2, batch 0: non-finite l_reg_s, l_unsup;"):
             trs_epoch(state, labeled, unlabeled, 0.1, config)
         assert all(p.version == 0 for p in state.theta_s.params)
+        assert len(state.m_r) > 0 and memories_finite()
 
 
 class TestInitializeStudent:
@@ -412,7 +423,7 @@ class TestTrsEpoch:
             trs_epoch(state, labeled, unlabeled, beta=0.0, config=config)
 
 
-def _reference_train_supervised(config, labeled_set, val_set=None, arch=None):
+def _reference_train_supervised(config, labeled_set, val_set=None):
     """The labeled-only baseline as a loop of its own, kept as a test oracle.
 
     ``train_supervised`` runs through the same epoch body and driver as
@@ -431,15 +442,15 @@ def _reference_train_supervised(config, labeled_set, val_set=None, arch=None):
         _labels,
         _safe_val_spearman,
         _stack,
-        adam_for,
+        Adam,
     )
 
     config.validate()
     _check_training_sets(labeled_set, [])
     t, d = labeled_set[0].features.shape
-    arch = arch or NetworkArch(t=t, d=d)
+    arch = NetworkArch(t=t, d=d)
     net = init_teacher_params(arch, streams.derive(config.seed, streams.INIT_TEACHER))
-    opt = adam_for(net.params, config)
+    opt = Adam(net.params, config.learning_rate)
     x = _stack(labeled_set)
     s = _labels(labeled_set)
     n = len(labeled_set)
@@ -449,7 +460,7 @@ def _reference_train_supervised(config, labeled_set, val_set=None, arch=None):
     for epoch in range(config.max_epochs):
         if epoch == config.burn_in_epochs:
             net = net.copy()
-            opt = adam_for(net.params, config)
+            opt = Adam(net.params, config.learning_rate)
         order = streams.derive(config.seed, streams.SHUFFLE_LABELED, epoch).permutation(n)
         sum_s = 0.0
         for lo, hi in _batch_bounds(n, config.batch_size):
@@ -556,6 +567,17 @@ class TestTrain:
             unlabeled = unlabeled + [FeatureSequence(np.zeros((5, 8)), "x", None)]
         with pytest.raises(ConfigurationError, match="labeled sample|shape"):
             train(quick_config(), labeled, unlabeled)
+
+    @pytest.mark.parametrize("defect", ["no score", "shape"])
+    def test_malformed_validation_set_rejected_before_epoch_0(self, monkeypatch, defect):
+        from trscore import training
+
+        labeled, unlabeled = toy_sets()
+        features = np.zeros((5, 8)) if defect == "shape" else labeled[0].features
+        bad = FeatureSequence(features, "v", 1.0 if defect == "shape" else None)
+        monkeypatch.setattr(training, "burn_in_epoch", lambda *a: pytest.fail("an epoch ran"))
+        with pytest.raises(ConfigurationError, match="'v'"):
+            train(quick_config(), labeled, unlabeled, val_set=labeled[:3] + [bad])
 
     def test_duplicate_ids_rejected(self):
         labeled, _ = toy_sets()
