@@ -6,7 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .data import SyntheticSpec, generate_synthetic, load_features, save_features
+from .data import SyntheticSpec, generate_synthetic, iter_features, load_features, save_features
 from .errors import (
     ConfigurationError,
     ContractError,
@@ -87,11 +87,12 @@ def _add_config_flags(parser: argparse.ArgumentParser, with_toggles: bool = True
             parser.add_argument(flag, action=argparse.BooleanOptionalAction, help=help_text)
 
 
-def _load_labeled(path, what: str):
-    dataset = load_features(path)
-    if dataset.num_unlabeled:
-        raise ConfigurationError(f"{what} {path} contains unlabeled samples")
-    return dataset.samples
+def _labeled_only(path, what: str):
+    """The samples of ``path`` as they are parsed; an unlabeled one raises."""
+    for s in iter_features(path):
+        if s.score is None:
+            raise ConfigurationError(f"{what} {path} contains unlabeled samples")
+        yield s
 
 
 def _cmd_synth(args) -> int:
@@ -116,7 +117,7 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     config = _build_config(args)
     dataset = load_features(args.data)
-    val_set = _load_labeled(args.val, "validation set") if args.val else None
+    val_set = list(_labeled_only(args.val, "validation set")) if args.val else None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _, _, metrics = train(
@@ -142,8 +143,8 @@ def _cmd_eval(args) -> int:
         raise ConfigurationError(
             "checkpoint has no student parameters (training never left burn-in)"
         )
-    samples = _load_labeled(args.data, "test set")
-    rho, rows = evaluate(state.theta_s, samples)
+    # the predictions CSV is written only after the whole stream has parsed
+    rho, rows = evaluate(state.theta_s, _labeled_only(args.data, "test set"))
     print(f"spearman: {rho:.6f} over {len(rows)} samples")
     if args.out:
         write_predictions_csv(rows, args.out)
@@ -167,7 +168,7 @@ def _cmd_ablate(args) -> int:
 
     config = _build_config(args)
     dataset = load_features(args.data)
-    test_set = _load_labeled(args.test, "test set")
+    test_set = list(_labeled_only(args.test, "test set"))
     results = []
     for name, toggles in ABLATION_GRID:
         run_config = replace(config, component_toggles=toggles)

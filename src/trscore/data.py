@@ -3,12 +3,21 @@
 AQAF layout (little-endian): magic "AQAF", u32 version=1, u32 sample count,
 then per sample: u16 id length + UTF-8 id, u8 has_score flag, f64 score when
 flagged, u32 T, u32 D, and T*D f64 features in row-major order.
+
+Every path holds at most one copy of a dataset: synthesis builds its features a
+block of rows at a time, ``save_features`` writes bounded blocks straight to
+the file, and ``iter_features`` parses the file as it reads it, so a
+malformed sample raises its ``ParseError`` only when the parser reaches it,
+after the samples before it were yielded.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+import uuid
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +37,9 @@ NUISANCE_SCALE = 2.5  # the remaining dimensions are louder distractors
 SCORE_SCALE = 2.0
 NONLINEAR_WEIGHT = 0.5
 SCORE_RANGE = (-9.0, 9.0)
+
+# the size of a synthesis block of feature rows and of the file buffers
+_BLOCK_BYTES = 1 << 18
 
 
 @dataclass
@@ -140,9 +152,17 @@ def generate_synthetic(spec: SyntheticSpec, split: str = "train") -> Dataset:
 
     draw = streams.derive(spec.seed, streams.SYNTH_SAMPLES, streams.id_hash(split))
     latent = draw.normal(size=(spec.num_samples, LATENT_DIM))
-    noise = draw.normal(0.0, spec.noise_std, size=(spec.num_samples, spec.t, spec.d))
-    trajectory = (latent * gains)[:, None, :] * modulation[None, :, :]
-    features = trajectory @ projection + noise
+    # the noise is drawn block by block in row order, which consumes the stream
+    # exactly as one N x T x D draw would, so the bits do not depend on the block
+    rows = max(1, _BLOCK_BYTES // (8 * spec.t * spec.d))
+    features: list[Tensor] = []
+    for lo in range(0, spec.num_samples, rows):
+        hi = min(lo + rows, spec.num_samples)
+        noise = draw.normal(0.0, spec.noise_std, size=(hi - lo, spec.t, spec.d))
+        trajectory = (latent[lo:hi] * gains)[:, None, :] * modulation[None, :, :]
+        block = trajectory @ projection
+        block += noise
+        features.extend(Tensor(row) for row in block)
     signal = latent[:, :SIGNAL_DIMS]
     raw = signal @ w_linear + NONLINEAR_WEIGHT * np.tanh(signal @ w_tanh)
     scores = np.clip(SCORE_SCALE * raw, SCORE_RANGE[0], SCORE_RANGE[1])
@@ -152,13 +172,13 @@ def generate_synthetic(spec: SyntheticSpec, split: str = "train") -> Dataset:
 
     samples = []
     labeled_ids, unlabeled_ids = [], []
-    for i in range(spec.num_samples):
+    for i, tensor in enumerate(features):
         sample_id = f"{split}-{i:05d}"
         if i in labeled_positions:
-            samples.append(FeatureSequence(Tensor(features[i]), sample_id, float(scores[i])))
+            samples.append(FeatureSequence(tensor, sample_id, float(scores[i])))
             labeled_ids.append(sample_id)
         else:
-            samples.append(FeatureSequence(Tensor(features[i]), sample_id, None))
+            samples.append(FeatureSequence(tensor, sample_id, None))
             unlabeled_ids.append(sample_id)
     return Dataset(samples, frozenset(labeled_ids), frozenset(unlabeled_ids), SCORE_RANGE)
 
@@ -167,13 +187,16 @@ def generate_synthetic(spec: SyntheticSpec, split: str = "train") -> Dataset:
 
 
 class _Cursor:
-    """Bounds-checked little-endian reader over the bytes of the file ``source``.
+    """Bounds-checked little-endian reader over the open binary file ``source``.
 
-    Its errors are ``ParseError``s that name the file and carry a byte offset.
+    Every read is checked against the file's size before anything is read or
+    allocated. Its errors are ``ParseError``s that name the file and carry a
+    byte offset.
     """
 
-    def __init__(self, blob: bytes, source):
-        self.blob = blob
+    def __init__(self, stream, source):
+        self.stream = stream
+        self.size = os.fstat(stream.fileno()).st_size
         self.offset = 0
         self.source = source
 
@@ -182,9 +205,11 @@ class _Cursor:
         return ParseError(f"{self.source}: {message}", where)
 
     def take(self, n: int, what: str) -> bytes:
-        if self.offset + n > len(self.blob):
+        if self.offset + n > self.size:
             raise self.error(f"truncated while reading {what}")
-        out = self.blob[self.offset : self.offset + n]
+        out = self.stream.read(n)
+        if len(out) != n:  # the file shrank while it was read
+            raise self.error(f"truncated while reading {what}")
         self.offset += n
         return out
 
@@ -194,85 +219,104 @@ class _Cursor:
 
 
 def save_features(dataset: Dataset, path) -> None:
-    """Write a dataset in AQAF; save/load round-trips bit-identically."""
-    chunks = [struct.pack("<4sII", AQAF_MAGIC, AQAF_VERSION, len(dataset.samples))]
-    for s in dataset.samples:
-        encoded = s.sample_id.encode("utf-8")
-        if len(encoded) > 0xFFFF:
-            raise ConfigurationError(f"sample id too long: {s.sample_id!r}")
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-        if s.score is not None:
-            chunks.append(struct.pack("<Bd", 1, s.score))
-        else:
-            chunks.append(struct.pack("<B", 0))
-        t, d = s.features.shape
-        chunks.append(struct.pack("<II", t, d))
-        chunks.append(s.features.array.astype("<f8").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    """Write a dataset in AQAF; save/load round-trips bit-identically.
+
+    The samples go in bounded blocks to a temporary file beside ``path``,
+    which then replaces ``path``; a save that fails leaves ``path`` as it was.
+    """
+    path = Path(path)
+    # a plain exclusive open, unlike tempfile's, gives the file the usual mode
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    out = open(tmp, "xb", buffering=_BLOCK_BYTES)
+    try:
+        with out:
+            out.write(struct.pack("<4sII", AQAF_MAGIC, AQAF_VERSION, len(dataset.samples)))
+            for s in dataset.samples:
+                encoded = s.sample_id.encode("utf-8")
+                if len(encoded) > 0xFFFF:
+                    raise ConfigurationError(f"sample id too long: {s.sample_id!r}")
+                out.write(struct.pack("<H", len(encoded)))
+                out.write(encoded)
+                if s.score is not None:
+                    out.write(struct.pack("<Bd", 1, s.score))
+                else:
+                    out.write(struct.pack("<B", 0))
+                out.write(struct.pack("<II", *s.features.shape))
+                out.write(np.ascontiguousarray(s.features.array, dtype="<f8"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-# the finiteness shortcut's sum of squares may overflow or meet a signalling NaN;
-# the element-wise test behind it decides, so neither may warn
-@np.errstate(over="ignore", invalid="ignore")
+def iter_features(path) -> Iterator[FeatureSequence]:
+    """Parse an AQAF file as it is read, yielding its samples in file order.
+
+    Malformed input raises ``ParseError`` with its offset when the parser
+    reaches it; the samples before it have been yielded by then. The file is
+    read through a bounded buffer, and each sample's features are copied once,
+    from the bytes read into the sample's own array.
+    """
+    with open(path, "rb", buffering=_BLOCK_BYTES) as stream:
+        cur = _Cursor(stream, path)
+        magic = cur.take(4, "magic")
+        if magic != AQAF_MAGIC:
+            raise cur.error(f"bad magic {magic!r}, expected {AQAF_MAGIC!r}", 0)
+        (version,) = cur.unpack("I", "version")
+        if version != AQAF_VERSION:
+            raise cur.error(f"unsupported version {version}", 4)
+        (count,) = cur.unpack("I", "sample count")
+
+        seen: set[str] = set()
+        shape: tuple[int, int] | None = None
+        for _ in range(count):
+            id_offset = cur.offset
+            (id_len,) = cur.unpack("H", "id length")
+            try:
+                sample_id = cur.take(id_len, "id").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise cur.error(f"id is not valid UTF-8: {exc}", id_offset + 2) from exc
+            if sample_id in seen:
+                raise cur.error(f"duplicate sample id {sample_id!r}", id_offset)
+            seen.add(sample_id)
+            (has_score,) = cur.unpack("B", "score flag")
+            if has_score not in (0, 1):
+                raise cur.error(f"score flag must be 0 or 1, got {has_score}", cur.offset - 1)
+            score_offset = cur.offset
+            score = cur.unpack("d", "score")[0] if has_score else None
+            if score is not None and not math.isfinite(score):
+                raise cur.error(f"score of {sample_id!r} is {score}", score_offset)
+            dims_offset = cur.offset
+            t, d = cur.unpack("II", "dimensions")
+            if t < 1 or d < 1:
+                raise cur.error(f"dimensions must be positive, got {t} x {d}", dims_offset)
+            if shape is None:
+                shape = (t, d)
+            elif (t, d) != shape:
+                raise cur.error(
+                    f"sample {sample_id!r} has {t} x {d} features, dataset uses "
+                    f"{shape[0]} x {shape[1]}",
+                    dims_offset,
+                )
+            features_offset = cur.offset
+            raw = cur.take(8 * t * d, f"features of {sample_id!r}")
+            flat = np.frombuffer(raw, dtype="<f8")
+            # one dot product is cheaper than an element-wise test; the sum of
+            # squares is finite unless a value is non-finite or above ~1e154.
+            # vdot, unlike matmul, raises no floating-point warning on overflow
+            # or a signalling NaN; the element-wise test behind it decides
+            if not math.isfinite(np.vdot(flat, flat)) and not np.isfinite(flat).all():
+                raise cur.error(f"features of {sample_id!r} are not all finite", features_offset)
+            yield FeatureSequence(Tensor(flat.reshape(t, d)), sample_id, score)
+        if cur.offset != cur.size:
+            raise cur.error("trailing bytes after last sample")
+
+
 def load_features(path) -> Dataset:
-    """Parse an AQAF file; malformed input raises ParseError with its offset."""
-    cur = _Cursor(Path(path).read_bytes(), path)
-    magic = cur.take(4, "magic")
-    if magic != AQAF_MAGIC:
-        raise cur.error(f"bad magic {magic!r}, expected {AQAF_MAGIC!r}", 0)
-    (version,) = cur.unpack("I", "version")
-    if version != AQAF_VERSION:
-        raise cur.error(f"unsupported version {version}", 4)
-    (count,) = cur.unpack("I", "sample count")
-
-    samples: list[FeatureSequence] = []
-    labeled_ids: list[str] = []
-    unlabeled_ids: list[str] = []
-    seen: set[str] = set()
-    shape: tuple[int, int] | None = None
-    for _ in range(count):
-        id_offset = cur.offset
-        (id_len,) = cur.unpack("H", "id length")
-        try:
-            sample_id = cur.take(id_len, "id").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise cur.error(f"id is not valid UTF-8: {exc}", id_offset + 2) from exc
-        if sample_id in seen:
-            raise cur.error(f"duplicate sample id {sample_id!r}", id_offset)
-        seen.add(sample_id)
-        (has_score,) = cur.unpack("B", "score flag")
-        if has_score not in (0, 1):
-            raise cur.error(f"score flag must be 0 or 1, got {has_score}", cur.offset - 1)
-        score_offset = cur.offset
-        score = cur.unpack("d", "score")[0] if has_score else None
-        if score is not None and not math.isfinite(score):
-            raise cur.error(f"score of {sample_id!r} is {score}", score_offset)
-        dims_offset = cur.offset
-        t, d = cur.unpack("II", "dimensions")
-        if t < 1 or d < 1:
-            raise cur.error(f"dimensions must be positive, got {t} x {d}", dims_offset)
-        if shape is None:
-            shape = (t, d)
-        elif (t, d) != shape:
-            raise cur.error(
-                f"sample {sample_id!r} has {t} x {d} features, dataset uses "
-                f"{shape[0]} x {shape[1]}",
-                dims_offset,
-            )
-        features_offset = cur.offset
-        raw = cur.take(8 * t * d, f"features of {sample_id!r}")
-        features = np.frombuffer(raw, dtype="<f8").reshape(t, d).copy()
-        flat = features.reshape(-1)
-        # one dot product is cheaper than an element-wise test; the sum of
-        # squares is finite unless a value is non-finite or above ~1e154
-        if not math.isfinite(flat @ flat) and not np.isfinite(flat).all():
-            raise cur.error(f"features of {sample_id!r} are not all finite", features_offset)
-        samples.append(FeatureSequence(Tensor(features), sample_id, score))
-        (labeled_ids if has_score else unlabeled_ids).append(sample_id)
-    if cur.offset != len(cur.blob):
-        raise cur.error("trailing bytes after last sample")
-
+    """Parse a whole AQAF file into a ``Dataset``; errors as ``iter_features``."""
+    samples = list(iter_features(path))
+    labeled_ids = frozenset(s.sample_id for s in samples if s.score is not None)
+    unlabeled_ids = frozenset(s.sample_id for s in samples if s.score is None)
     scores = [s.score for s in samples if s.score is not None]
     score_range = (min(scores), max(scores)) if scores else (0.0, 1.0)
-    return Dataset(samples, frozenset(labeled_ids), frozenset(unlabeled_ids), score_range)
+    return Dataset(samples, labeled_ids, unlabeled_ids, score_range)

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -61,39 +62,48 @@ class PredictionRow:
 
 
 def evaluate(
-    student: Network, test_set: Sequence[FeatureSequence]
+    student: Network, test_set: Iterable[FeatureSequence]
 ) -> tuple[float, list[PredictionRow]]:
     """Score a labeled test set with the student network only, unaugmented.
 
     Returns Spearman's correlation against the ground truth and one
-    prediction row per sample. Parameters are read, never mutated. A sample
-    without a score raises ``ContractError``; one whose shape is not the
-    network's (T, D) raises ``DimensionError``.
+    prediction row per sample. Parameters are read, never mutated.
+    ``test_set`` may be any iterable, a stream of parsed samples included; it
+    is consumed ``_EVAL_CHUNK`` samples at a time, so only one chunk's
+    features are held at once. A sample without a score raises
+    ``ContractError`` and one whose shape is not the network's (T, D) raises
+    ``DimensionError``, each when its chunk is reached; so does an error the
+    iterable itself raises.
     """
-    samples = list(test_set)
     shape = (student.arch.t, student.arch.d)
-    for s in samples:
-        if s.score is None:
-            raise ContractError(f"test sample {s.sample_id!r} has no score")
-        if s.features.shape != shape:
-            raise DimensionError(f"test sample {s.sample_id!r} is {s.features.shape}, not {shape}")
+    ids: list[str] = []
+    truths: list[float] = []
     mus: list[np.ndarray] = []
     sigmas: list[np.ndarray] = []
+    samples = iter(test_set)
     with ad.no_grad():
-        for lo in range(0, len(samples), _EVAL_CHUNK):
-            batch = samples[lo : lo + _EVAL_CHUNK]
+        while batch := list(islice(samples, _EVAL_CHUNK)):
+            for s in batch:
+                if s.score is None:
+                    raise ContractError(f"test sample {s.sample_id!r} has no score")
+                if s.features.shape != shape:
+                    raise DimensionError(
+                        f"test sample {s.sample_id!r} is {s.features.shape}, not {shape}"
+                    )
             pred = teacher_forward(
                 student, Tensor(np.stack([s.features.array for s in batch]))
             )
             mus.append(pred.mu_values)
             sigmas.append(pred.sigma_values)
+            ids.extend(s.sample_id for s in batch)
+            truths.extend(s.score for s in batch)
     mu = np.concatenate(mus) if mus else np.empty(0)
     sigma = np.concatenate(sigmas) if sigmas else np.empty(0)
-    truths = np.array([s.score for s in samples], dtype=np.float64)
-    rho = spearman(truths, mu)
+    truth = np.array(truths, dtype=np.float64)
+    rho = spearman(truth, mu)
     rows = [
-        PredictionRow(s.sample_id, float(truths[i]), float(mu[i]), float(sigma[i]))
-        for i, s in enumerate(samples)
+        PredictionRow(*row)
+        for row in zip(ids, truth.tolist(), mu.tolist(), sigma.tolist())
     ]
     return rho, rows
 

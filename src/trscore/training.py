@@ -722,26 +722,27 @@ def load_parameter_set(path) -> ParameterSet:
     bytes after the data section) raises ``ParseError`` naming the file and
     the byte offset.
     """
-    cur = _Cursor(Path(path).read_bytes(), path)
-    version, count = cur.unpack("II", "the header")
-    if version != _BIN_VERSION:
-        raise cur.error(f"unsupported parameter file version {version}", 0)
-    layout: dict[str, tuple[int, ...]] = {}
-    for _ in range(count):
-        start = cur.offset
-        (name_len,) = cur.unpack("H", "a name length")
-        try:
-            name = cur.take(name_len, "a parameter name").decode("utf-8")
-        except UnicodeDecodeError:
-            raise cur.error("parameter name is not UTF-8", start + 2) from None
-        if not name or name in layout:
-            raise cur.error(f"empty or duplicate parameter name {name!r}", start)
-        (ndim,) = cur.unpack("B", "a rank")
-        layout[name] = cur.unpack(f"{ndim}I", "a shape")
-    size = sum(math.prod(shape) for shape in layout.values())
-    raw = cur.take(8 * size, f"the data section ({size} values)")
-    if cur.offset != len(cur.blob):
-        raise cur.error(f"{len(cur.blob) - cur.offset} bytes after the data section")
+    with open(path, "rb") as stream:
+        cur = _Cursor(stream, path)
+        version, count = cur.unpack("II", "the header")
+        if version != _BIN_VERSION:
+            raise cur.error(f"unsupported parameter file version {version}", 0)
+        layout: dict[str, tuple[int, ...]] = {}
+        for _ in range(count):
+            start = cur.offset
+            (name_len,) = cur.unpack("H", "a name length")
+            try:
+                name = cur.take(name_len, "a parameter name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise cur.error("parameter name is not UTF-8", start + 2) from None
+            if not name or name in layout:
+                raise cur.error(f"empty or duplicate parameter name {name!r}", start)
+            (ndim,) = cur.unpack("B", "a rank")
+            layout[name] = cur.unpack(f"{ndim}I", "a shape")
+        size = sum(math.prod(shape) for shape in layout.values())
+        raw = cur.take(8 * size, f"the data section ({size} values)")
+        if cur.offset != cur.size:
+            raise cur.error(f"{cur.size - cur.offset} bytes after the data section")
     data = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     return ParameterSet.from_layout(layout.items(), data)
 

@@ -1,12 +1,17 @@
 """Command-line surface tests (fast, tiny runs)."""
 
+import os
+import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from trscore import evaluation
 from trscore.cli import main, parse_config_file
+from trscore.data import Dataset, load_features, save_features
 from trscore.errors import ConfigurationError
 
 
@@ -37,6 +42,17 @@ class TestSynth:
 
         ds = load_features(out)
         assert len(ds.samples) == 10
+
+    def test_failed_write_leaves_the_existing_file(self, tmp_path, capsys):
+        out = tmp_path / "d.aqaf"
+        out.write_bytes(b"an earlier file")
+        code = run_cli(
+            ["synth", "--n", 10, "--t", 3, "--d", 4, "--split", "é" * 32768, "-o", out]
+        )
+        assert code == 2
+        assert "too long" in capsys.readouterr().err
+        assert out.read_bytes() == b"an earlier file"
+        assert os.listdir(tmp_path) == ["d.aqaf"]
 
     def test_bad_spec_exits_nonzero(self, tmp_path, capsys):
         code = run_cli(
@@ -212,6 +228,85 @@ class TestTrainEval:
             assert result.returncode == 0, result.stderr
             outputs.append((out_dir / "metrics.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+
+def _train_checkpoint(tmp_path, t, d):
+    data = tmp_path / f"train{t}x{d}.aqaf"
+    assert run_cli(["synth", "--n", 40, "--t", t, "--d", d, "--label-frac", 0.3,
+                    "--seed", 3, "-o", data]) == 0
+    out_dir = tmp_path / f"run{t}x{d}"
+    assert run_cli(["train", "--data", data, "--out-dir", out_dir,
+                    "--epochs", 3, "--burn-in", 2, "--seed", 1]) == 0
+    return out_dir / "checkpoint"
+
+
+def _labeled_file(path, n, t, d):
+    assert run_cli(["synth", "--n", n, "--t", t, "--d", d, "--label-frac", 1.0,
+                    "--seed", 3, "--split", "bulk", "-o", path]) == 0
+    return path
+
+
+class TestEvalStream:
+    """``trscore eval`` scores its file chunk by chunk as it parses it."""
+
+    @pytest.mark.parametrize("defect, message", [
+        ("truncated", "truncated while reading features of 'bulk-00299'"),
+        ("non-finite", "features of 'bulk-00299' are not all finite"),
+        ("unlabeled", "contains unlabeled samples"),
+    ])
+    def test_bad_last_sample_exits_2_without_predictions(
+        self, tmp_path, capsys, monkeypatch, defect, message
+    ):
+        checkpoint = _train_checkpoint(tmp_path, 4, 8)
+        path = _labeled_file(tmp_path / "bulk.aqaf", 300, 4, 8)
+        blob = bytearray(path.read_bytes())
+        features_offset = len(blob) - 8 * 4 * 8  # of the last sample
+        if defect == "truncated":
+            path.write_bytes(bytes(blob[:-5]))
+        elif defect == "non-finite":
+            struct.pack_into("<d", blob, len(blob) - 8, float("nan"))
+            path.write_bytes(bytes(blob))
+        else:
+            samples = load_features(path).samples
+            samples[-1].score = None
+            ids = {s.sample_id for s in samples}
+            save_features(Dataset(samples, ids - {"bulk-00299"}, {"bulk-00299"}, (-9, 9)), path)
+        forwards = []
+        scored = evaluation.teacher_forward
+        monkeypatch.setattr(
+            evaluation, "teacher_forward", lambda *a: forwards.append(1) or scored(*a)
+        )
+        capsys.readouterr()
+        predictions = tmp_path / "pred.csv"
+        code = run_cli(["eval", "--data", path, "--checkpoint", checkpoint, "-o", predictions])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        if defect != "unlabeled":
+            assert f"byte offset {features_offset}" in err
+        assert forwards  # the first chunk was scored before the fault was reached
+        assert not predictions.exists()
+
+    def test_peak_memory_does_not_grow_with_the_file(self, tmp_path):
+        # numpy reports its buffers to tracemalloc; 1,500 more samples of
+        # 10 x 64 add 7.7 MB of features, which the peak must not hold
+        checkpoint = _train_checkpoint(tmp_path, 10, 64)
+
+        def traced_eval(n):
+            path = _labeled_file(tmp_path / f"bulk{n}.aqaf", n, 10, 64)
+            argv = ["eval", "--data", path, "--checkpoint", checkpoint,
+                    "-o", tmp_path / "pred.csv"]
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                assert run_cli(argv) == 0
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        traced_eval(50)  # lazy set-up happens outside the measured calls
+        growth = traced_eval(2000) - traced_eval(500)
+        assert growth <= 0.25 * 1500 * 10 * 64 * 8
 
 
 class TestConfigFile:

@@ -1,6 +1,9 @@
 """Synthetic-task and AQAF-format tests."""
 
+import math
+import os
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trscore.autodiff import Tensor
+from trscore import data as data_module
 from trscore.data import (
     AQAF_MAGIC,
     Dataset,
     SyntheticSpec,
     generate_synthetic,
+    iter_features,
     load_features,
     save_features,
 )
@@ -74,6 +79,18 @@ class TestGenerateSynthetic:
         coef, *_ = np.linalg.lstsq(design, scores, rcond=None)
         fitted = design @ coef
         assert spearman(fitted, scores) > 0.9
+
+    def test_bits_do_not_depend_on_the_block_size(self, monkeypatch):
+        spec = SyntheticSpec(num_samples=50, t=3, d=5, label_fraction=0.4, noise_std=0.7, seed=6)
+        monkeypatch.setattr(data_module, "_BLOCK_BYTES", 1 << 30)  # one block
+        whole = generate_synthetic(spec)
+        for rows in (1, 3, 7):
+            monkeypatch.setattr(data_module, "_BLOCK_BYTES", rows * 8 * spec.t * spec.d)
+            blocked = generate_synthetic(spec)
+            assert blocked.labeled_ids == whole.labeled_ids
+            for a, b in zip(blocked.samples, whole.samples):
+                assert a.score == b.score
+                assert a.features.array.tobytes() == b.features.array.tobytes()
 
     def test_scores_within_declared_range(self):
         ds = generate_synthetic(SyntheticSpec(num_samples=200, t=2, d=4, label_fraction=1.0, seed=4))
@@ -155,6 +172,86 @@ class TestAqafRoundTrip:
         assert first.read_bytes() == second.read_bytes()
 
 
+def reference_parse(blob: bytes, source):
+    """The AQAF grammar over a whole in-memory file, as a list of samples.
+
+    This is the parser the streamed reader replaced; every input must give
+    both the same samples or the same ``ParseError`` message and offset.
+    """
+    pos = 0
+
+    def fail(message, offset=None):
+        return ParseError(f"{source}: {message}", pos if offset is None else offset)
+
+    def take(n, what):
+        nonlocal pos
+        if pos + n > len(blob):
+            raise fail(f"truncated while reading {what}")
+        pos += n
+        return blob[pos - n : pos]
+
+    def unpack(fmt, what):
+        return struct.unpack("<" + fmt, take(struct.calcsize("<" + fmt), what))
+
+    magic = take(4, "magic")
+    if magic != AQAF_MAGIC:
+        raise fail(f"bad magic {magic!r}, expected {AQAF_MAGIC!r}", 0)
+    (version,) = unpack("I", "version")
+    if version != 1:
+        raise fail(f"unsupported version {version}", 4)
+    (count,) = unpack("I", "sample count")
+    samples, shape = [], None
+    for _ in range(count):
+        id_offset = pos
+        (id_len,) = unpack("H", "id length")
+        try:
+            sample_id = take(id_len, "id").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise fail(f"id is not valid UTF-8: {exc}", id_offset + 2) from exc
+        if sample_id in {s[0] for s in samples}:
+            raise fail(f"duplicate sample id {sample_id!r}", id_offset)
+        (flag,) = unpack("B", "score flag")
+        if flag not in (0, 1):
+            raise fail(f"score flag must be 0 or 1, got {flag}", pos - 1)
+        score_offset = pos
+        score = unpack("d", "score")[0] if flag else None
+        if score is not None and not math.isfinite(score):
+            raise fail(f"score of {sample_id!r} is {score}", score_offset)
+        dims_offset = pos
+        t, d = unpack("II", "dimensions")
+        if t < 1 or d < 1:
+            raise fail(f"dimensions must be positive, got {t} x {d}", dims_offset)
+        if shape is not None and (t, d) != shape:
+            raise fail(
+                f"sample {sample_id!r} has {t} x {d} features, dataset uses "
+                f"{shape[0]} x {shape[1]}",
+                dims_offset,
+            )
+        shape = (t, d)
+        features_offset = pos
+        features = np.frombuffer(take(8 * t * d, f"features of {sample_id!r}"), "<f8")
+        if not np.isfinite(features).all():
+            raise fail(f"features of {sample_id!r} are not all finite", features_offset)
+        samples.append((sample_id, score, features.reshape(t, d)))
+    if pos != len(blob):
+        raise fail("trailing bytes after last sample")
+    return samples
+
+
+def parse_outcome(parse):
+    """What a parse gives: its samples, or its ParseError's message and offset."""
+    try:
+        return [(i, sc, f.tobytes()) for i, sc, f in parse()]
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.offset)
+
+
+def streamed_outcome(path):
+    return parse_outcome(
+        lambda: [(s.sample_id, s.score, s.features.array) for s in iter_features(path)]
+    )
+
+
 class TestAqafErrors:
     def _valid_bytes(self):
         ds = random_dataset(5)
@@ -178,6 +275,8 @@ class TestAqafErrors:
         path.write_bytes(bytes(blob))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
+            outcome = streamed_outcome(path)
+            assert outcome == parse_outcome(lambda: reference_parse(bytes(blob), path))
             try:
                 loaded = load_features(path)
             except ParseError:
@@ -185,6 +284,37 @@ class TestAqafErrors:
         for s in loaded.samples:
             assert np.isfinite(s.features.array).all()
             assert s.score is None or np.isfinite(s.score)
+
+    def test_every_truncation_matches_the_reference(self, tmp_path):
+        samples = [
+            FeatureSequence(Tensor(np.arange(6.0).reshape(2, 3)), "a", 1.5),
+            FeatureSequence(Tensor(-np.arange(6.0).reshape(2, 3)), "bé", None),
+            FeatureSequence(Tensor(np.ones((2, 3))), "c", -2.0),
+        ]
+        path = tmp_path / "whole.aqaf"
+        save_features(Dataset(samples, {"a", "c"}, {"bé"}, (-2.0, 1.5)), path)
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.aqaf"
+        for end in range(len(blob)):
+            cut.write_bytes(blob[:end])
+            outcome = streamed_outcome(cut)
+            assert outcome[0] == "ParseError" and "truncated" in outcome[1], end
+            assert outcome == parse_outcome(lambda: reference_parse(blob[:end], cut)), end
+            with pytest.raises(ParseError) as err:
+                load_features(cut)
+            assert (str(err.value), err.value.offset) == outcome[1:]
+
+    def test_declared_size_beyond_the_file_raises_before_allocating(self, tmp_path):
+        # 2^31 x 2^31 features would be 32 EiB; the reader must not try to read them
+        blob = b"".join([
+            struct.pack("<4sII", AQAF_MAGIC, 1, 1), struct.pack("<H", 1), b"a",
+            struct.pack("<B", 0), struct.pack("<II", 2**31, 2**31), b"\0" * 16,
+        ])
+        path = tmp_path / "huge.aqaf"
+        path.write_bytes(blob)
+        with pytest.raises(ParseError, match="truncated while reading features") as err:
+            load_features(path)
+        assert err.value.offset == 24
 
     def test_bad_magic_offset_zero(self, tmp_path):
         path = tmp_path / "bad.aqaf"
@@ -261,12 +391,22 @@ class TestAqafErrors:
             load_features(path)
         assert err.value.offset == offset
 
-    def test_id_over_65535_bytes_rejected_on_save(self, tmp_path):
-        seq = FeatureSequence(Tensor(np.zeros((1, 1))), "é" * 32768, None)
-        dataset = Dataset([seq], set(), {seq.sample_id}, (0.0, 1.0))
+    @pytest.mark.parametrize("existing", [None, b"an earlier file"])
+    def test_id_over_65535_bytes_rejected_on_save(self, tmp_path, existing):
+        # the overlong id comes last, after every other sample was written
+        samples = [FeatureSequence(Tensor(np.zeros((1, 1))), f"s{i}", None) for i in range(3)]
+        samples.append(FeatureSequence(Tensor(np.zeros((1, 1))), "é" * 32768, None))
+        dataset = Dataset(samples, set(), {s.sample_id for s in samples}, (0.0, 1.0))
+        path = tmp_path / "long.aqaf"
+        if existing is not None:
+            path.write_bytes(existing)
         with pytest.raises(ConfigurationError, match="too long"):
-            save_features(dataset, tmp_path / "long.aqaf")
-        assert not (tmp_path / "long.aqaf").exists()
+            save_features(dataset, path)
+        if existing is None:
+            assert not path.exists()
+        else:
+            assert path.read_bytes() == existing
+        assert sorted(os.listdir(tmp_path)) == ([] if existing is None else ["long.aqaf"])
 
     def test_duplicate_id_in_file(self, tmp_path):
         chunks = [struct.pack("<4sII", AQAF_MAGIC, 1, 2)]
@@ -367,3 +507,41 @@ class TestNonFiniteValues:
         with pytest.raises(ParseError, match="features.aqaf") as err:
             load_features(path)
         assert err.value.offset == block
+
+
+def traced_peak(fn):
+    """The result of ``fn()`` and the peak of traced memory it added."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """Each AQAF path holds at most one copy of a dataset's features.
+
+    numpy reports its buffers to ``tracemalloc``, so the traced peak counts
+    every feature array. The bounds are multiples of the feature bytes of a
+    2,000 x 10 x 64 dataset (10.2 MB); the whole-array code these paths
+    replaced peaked at 3.6x (synthesis) and 2.1x (save, load).
+    """
+
+    SPEC = SyntheticSpec(num_samples=2000, t=10, d=64, label_fraction=0.5, seed=0)
+    FEATURE_BYTES = 2000 * 10 * 64 * 8
+
+    def test_synthesis(self):
+        _, peak = traced_peak(lambda: generate_synthetic(self.SPEC))
+        assert peak <= 1.6 * self.FEATURE_BYTES
+
+    def test_save_and_load(self, tmp_path):
+        dataset = generate_synthetic(self.SPEC)
+        path = tmp_path / "big.aqaf"
+        _, peak = traced_peak(lambda: save_features(dataset, path))
+        assert peak <= 0.25 * self.FEATURE_BYTES
+        del dataset
+        loaded, peak = traced_peak(lambda: load_features(path))
+        assert len(loaded.samples) == 2000
+        assert peak <= 1.3 * self.FEATURE_BYTES

@@ -145,6 +145,30 @@ class TestEvaluate:
         with pytest.raises(MetricUndefinedError, match="NaN"):
             evaluate(params, labeled_samples(5))
 
+    def test_streams_its_input_one_chunk_at_a_time(self, monkeypatch):
+        from trscore import evaluation
+
+        params = init_teacher_params(NetworkArch(4, 8), np.random.default_rng(2))
+        samples = labeled_samples(600, seed=4)
+        drawn, forwards = [], []
+
+        def stream():
+            for s in samples:
+                drawn.append(s)
+                yield s
+
+        def forward(net, x):
+            # never more than one chunk has been drawn beyond those scored
+            forwards.append(len(drawn))
+            assert len(drawn) <= 256 * len(forwards)
+            return teacher_forward(net, x)
+
+        monkeypatch.setattr(evaluation, "teacher_forward", forward)
+        streamed = evaluate(params, stream())
+        monkeypatch.undo()
+        assert forwards == [256, 512, 600]
+        assert streamed == evaluate(params, samples)
+
     def test_never_mutates_parameters(self):
         params = init_teacher_params(NetworkArch(4, 8), np.random.default_rng(4))
         versions = {n: p.version for n, p in params.params.items()}
