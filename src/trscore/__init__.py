@@ -19,7 +19,6 @@ from .networks import (
     teacher_forward,
 )
 from .objectives import (
-    BetaSchedule,
     LossBreakdown,
     beta_at,
     gaussian_nll,

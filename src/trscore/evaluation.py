@@ -90,9 +90,10 @@ def evaluate(
                     raise DimensionError(
                         f"test sample {s.sample_id!r} is {s.features.shape}, not {shape}"
                     )
-            pred = teacher_forward(
-                student, Tensor(np.stack([s.features.array for s in batch]))
-            )
+            # the stack is a fresh float64 array: wrap it without the copy
+            # that Tensor() would make
+            x = Tensor._from_op(np.stack([s.features.array for s in batch]), (), None)
+            pred = teacher_forward(student, x)
             mus.append(pred.mu_values)
             sigmas.append(pred.sigma_values)
             ids.extend(s.sample_id for s in batch)

@@ -127,8 +127,14 @@ class ConfidenceMemory:
         return mem
 
 
+def fuse_scores(t, r):
+    """The pseudo-label from a teacher-side and a reference-side score (or
+    arrays of them): their mean."""
+    return (t + r) / 2.0
+
+
 def fuse_pseudo_label(mt_entry: MemoryEntry | None, mr_entry: MemoryEntry | None) -> float:
-    """Average the two memory scores into the final pseudo-label."""
+    """Fuse the two memory scores into the final pseudo-label."""
     if mt_entry is None or mr_entry is None:
         raise FusionUnavailableError("fusion requires entries from both memories")
-    return (mt_entry.score + mr_entry.score) / 2.0
+    return fuse_scores(mt_entry.score, mr_entry.score)

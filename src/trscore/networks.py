@@ -68,10 +68,6 @@ class FeatureSequence:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def labeled(self) -> bool:
-        return self.score is not None
-
 
 @dataclass(frozen=True)
 class NetworkArch:
@@ -423,13 +419,9 @@ def _attention_block(
     return node, Tensor._from_op(weights, (), None)
 
 
-def reference_forward(params: Network, v_query, v_exemplar) -> ScorePrediction:
-    """Regress the relative score of ``v_query`` against a scored exemplar.
-
-    The query sequence attends over the exemplar (queries from the first
-    input, keys and values from the second), followed by a residual MLP and
-    the shared regression head; mu is the predicted score difference.
-    """
+def _cross_attend(params: Network, v_query, v_exemplar) -> tuple[Tensor, list[Tensor]]:
+    """The query after every attention block over the exemplar, and each
+    block's weights; inputs of the wrong shape raise ``DimensionError``."""
     x = _as_tensor(v_query)
     ex = _as_tensor(v_exemplar)
     _check_sequence_shape(x, params.arch, "reference query")
@@ -438,18 +430,26 @@ def reference_forward(params: Network, v_query, v_exemplar) -> ScorePrediction:
         raise DimensionError(
             f"query and exemplar shapes disagree: {x.shape} vs {ex.shape}"
         )
+    maps = []
     for i in range(params.arch.attn_blocks):
-        x, _ = _attention_block(params, i, x, ex)
+        x, weights = _attention_block(params, i, x, ex)
+        maps.append(weights)
+    return x, maps
+
+
+def reference_forward(params: Network, v_query, v_exemplar) -> ScorePrediction:
+    """Regress the relative score of ``v_query`` against a scored exemplar.
+
+    The query sequence attends over the exemplar (queries from the first
+    input, keys and values from the second), followed by a residual MLP and
+    the shared regression head; mu is the predicted score difference.
+    """
+    x, _ = _cross_attend(params, v_query, v_exemplar)
     return regression_head(params, x)
 
 
 def attention_maps(params: Network, v_query, v_exemplar) -> list[np.ndarray]:
     """Per-block attention weights (query snippets x exemplar snippets)."""
     with ad.no_grad():
-        x = _as_tensor(v_query)
-        ex = _as_tensor(v_exemplar)
-        maps = []
-        for i in range(params.arch.attn_blocks):
-            x, weights = _attention_block(params, i, x, ex)
-            maps.append(weights.array.copy())
-    return maps
+        _, maps = _cross_attend(params, v_query, v_exemplar)
+    return [weights.array.copy() for weights in maps]

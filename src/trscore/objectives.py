@@ -1,4 +1,5 @@
-"""Gaussian-uncertainty losses and the unsupervised-weight warm-up schedule.
+"""Gaussian-uncertainty losses, the unsupervised-weight warm-up schedule and
+the relative-score convention of the reference network.
 
 Every loss is the negative log of a Gaussian likelihood with the predicting
 network's own sigma, reduced to ``log(sigma) + residual^2 / (2 sigma^2)``
@@ -26,28 +27,31 @@ from .networks import ScorePrediction
 
 # the ramp-up of temporal ensembling (Laine & Aila, arXiv:1610.02242)
 BETA_SHARPNESS, BETA_HORIZON = 5.0, 200.0
+BETA_PEAK = 0.2
 
 
-@dataclass(frozen=True)
-class BetaSchedule:
-    """Exponential warm-up of the unsupervised loss weight.
+def beta_at(t: float, peak: float = BETA_PEAK) -> float:
+    """Unsupervised-loss weight at training epoch ``t``.
 
-    value(t) = peak * exp(-BETA_SHARPNESS * (1 - t/BETA_HORIZON)^2), clamped
-    to its peak once t reaches the horizon; nondecreasing on [0, horizon].
+    peak * exp(-BETA_SHARPNESS * (1 - t/BETA_HORIZON)^2), clamped to its peak
+    once t reaches the horizon; nondecreasing on [0, horizon].
     """
-
-    peak: float = 0.2
-
-    def value(self, t: float) -> float:
-        if t < 0:
-            raise ContractError(f"schedule epoch must be nonnegative, got {t}")
-        u = min(float(t), BETA_HORIZON)
-        return self.peak * math.exp(-BETA_SHARPNESS * (1.0 - u / BETA_HORIZON) ** 2)
+    if t < 0:
+        raise ContractError(f"schedule epoch must be nonnegative, got {t}")
+    u = min(float(t), BETA_HORIZON)
+    return peak * math.exp(-BETA_SHARPNESS * (1.0 - u / BETA_HORIZON) ** 2)
 
 
-def beta_at(t: float, schedule: BetaSchedule = BetaSchedule()) -> float:
-    """Unsupervised-loss weight at training epoch ``t``."""
-    return schedule.value(t)
+def relative_target(s, s_l) -> np.ndarray:
+    """What the reference network regresses for a sample scored ``s`` against
+    an exemplar scored ``s_l``: their absolute difference |s - s_l|."""
+    return np.abs(np.asarray(s, dtype=np.float64) - np.asarray(s_l, dtype=np.float64))
+
+
+def recovered_score(s_l, mu) -> np.ndarray:
+    """The absolute score read from a predicted difference ``mu`` against an
+    exemplar scored ``s_l``: s_l + mu."""
+    return np.asarray(s_l, dtype=np.float64) + np.asarray(mu, dtype=np.float64)
 
 
 def _as_target(target) -> Tensor:
@@ -99,12 +103,12 @@ def supervised_loss(
     """Per-sample supervised terms (direct regression, relative regression).
 
     The first term scores the direct prediction against the ground truth s;
-    the second scores the relative prediction against |s - s_l|. During
-    burn-in the caller passes the teacher's prediction in the student slot.
+    the second scores the relative prediction against ``relative_target(s,
+    s_l)``. During burn-in the caller passes the teacher's prediction in the
+    student slot.
     """
     l_reg_s = gaussian_nll(s, student_pred)
-    target_rel = np.abs(np.asarray(s, dtype=np.float64) - np.asarray(s_l, dtype=np.float64))
-    l_reg_r = gaussian_nll(target_rel, reference_pred)
+    l_reg_r = gaussian_nll(relative_target(s, s_l), reference_pred)
     return l_reg_s, l_reg_r
 
 

@@ -24,6 +24,7 @@ and ``train_supervised`` share one epoch driver.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -44,7 +45,7 @@ from .errors import (
     MetricUndefinedError,
     ParseError,
 )
-from .memory import REFERENCE, TEACHER, ConfidenceMemory
+from .memory import REFERENCE, TEACHER, ConfidenceMemory, fuse_scores
 from .networks import (
     FeatureSequence,
     Network,
@@ -58,12 +59,13 @@ from .networks import (
 )
 from .objectives import (
     BETA_HORIZON,
+    BETA_PEAK,
     BETA_SHARPNESS,
-    BetaSchedule,
     LossBreakdown,
     beta_at,
     gaussian_nll,
-    supervised_loss,
+    recovered_score,
+    relative_target,
     unsupervised_loss,
 )
 
@@ -93,7 +95,7 @@ class TrainConfig:
     batch_size: int = 4
     component_toggles: ComponentToggles = field(default_factory=ComponentToggles)
     augment_noise_std: float = 0.4
-    beta_peak: float = 0.2
+    beta_peak: float = BETA_PEAK
 
     def validate(self) -> None:
         if not 0.0 < self.alpha < 1.0:
@@ -117,9 +119,6 @@ class TrainConfig:
             raise ConfigurationError(
                 f"augment_noise_std must be nonnegative, got {self.augment_noise_std}"
             )
-
-    def schedule(self) -> BetaSchedule:
-        return BetaSchedule(self.beta_peak)
 
     def to_dict(self) -> dict:
         """Flat key -> value map; the toggles sit beside the other fields."""
@@ -319,26 +318,6 @@ def _batch_bounds(n: int, batch_size: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
 
 
-def _direct_nll(net: Network, x: np.ndarray, targets: np.ndarray) -> Tensor:
-    """Summed Gaussian NLL of direct predictions over a stacked batch."""
-    return ad.sum(gaussian_nll(targets, teacher_forward(net, Tensor(x))))
-
-
-def _supervised_batch(
-    direct_net: Network,
-    reference_net: Network,
-    x: np.ndarray,
-    x_exemplar: np.ndarray,
-    s: np.ndarray,
-    s_exemplar: np.ndarray,
-) -> tuple[Tensor, Tensor]:
-    """Summed supervised terms over one labeled batch with its exemplars."""
-    direct_pred = teacher_forward(direct_net, Tensor(x))
-    relative_pred = reference_forward(reference_net, Tensor(x), Tensor(x_exemplar))
-    l_reg_s, l_reg_r = supervised_loss(direct_pred, relative_pred, s, s_exemplar)
-    return ad.sum(l_reg_s), ad.sum(l_reg_r)
-
-
 # -- epochs -------------------------------------------------------------------
 
 
@@ -355,7 +334,9 @@ def _epoch(
     the reference network on labeled pairs when enabled. With unlabeled data
     each labeled batch gets an unlabeled batch whose strong views learn,
     with weight ``beta``, from pseudo-labels made on their weak views.
-    A non-finite loss term raises ``DivergenceError`` before its step.
+    Each step's loss is the weighted sum of its terms, in the order
+    direct, relative, unsupervised. A non-finite loss term raises
+    ``DivergenceError`` before its step.
     """
     if not labeled:
         raise ConfigurationError("an epoch requires at least one labeled sample")
@@ -385,20 +366,15 @@ def _epoch(
         opt.zero_grad()
         state.opt_reference.zero_grad()
 
+        # (name, loss summed over the batch, weight) per term
+        x, s = x_lab[idx], s_lab[idx]
+        direct = gaussian_nll(s, teacher_forward(net, Tensor(x)))
+        terms = [("l_reg_s", ad.sum(direct), 1.0 / idx.size)]
         if use_reference:
             pair = partner[idx]
-            batch_s, batch_r = _supervised_batch(
-                net, state.theta_f, x_lab[idx], x_lab[pair], s_lab[idx], s_lab[pair]
-            )
-            total = ad.add(
-                ad.mul(batch_s, Tensor(1.0 / idx.size)),
-                ad.mul(batch_r, Tensor(1.0 / idx.size)),
-            )
-            terms = {"l_reg_s": batch_s.item(), "l_reg_r": batch_r.item()}
-        else:
-            batch_s = _direct_nll(net, x_lab[idx], s_lab[idx])
-            total = ad.mul(batch_s, Tensor(1.0 / idx.size))
-            terms = {"l_reg_s": batch_s.item()}
+            relative_pred = reference_forward(state.theta_f, Tensor(x), Tensor(x_lab[pair]))
+            relative = gaussian_nll(relative_target(s, s_lab[pair]), relative_pred)
+            terms.append(("l_reg_r", ad.sum(relative), 1.0 / idx.size))
 
         if m:
             # 1:1 pairing: an unlabeled batch of the same size, wrapping over
@@ -412,19 +388,21 @@ def _epoch(
             s_bar = _pseudo_labels(state, batch, exemplars, config)
             x_strong = _augmented_stack(batch, "strong", epoch, config)
             strong_pred = teacher_forward(net, Tensor(x_strong))
-            batch_u = ad.sum(unsupervised_loss(strong_pred, s_bar))
-            total = ad.add(total, ad.mul(batch_u, Tensor(beta / len(batch))))
-            terms["l_unsup"] = batch_u.item()
+            terms.append(
+                ("l_unsup", ad.sum(unsupervised_loss(strong_pred, s_bar)), beta / len(batch))
+            )
 
-        diverged = [name for name, value in terms.items() if not math.isfinite(value)]
+        values = {name: loss.item() for name, loss, _ in terms}
+        diverged = [name for name, value in values.items() if not math.isfinite(value)]
         if diverged:
             raise DivergenceError(
                 f"epoch {epoch}, batch {b}: non-finite {', '.join(diverged)}; "
                 "no parameter of this step was updated"
             )
-        for name, value in terms.items():
+        for name, value in values.items():
             sums[name] += value
-        total.backward()
+        weighted = [ad.mul(loss, Tensor(weight)) for _, loss, weight in terms]
+        functools.reduce(ad.add, weighted).backward()
         opt.step()
         if use_reference:
             state.opt_reference.step()
@@ -501,10 +479,10 @@ def _pseudo_labels(
     the labeled ``exemplars`` (features and scores) the samples are compared
     with, is the exemplar's label plus the predicted difference. Each side
     passes through its own confidence memory when that memory is on, and the
-    pseudo-label is the mean of the two sides (``fuse_pseudo_label``), or the
-    teacher side alone without the reference network. A sample repeated
-    within a batch has the same weak view, so its second write is a tie and
-    the memory keeps the first.
+    pseudo-label fuses the two sides (``fuse_scores``), or is the teacher side
+    alone without the reference network. A sample repeated within a batch has
+    the same weak view, so its second write is a tie and the memory keeps the
+    first.
     """
     toggles = config.component_toggles
     x_weak = Tensor(_augmented_stack(batch, "weak", state.epoch, config))
@@ -522,9 +500,10 @@ def _pseudo_labels(
         relative_pred = reference_forward(state.theta_f, x_weak, Tensor(x_exemplar))
     r_side = _memory_side(
         state.m_r, toggles.reference_memory, batch,
-        s_exemplar + relative_pred.mu_values, relative_pred.sigma_values, state.epoch,
+        recovered_score(s_exemplar, relative_pred.mu_values),
+        relative_pred.sigma_values, state.epoch,
     )
-    return (t_side + r_side) / 2.0
+    return fuse_scores(t_side, r_side)
 
 
 def trs_epoch(
@@ -663,10 +642,8 @@ def train(
     labeled training samples are used. When ``checkpoint_dir`` is given the
     final run state is saved there.
     """
-    schedule = config.schedule()
-
     def student_epoch(state: TrsState, epoch: int) -> LossBreakdown:
-        beta = beta_at(epoch, schedule)
+        beta = beta_at(epoch, config.beta_peak)
         return trs_epoch(state, labeled_set, unlabeled_set, beta, config)
 
     state, metrics = _run_epochs(config, labeled_set, unlabeled_set, val_set, student_epoch)
@@ -836,6 +813,7 @@ def load_checkpoint(directory) -> tuple[TrsState, TrainConfig]:
     payload = _read_state_json(state_path)
     try:
         config = TrainConfig.from_dict(_retire(payload["config"], _RETIRED_CONFIG))
+        config.validate()
     except ConfigurationError as exc:
         raise ConfigurationError(f"{state_path}: config: {exc}") from None
     try:

@@ -120,6 +120,9 @@ class TestStateJson:
             ("stage", lambda p: p.update(stage="warmup")),
             ("config", lambda p: p.update(config=[])),
             ("config", lambda p: p["config"].update(seed="abc")),
+            ("config", lambda p: p["config"].update(alpha=5.0)),
+            ("config", lambda p: p["config"].update(learning_rate=-1)),
+            ("config", lambda p: p["config"].update(max_epochs=1)),
             ("arch", lambda p: p.pop("arch")),
             ("arch", lambda p: p["arch"].pop("t")),
             ("arch", lambda p: p["arch"].update(t=10.7)),

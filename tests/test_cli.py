@@ -230,6 +230,14 @@ class TestTrainEval:
         assert outputs[0] == outputs[1]
 
 
+def test_import_leaves_scipy_stats_unloaded():
+    # importing scipy.stats more than doubles the time of importing the package
+    code = "import sys, trscore, trscore.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 def _train_checkpoint(tmp_path, t, d):
     data = tmp_path / f"train{t}x{d}.aqaf"
     assert run_cli(["synth", "--n", 40, "--t", t, "--d", d, "--label-frac", 0.3,

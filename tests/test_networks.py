@@ -196,6 +196,15 @@ class TestReferenceForward:
         with pytest.raises(DimensionError):
             reference_forward(params, good, Tensor(rand((arch.t + 1, arch.d))))
 
+    @pytest.mark.parametrize("query, exemplar", [((4, 6), (4, 6)), ((5, 8), (4, 8)),
+                                                 ((4, 8), (3, 8)), ((2, 4, 8), (4, 8))])
+    def test_attention_maps_checks_inputs_like_reference_forward(self, query, exemplar):
+        params = init_reference_params(small_arch(), np.random.default_rng(0))
+        x, ex = Tensor(rand(query, 1)), Tensor(rand(exemplar, 2))
+        for fn in (reference_forward, attention_maps):
+            with pytest.raises(DimensionError):
+                fn(params, x, ex)
+
     def test_zero_weights_reduce_to_residual_head(self):
         # zeroed output projections leave only the residual stream, so the
         # prediction depends on the mean-pooled raw input alone

@@ -11,7 +11,6 @@ from trscore.autodiff import Tensor
 from trscore.errors import ContractError
 from trscore.networks import ScorePrediction
 from trscore.objectives import (
-    BetaSchedule,
     LossBreakdown,
     beta_at,
     gaussian_nll,
@@ -115,8 +114,7 @@ class TestBetaSchedule:
         assert beta_at(201) == beta_at(350) == 0.2
 
     def test_custom_schedule(self):
-        sched = BetaSchedule(peak=0.0)
-        assert sched.value(137) == 0.0
+        assert beta_at(137, peak=0.0) == 0.0
 
 
 class TestLossBreakdown:
