@@ -18,13 +18,7 @@ from .networks import (
     regression_head,
     teacher_forward,
 )
-from .objectives import (
-    LossBreakdown,
-    beta_at,
-    gaussian_nll,
-    supervised_loss,
-    unsupervised_loss,
-)
+from .objectives import beta_at, gaussian_nll, supervised_loss, unsupervised_loss
 from .training import (
     Adam,
     ComponentToggles,

@@ -7,14 +7,7 @@ import sys
 from pathlib import Path
 
 from .data import SyntheticSpec, generate_synthetic, iter_features, load_features, save_features
-from .errors import (
-    ConfigurationError,
-    ContractError,
-    DimensionError,
-    DivergenceError,
-    MetricUndefinedError,
-    ParseError,
-)
+from .errors import ConfigurationError, TrscoreError
 from .evaluation import evaluate, write_predictions_csv
 from .training import (
     _FLAT_KINDS,
@@ -72,9 +65,7 @@ def _build_config(args) -> TrainConfig:
         value = getattr(args, flag[2:].replace("-", "_"), None)  # the flag's argparse dest
         if value is not None:
             raw[key] = value
-    config = TrainConfig.from_dict(raw)
-    config.validate()
-    return config
+    return TrainConfig.from_dict(raw)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, with_toggles: bool = True) -> None:
@@ -247,15 +238,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ConfigurationError,
-        ContractError,
-        DimensionError,
-        DivergenceError,
-        MetricUndefinedError,
-        ParseError,
-        OSError,
-    ) as exc:
+    except (TrscoreError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,35 +1,44 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every type derives from ``TrscoreError``, so one ``except`` clause catches
+whatever the package raises, and from the builtin its kind suggests, so
+``except ValueError`` catches a ``ParseError`` too.
+"""
 
 
-class DimensionError(ValueError):
+class TrscoreError(Exception):
+    """Base of every error the package raises."""
+
+
+class DimensionError(TrscoreError, ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-class DomainError(ValueError):
+class DomainError(TrscoreError, ValueError):
     """An operand lies outside the mathematical domain of the operation."""
 
 
-class ContractError(RuntimeError):
+class ContractError(TrscoreError, RuntimeError):
     """A caller violated a documented precondition."""
 
 
-class ConfigurationError(ValueError):
+class ConfigurationError(TrscoreError, ValueError):
     """A training or dataset configuration is invalid."""
 
 
-class MetricUndefinedError(ValueError):
+class MetricUndefinedError(TrscoreError, ValueError):
     """The requested metric is undefined for the given inputs."""
 
 
-class DivergenceError(ArithmeticError):
+class DivergenceError(TrscoreError, ArithmeticError):
     """Training produced a non-finite loss term."""
 
 
-class FusionUnavailableError(LookupError):
+class FusionUnavailableError(TrscoreError, LookupError):
     """Pseudo-label fusion requires both memory entries to be present."""
 
 
-class ParseError(ValueError):
+class ParseError(TrscoreError, ValueError):
     """A serialized file is malformed.
 
     ``offset`` is the byte position at which parsing failed.

@@ -19,15 +19,8 @@ _EVAL_CHUNK = 256
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values share the average of their ranks.
-
-    NaNs never tie. ``return_index`` makes ``np.unique`` sort stably, so NaNs
-    are ranked in input order.
-    """
-    _, _, inverse, counts = np.unique(
-        values, return_index=True, return_inverse=True, return_counts=True,
-        equal_nan=False,
-    )
+    """1-based ranks; tied values share the average of their ranks."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
     ends = np.cumsum(counts)
     return (ends - (counts - 1) / 2.0)[inverse]
 

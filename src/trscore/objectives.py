@@ -15,7 +15,6 @@ bit-identical to that composition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,26 +114,3 @@ def supervised_loss(
 def unsupervised_loss(student_pred: ScorePrediction, s_bar) -> Tensor:
     """Pseudo-label regression term for the student on unlabeled data."""
     return gaussian_nll(s_bar, student_pred)
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Per-epoch loss components; total = l_reg_s + l_reg_r + beta * l_unsup."""
-
-    l_reg_s: float
-    l_reg_r: float
-    l_unsup: float
-    beta: float
-    total: float
-
-    @classmethod
-    def from_terms(
-        cls, l_reg_s: float, l_reg_r: float, l_unsup: float, beta: float
-    ) -> "LossBreakdown":
-        return cls(
-            l_reg_s=l_reg_s,
-            l_reg_r=l_reg_r,
-            l_unsup=l_unsup,
-            beta=beta,
-            total=(l_reg_s + l_reg_r) + beta * l_unsup,
-        )

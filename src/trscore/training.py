@@ -61,7 +61,6 @@ from .objectives import (
     BETA_HORIZON,
     BETA_PEAK,
     BETA_SHARPNESS,
-    LossBreakdown,
     beta_at,
     gaussian_nll,
     recovered_score,
@@ -84,8 +83,10 @@ class ComponentToggles:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Every setting of a run. Adam's betas and epsilon and the shape of the
-    unsupervised-weight ramp-up are constants; only its peak is a setting."""
+    """Every setting of a run, checked on construction: an invalid value
+    raises ``ConfigurationError`` naming its key. Adam's betas and epsilon and
+    the shape of the unsupervised-weight ramp-up are constants; only its peak
+    is a setting."""
 
     alpha: float = 0.99  # EMA momentum
     burn_in_epochs: int = 30
@@ -97,7 +98,7 @@ class TrainConfig:
     augment_noise_std: float = 0.4
     beta_peak: float = BETA_PEAK
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ConfigurationError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.burn_in_epochs < 1:
@@ -119,6 +120,8 @@ class TrainConfig:
             raise ConfigurationError(
                 f"augment_noise_std must be nonnegative, got {self.augment_noise_std}"
             )
+        if self.beta_peak < 0.0:
+            raise ConfigurationError(f"beta_peak must be nonnegative, got {self.beta_peak}")
 
     def to_dict(self) -> dict:
         """Flat key -> value map; the toggles sit beside the other fields."""
@@ -321,13 +324,28 @@ def _batch_bounds(n: int, batch_size: int) -> list[tuple[int, int]]:
 # -- epochs -------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class EpochMetrics:
+    """One epoch's row: each loss term's mean per labeled sample, the
+    unsupervised weight, total = (l_reg_s + l_reg_r) + beta * l_unsup, and
+    the student's validation Spearman."""
+
+    epoch: int
+    l_reg_s: float
+    l_reg_r: float
+    l_unsup: float
+    beta: float
+    total: float
+    val_spearman: float
+
+
 def _epoch(
     state: TrsState,
     labeled: Sequence[FeatureSequence],
     unlabeled: Sequence[FeatureSequence],
     beta: float,
     config: TrainConfig,
-) -> LossBreakdown:
+) -> EpochMetrics:
     """One shuffled pass over the labeled set; advances the epoch.
 
     Trains the teacher during burn-in and the student in the TRS stage, and
@@ -336,7 +354,7 @@ def _epoch(
     with weight ``beta``, from pseudo-labels made on their weak views.
     Each step's loss is the weighted sum of its terms, in the order
     direct, relative, unsupervised. A non-finite loss term raises
-    ``DivergenceError`` before its step.
+    ``DivergenceError`` before its step. The returned row's Spearman is NaN.
     """
     if not labeled:
         raise ConfigurationError("an epoch requires at least one labeled sample")
@@ -367,12 +385,12 @@ def _epoch(
         state.opt_reference.zero_grad()
 
         # (name, loss summed over the batch, weight) per term
-        x, s = x_lab[idx], s_lab[idx]
-        direct = gaussian_nll(s, teacher_forward(net, Tensor(x)))
+        x, s = Tensor(x_lab[idx]), s_lab[idx]
+        direct = gaussian_nll(s, teacher_forward(net, x))
         terms = [("l_reg_s", ad.sum(direct), 1.0 / idx.size)]
         if use_reference:
             pair = partner[idx]
-            relative_pred = reference_forward(state.theta_f, Tensor(x), Tensor(x_lab[pair]))
+            relative_pred = reference_forward(state.theta_f, x, Tensor(x_lab[pair]))
             relative = gaussian_nll(relative_target(s, s_lab[pair]), relative_pred)
             terms.append(("l_reg_r", ad.sum(relative), 1.0 / idx.size))
 
@@ -409,18 +427,19 @@ def _epoch(
 
     state.epoch = epoch + 1
     # with unlabeled data every labeled sample was paired with one unlabeled
-    return LossBreakdown.from_terms(
-        **{name: value / n for name, value in sums.items()}, beta=beta
-    )
+    means = {name: value / n for name, value in sums.items()}
+    total = (means["l_reg_s"] + means["l_reg_r"]) + beta * means["l_unsup"]
+    return EpochMetrics(epoch, **means, beta=beta, total=total, val_spearman=math.nan)
 
 
 def burn_in_epoch(
     state: TrsState, labeled: Sequence[FeatureSequence], config: TrainConfig
-) -> LossBreakdown:
+) -> EpochMetrics:
     """Supervised epoch for teacher (and reference, when enabled).
 
     The shared epoch body without unlabeled data: the teacher and the
-    reference network learn from the labeled batches only. Advances the epoch.
+    reference network learn from the labeled batches only. Advances the epoch
+    and returns its row, whose Spearman is NaN.
     """
     if state.theta_s is not None:
         raise ContractError(f"burn_in_epoch requires stage {BURN_IN!r}, got {TRS!r}")
@@ -512,44 +531,26 @@ def trs_epoch(
     unlabeled: Sequence[FeatureSequence],
     beta: float,
     config: TrainConfig,
-) -> LossBreakdown:
+) -> EpochMetrics:
     """One teacher-reference-student epoch.
 
     The shared epoch body trains the student and the reference network on the
     labeled batches, each paired with a pseudo-labeled unlabeled batch. The
     teacher receives no gradients; it trails the student by a single EMA
-    update after the last step of the epoch.
+    update after the last step of the epoch. Returns the epoch's row, whose
+    Spearman is NaN.
     """
     if state.theta_s is None:
         raise ContractError(f"trs_epoch requires stage {TRS!r}, got {BURN_IN!r}")
-    breakdown = _epoch(state, labeled, unlabeled, beta, config)
+    row = _epoch(state, labeled, unlabeled, beta, config)
     state.theta_t = Network(
         state.theta_t.arch,
         ema_update(state.theta_t.params, state.theta_s.params, config.alpha),
     )
-    return breakdown
+    return row
 
 
 # -- full runs ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EpochMetrics:
-    epoch: int
-    l_reg_s: float
-    l_reg_r: float
-    l_unsup: float
-    beta: float
-    total: float
-    val_spearman: float
-
-    @classmethod
-    def from_breakdown(
-        cls, epoch: int, bd: LossBreakdown, val_spearman: float
-    ) -> "EpochMetrics":
-        return cls(
-            epoch, bd.l_reg_s, bd.l_reg_r, bd.l_unsup, bd.beta, bd.total, val_spearman
-        )
 
 
 METRICS_COLUMNS = tuple(f.name for f in fields(EpochMetrics))
@@ -606,10 +607,10 @@ def _run_epochs(
     labeled_set: Sequence[FeatureSequence],
     unlabeled_set: Sequence[FeatureSequence],
     val_set: Sequence[FeatureSequence] | None,
-    student_epoch: Callable[[TrsState, int], LossBreakdown],
+    student_epoch: Callable[[TrsState, int], EpochMetrics],
 ) -> tuple[TrsState, list[EpochMetrics]]:
-    """Burn-in epochs, the student at the boundary, then ``student_epoch``."""
-    config.validate()
+    """Burn-in epochs, the student at the boundary, then ``student_epoch``;
+    each row gets the student's validation Spearman."""
     val = list(val_set) if val_set is not None else list(labeled_set)
     t, d = _check_training_sets(labeled_set, unlabeled_set, val)
     state = init_state(config, NetworkArch(t=t, d=d))
@@ -617,13 +618,12 @@ def _run_epochs(
     metrics: list[EpochMetrics] = []
     for epoch in range(config.max_epochs):
         if epoch < config.burn_in_epochs:
-            bd = burn_in_epoch(state, labeled_set, config)
+            row = burn_in_epoch(state, labeled_set, config)
         else:
             if epoch == config.burn_in_epochs:
                 initialize_student(state, config)
-            bd = student_epoch(state, epoch)
-        rho = _safe_val_spearman(state.theta_s, val)
-        metrics.append(EpochMetrics.from_breakdown(epoch, bd, rho))
+            row = student_epoch(state, epoch)
+        metrics.append(replace(row, val_spearman=_safe_val_spearman(state.theta_s, val)))
     return state, metrics
 
 
@@ -642,7 +642,7 @@ def train(
     labeled training samples are used. When ``checkpoint_dir`` is given the
     final run state is saved there.
     """
-    def student_epoch(state: TrsState, epoch: int) -> LossBreakdown:
+    def student_epoch(state: TrsState, epoch: int) -> EpochMetrics:
         beta = beta_at(epoch, config.beta_peak)
         return trs_epoch(state, labeled_set, unlabeled_set, beta, config)
 
@@ -667,7 +667,7 @@ def train_supervised(
     """
     config = replace(config, component_toggles=ComponentToggles(False, False, False))
 
-    def student_epoch(state: TrsState, epoch: int) -> LossBreakdown:
+    def student_epoch(state: TrsState, epoch: int) -> EpochMetrics:
         return _epoch(state, labeled_set, (), 0.0, config)
 
     state, metrics = _run_epochs(config, labeled_set, (), val_set, student_epoch)
@@ -813,7 +813,6 @@ def load_checkpoint(directory) -> tuple[TrsState, TrainConfig]:
     payload = _read_state_json(state_path)
     try:
         config = TrainConfig.from_dict(_retire(payload["config"], _RETIRED_CONFIG))
-        config.validate()
     except ConfigurationError as exc:
         raise ConfigurationError(f"{state_path}: config: {exc}") from None
     try:

@@ -123,6 +123,7 @@ class TestStateJson:
             ("config", lambda p: p["config"].update(alpha=5.0)),
             ("config", lambda p: p["config"].update(learning_rate=-1)),
             ("config", lambda p: p["config"].update(max_epochs=1)),
+            ("config", lambda p: p["config"].update(beta_peak=-1)),
             ("arch", lambda p: p.pop("arch")),
             ("arch", lambda p: p["arch"].pop("t")),
             ("arch", lambda p: p["arch"].update(t=10.7)),

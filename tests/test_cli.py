@@ -213,6 +213,30 @@ class TestTrainEval:
         assert "epoch 0, batch 1: non-finite l_reg_s" in err
         assert "Traceback" not in err
 
+    def test_negative_beta_peak_exits_2(self, tiny_data, tmp_path, capsys):
+        train_file, _ = tiny_data
+        code = run_cli(
+            ["train", "--data", train_file, "--out-dir", tmp_path / "r",
+             "--epochs", 3, "--burn-in", 2, "--beta-peak", -1]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "beta_peak" in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    def test_any_package_error_exits_2(self, tiny_data, tmp_path, monkeypatch, capsys):
+        from trscore import cli
+        from trscore.errors import DomainError
+
+        def domain_fault(*args, **kwargs):
+            raise DomainError("log of a negative number")
+
+        monkeypatch.setattr(cli, "train", domain_fault)
+        train_file, _ = tiny_data
+        code = run_cli(["train", "--data", train_file, "--out-dir", tmp_path / "r"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: log of a negative number\n"
+
     def test_subprocess_determinism(self, tiny_data, tmp_path):
         # two separate processes must produce byte-identical metrics
         train_file, _ = tiny_data

@@ -1,0 +1,59 @@
+"""The package's error types share one root, and the package raises no other."""
+
+import ast
+import inspect
+import typing
+from pathlib import Path
+
+from trscore import data, errors
+from trscore.errors import ParseError, TrscoreError
+
+SOURCE = Path(data.__file__).parent
+
+ERROR_TYPES = {
+    name: obj
+    for name, obj in vars(errors).items()
+    if inspect.isclass(obj) and obj.__module__ == errors.__name__
+}
+
+
+def test_every_error_type_derives_from_the_root():
+    assert "ParseError" in ERROR_TYPES and "DomainError" in ERROR_TYPES
+    for name, kind in ERROR_TYPES.items():
+        assert issubclass(kind, TrscoreError), name
+
+
+def test_error_types_keep_their_builtin_bases():
+    assert issubclass(errors.ParseError, ValueError)
+    assert issubclass(errors.ContractError, RuntimeError)
+    assert issubclass(errors.DivergenceError, ArithmeticError)
+    assert issubclass(errors.FusionUnavailableError, LookupError)
+
+
+def _raised_name(node: ast.Raise) -> str | None:
+    """The name a ``raise`` statement raises: ``X`` for ``raise X(...)`` or
+    ``raise X``, ``.error`` for ``raise obj.error(...)``, None for a bare
+    re-raise."""
+    if node.exc is None:
+        return None
+    target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    if isinstance(target, ast.Attribute):
+        return "." + target.attr
+    return target.id if isinstance(target, ast.Name) else ast.unparse(target)
+
+
+def test_every_raise_uses_a_package_error_type():
+    # the CLI catches TrscoreError and OSError only, so a raise of any other
+    # type would reach the user as a traceback
+    assert typing.get_type_hints(data._Cursor.error)["return"] is ParseError
+    strays = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Raise):
+                continue
+            name = _raised_name(node)
+            if name is None or name == ".error":
+                continue
+            if not issubclass(ERROR_TYPES.get(name, type(None)), TrscoreError):
+                strays.append(f"{path.name}:{node.lineno}: {name}")
+    assert strays == []

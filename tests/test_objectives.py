@@ -10,13 +10,7 @@ from hypothesis import strategies as st
 from trscore.autodiff import Tensor
 from trscore.errors import ContractError
 from trscore.networks import ScorePrediction
-from trscore.objectives import (
-    LossBreakdown,
-    beta_at,
-    gaussian_nll,
-    supervised_loss,
-    unsupervised_loss,
-)
+from trscore.objectives import beta_at, gaussian_nll, supervised_loss, unsupervised_loss
 
 
 def pred(mu, sigma, grad=False):
@@ -115,16 +109,3 @@ class TestBetaSchedule:
 
     def test_custom_schedule(self):
         assert beta_at(137, peak=0.0) == 0.0
-
-
-class TestLossBreakdown:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.floats(-10, 10),
-        st.floats(-10, 10),
-        st.floats(-10, 10),
-        st.floats(0, 1),
-    )
-    def test_total_matches_recomputation(self, l_s, l_r, l_u, beta):
-        bd = LossBreakdown.from_terms(l_s, l_r, l_u, beta)
-        assert bd.total == pytest.approx((l_s + l_r) + beta * l_u, abs=1e-12)

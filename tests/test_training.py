@@ -433,7 +433,7 @@ def _reference_train_supervised(config, labeled_set, val_set=None):
     from trscore import autodiff as ad
     from trscore import rng as streams
     from trscore.networks import init_teacher_params
-    from trscore.objectives import LossBreakdown, gaussian_nll
+    from trscore.objectives import gaussian_nll
     from trscore.training import (
         EpochMetrics,
         _batch_bounds,
@@ -444,7 +444,6 @@ def _reference_train_supervised(config, labeled_set, val_set=None):
         Adam,
     )
 
-    config.validate()
     _check_training_sets(labeled_set, [])
     t, d = labeled_set[0].features.shape
     arch = NetworkArch(t=t, d=d)
@@ -474,8 +473,7 @@ def _reference_train_supervised(config, labeled_set, val_set=None):
             if epoch >= config.burn_in_epochs
             else float("nan")
         )
-        bd = LossBreakdown.from_terms(sum_s / n, 0.0, 0.0, 0.0)
-        metrics.append(EpochMetrics.from_breakdown(epoch, bd, rho))
+        metrics.append(EpochMetrics(epoch, sum_s / n, 0.0, 0.0, 0.0, sum_s / n, rho))
     return net, metrics
 
 
@@ -548,6 +546,7 @@ class TestTrain:
             ("learning_rate", 0.0),
             ("batch_size", 0),
             ("augment_noise_std", -0.1),
+            ("beta_peak", -0.1),
         ],
     )
     def test_each_invalid_field_rejected(self, field, value):
@@ -577,6 +576,18 @@ class TestTrain:
         monkeypatch.setattr(training, "burn_in_epoch", lambda *a: pytest.fail("an epoch ran"))
         with pytest.raises(ConfigurationError, match="'v'"):
             train(quick_config(), labeled, unlabeled, val_set=labeled[:3] + [bad])
+
+    def test_rows_total_their_terms(self):
+        labeled, unlabeled = toy_sets()
+        config = quick_config(burn_in_epochs=2, max_epochs=5)
+        _, _, metrics = train(config, labeled, unlabeled)
+        assert [row.epoch for row in metrics] == list(range(5))
+        for row in metrics:
+            assert row.total == (row.l_reg_s + row.l_reg_r) + row.beta * row.l_unsup
+        assert all(np.isnan(row.val_spearman) for row in metrics[:2])
+        assert not any(np.isnan(row.val_spearman) for row in metrics[2:])
+        assert all(row.l_reg_r != 0.0 for row in metrics)
+        assert all(row.l_unsup != 0.0 and row.beta > 0.0 for row in metrics[2:])
 
     def test_duplicate_ids_rejected(self):
         labeled, _ = toy_sets()
