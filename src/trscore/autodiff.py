@@ -10,16 +10,18 @@ corrupted by later code.
 Storage is a C-contiguous float64 numpy array; ``Tensor.data`` and
 ``Tensor.grad`` expose the flat row-major buffers.
 
-The code is dispatch-bound: a tape node costs more in Python than its tiny
-arithmetic. So the networks record each Mixer sublayer and each
-cross-attention block, and ``objectives`` records the Gaussian NLL, as one
-fused node with a hand-derived backward. The fused nodes share the array-level
-math below (``_layer_norm_forward``/``_backward``, ``_gelu_*``,
-``_softmax_*``, ``_matmul_backward``) with the unfused operations, and compute
-the same numpy expressions on operands of the same memory layout, so their
-values and gradients are bit-identical to the unfused compositions. The
-unfused operations stay public: they are the building blocks of small graphs
-and the oracles that the fused nodes are tested against.
+The package records each Mixer sublayer, each cross-attention block, the
+regression head and the Gaussian NLL as one fused tape node with a
+hand-derived backward, because a tape node costs more in Python than its
+tiny arithmetic. What is left of a B=4 teacher pass (T=10, D=64) is about
+half arithmetic, GELU's erf, layer norm and the matrix products, and half
+dispatch. The fused nodes share the array-level math below
+(``_layer_norm_forward``/``_backward``, ``_gelu_*``, ``_softmax_*``,
+``_matmul_backward``) and compute the same numpy expressions on operands of
+the same memory layout as the unfused compositions they replace, so their
+values and gradients are bit-identical to them. Only ``add``, ``mul`` and
+``sum``, which combine a step's loss terms, remain as operations here; the
+unfused building blocks live in the tests as the fused nodes' oracles.
 
 A ``ParameterSet`` keeps all its values in one contiguous float64 vector
 (``ParameterSet.data``) of which every parameter's tensor is a reshaped view,
@@ -35,7 +37,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import ContractError, DimensionError, DomainError
+from .errors import ContractError, DimensionError
 
 Array = np.ndarray
 
@@ -88,8 +90,8 @@ class Tensor:
         arr.setflags(write=False)
         out._array = arr
         out._grad = None
-        live = tuple(p for p in parents if p.requires_grad)
-        if _grad_enabled and live:
+        live = tuple(p for p in parents if p.requires_grad) if _grad_enabled else ()
+        if live:
             out.requires_grad = True
             out._parents = live
             out._backward = backward
@@ -174,7 +176,8 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in seen:
+                # leaves have no backward to order: only recorded nodes are walked
+                if parent._parents and id(parent) not in seen:
                     stack.append((parent, False))
         self._accumulate(np.ones_like(self._array))
         for node in reversed(order):
@@ -182,27 +185,36 @@ class Tensor:
                 node._backward(node._grad)
 
 
+def _adopt(values: Array) -> Tensor:
+    """A constant tensor over ``values`` without the copy ``Tensor()`` makes.
+
+    The array is write-locked in place, so pass one that nothing writes
+    afterwards: a fresh array, or a view of another tensor's value.
+    """
+    return Tensor._from_op(values, (), None)
+
+
 def _transposed(a: Array) -> Array:
     """C-contiguous copy of ``a`` with its last two axes swapped.
 
-    The layout that ``transpose_last_two`` hands to the next operation; a
+    The layout that an unfused transpose node hands to the next operation; a
     fused op that feeds a transposed operand to ``@`` copies it the same way,
     because ``@`` may round differently on a strided operand.
     """
-    return np.ascontiguousarray(np.swapaxes(a, -1, -2))
+    return np.ascontiguousarray(a.mT)
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Sum a broadcast gradient back down to ``shape``."""
     while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+        grad = np.add.reduce(grad, axis=0)
     for axis, n in enumerate(shape):
         if n == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
+            grad = np.add.reduce(grad, axis=axis, keepdims=True)
     return grad
 
 
-# -- elementwise and reduction operations -----------------------------------
+# -- the operations the package records unfused -----------------------------
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -211,16 +223,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def backward(g: Array) -> None:
         a._accumulate(_unbroadcast(g, a.shape))
         b._accumulate(_unbroadcast(g, b.shape))
-
-    return Tensor._from_op(out, (a, b), backward)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.array - b.array
-
-    def backward(g: Array) -> None:
-        a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(_unbroadcast(-g, b.shape))
 
     return Tensor._from_op(out, (a, b), backward)
 
@@ -236,38 +238,20 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(out, (a, b), backward)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    if np.any(b.array == 0.0):
-        raise DomainError("division by zero")
-    out = a.array / b.array
-    a_val, b_val = a.array, b.array
+def sum(x: Tensor, axis: int | None = None) -> Tensor:
+    out = np.add.reduce(x.array, axis=axis)
 
     def backward(g: Array) -> None:
-        a._accumulate(_unbroadcast(g / b_val, a.shape))
-        b._accumulate(_unbroadcast(-g * a_val / (b_val * b_val), b.shape))
-
-    return Tensor._from_op(out, (a, b), backward)
-
-
-def exp(x: Tensor) -> Tensor:
-    out = np.exp(x.array)
-
-    def backward(g: Array) -> None:
-        x._accumulate(g * out)
+        # the accumulation broadcasts g back over the summed axis
+        x._accumulate(g if axis is None else np.expand_dims(g, axis))
 
     return Tensor._from_op(out, (x,), backward)
 
 
-def log(x: Tensor) -> Tensor:
-    if np.any(x.array <= 0.0):
-        raise DomainError("log of a non-positive operand")
-    x_val = x.array
-    out = np.log(x_val)
-
-    def backward(g: Array) -> None:
-        x._accumulate(g / x_val)
-
-    return Tensor._from_op(out, (x,), backward)
+# -- array-level math shared by the fused nodes ------------------------------
+#
+# ``np.add.reduce(x, ...) / n`` is what ``ndarray.mean`` computes, bit for bit,
+# without its Python wrapper; ``.mT`` is ``np.swapaxes(x, -1, -2)``.
 
 
 def _gelu_forward(x: Array) -> tuple[Array, Array]:
@@ -281,127 +265,22 @@ def _gelu_backward(g: Array, x: Array, cdf: Array) -> Array:
     return g * (cdf + x * pdf)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """GELU in the exact Gaussian-CDF form x * Phi(x)."""
-    x_val = x.array
-    out, cdf = _gelu_forward(x_val)
-
-    def backward(g: Array) -> None:
-        x._accumulate(_gelu_backward(g, x_val, cdf))
-
-    return Tensor._from_op(out, (x,), backward)
-
-
-def clip(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values to [lo, hi]; gradient passes through strictly inside."""
-    if not lo < hi:
-        raise ContractError(f"clip needs lo < hi, got [{lo}, {hi}]")
-    x_val = x.array
-    out = np.clip(x_val, lo, hi)
-
-    def backward(g: Array) -> None:
-        x._accumulate(g * ((x_val > lo) & (x_val < hi)))
-
-    return Tensor._from_op(out, (x,), backward)
-
-
-def transpose_last_two(x: Tensor) -> Tensor:
-    if x.ndim < 2:
-        raise DimensionError(
-            f"transpose_last_two requires >= 2 dimensions, got shape {x.shape}"
-        )
-    out = np.swapaxes(x.array, -1, -2)
-
-    def backward(g: Array) -> None:
-        x._accumulate(np.swapaxes(g, -1, -2))
-
-    return Tensor._from_op(out, (x,), backward)
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    new_shape = tuple(int(n) for n in shape)
-    if int(np.prod(new_shape, dtype=np.int64)) != x.numel:
-        raise DimensionError(f"cannot reshape {x.shape} into {new_shape}")
-    old_shape = x.shape
-    out = x.array.reshape(new_shape)
-
-    def backward(g: Array) -> None:
-        x._accumulate(g.reshape(old_shape))
-
-    return Tensor._from_op(out, (x,), backward)
-
-
-def select_index(x: Tensor, index: int) -> Tensor:
-    """Pick one entry along the last axis (drops that axis)."""
-    if x.ndim < 1:
-        raise DimensionError("select_index requires at least one dimension")
-    if not 0 <= index < x.shape[-1]:
-        raise DimensionError(
-            f"index {index} out of range for last axis of shape {x.shape}"
-        )
-    shape = x.shape
-    out = x.array[..., index]
-
-    def backward(g: Array) -> None:
-        full = np.zeros(shape)
-        full[..., index] = g
-        x._accumulate(full)
-
-    return Tensor._from_op(out, (x,), backward)
-
-
-def sum(x: Tensor, axis: int | None = None) -> Tensor:
-    shape = x.shape
-    out = np.asarray(x.array.sum(axis=axis))
-
-    def backward(g: Array) -> None:
-        if axis is None:
-            x._accumulate(np.broadcast_to(g, shape))
-        else:
-            x._accumulate(np.broadcast_to(np.expand_dims(g, axis), shape))
-
-    return Tensor._from_op(out, (x,), backward)
-
-
-def mean(x: Tensor, axis: int | None = None) -> Tensor:
-    shape = x.shape
-    count = x.numel if axis is None else shape[axis]
-    out = np.asarray(x.array.mean(axis=axis))
-    scale = 1.0 / count
-
-    def backward(g: Array) -> None:
-        if axis is None:
-            x._accumulate(np.broadcast_to(g * scale, shape))
-        else:
-            x._accumulate(np.broadcast_to(np.expand_dims(g * scale, axis), shape))
-
-    return Tensor._from_op(out, (x,), backward)
-
-
 def _softmax_forward(x: Array) -> Array:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def _softmax_backward(g: Array, out: Array) -> Array:
-    inner = (g * out).sum(axis=-1, keepdims=True)
+    inner = np.add.reduce(g * out, axis=-1, keepdims=True)
     return out * (g - inner)
-
-
-def softmax_last_dim(x: Tensor) -> Tensor:
-    out = _softmax_forward(x.array)
-
-    def backward(g: Array) -> None:
-        x._accumulate(_softmax_backward(g, out))
-
-    return Tensor._from_op(out, (x,), backward)
 
 
 def _layer_norm_forward(x: Array, scale: Array, shift: Array) -> tuple[Array, Array, Array]:
     """Layer-norm values plus the normalized input and inverse std."""
-    mu = x.mean(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / n
     centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv
     return xhat * scale + shift, xhat, inv
@@ -412,70 +291,23 @@ def _layer_norm_backward(
 ) -> tuple[Array | None, Array, Array]:
     """Gradients for (x, scale, shift); the x term is None unless needed."""
     lead = tuple(range(g.ndim - 1))
-    d_shift = g.sum(axis=lead)
-    d_scale = (g * xhat).sum(axis=lead)
+    d_shift = np.add.reduce(g, axis=lead)
+    d_scale = np.add.reduce(g * xhat, axis=lead)
     if not need_dx:
         return None, d_scale, d_shift
+    n = g.shape[-1]
     gx = g * scale
     dx = inv * (
         gx
-        - gx.mean(axis=-1, keepdims=True)
-        - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+        - np.add.reduce(gx, axis=-1, keepdims=True) / n
+        - xhat * (np.add.reduce(gx * xhat, axis=-1, keepdims=True) / n)
     )
     return dx, d_scale, d_shift
 
 
-def layer_norm(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
-    """Normalize over the last dimension with learnable scale and shift."""
-    d = x.shape[-1] if x.ndim >= 1 else 0
-    if scale.shape != (d,) or shift.shape != (d,):
-        raise DimensionError(
-            f"layer_norm scale/shift must have shape ({d},), got "
-            f"{scale.shape} and {shift.shape}"
-        )
-    out, xhat, inv = _layer_norm_forward(x.array, scale.array, shift.array)
-    scale_val = scale.array
-
-    def backward(g: Array) -> None:
-        dx, d_scale, d_shift = _layer_norm_backward(g, xhat, inv, scale_val)
-        shift._accumulate(d_shift)
-        scale._accumulate(d_scale)
-        x._accumulate(dx)
-
-    return Tensor._from_op(out, (x, scale, shift), backward)
-
-
 def _matmul_backward(g: Array, a: Array, b: Array) -> tuple[Array, Array]:
     """Gradients of ``a @ b`` for both operands, before unbroadcasting."""
-    return g @ np.swapaxes(b, -1, -2), np.swapaxes(a, -1, -2) @ g
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes; leading axes broadcast."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError(
-            f"matmul requires >= 2 dimensions on both operands, got "
-            f"{a.shape} and {b.shape}"
-        )
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(
-            f"matmul inner dimensions disagree: {a.shape} @ {b.shape}"
-        )
-    try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError as exc:
-        raise DimensionError(
-            f"matmul leading dimensions incompatible: {a.shape} @ {b.shape}"
-        ) from exc
-    out = a.array @ b.array
-    a_val, b_val = a.array, b.array
-
-    def backward(g: Array) -> None:
-        da, db = _matmul_backward(g, a_val, b_val)
-        a._accumulate(_unbroadcast(da, a.shape))
-        b._accumulate(_unbroadcast(db, b.shape))
-
-    return Tensor._from_op(out, (a, b), backward)
+    return g @ b.mT, a.mT @ g
 
 
 # -- gradient verification ---------------------------------------------------

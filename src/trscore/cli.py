@@ -163,11 +163,9 @@ def _cmd_ablate(args) -> int:
     results = []
     for name, toggles in ABLATION_GRID:
         run_config = replace(config, component_toggles=toggles)
+        # no per-epoch validation: only the final student is scored
         _, student, _ = train(
-            run_config,
-            dataset.labeled_samples,
-            dataset.unlabeled_samples,
-            val_set=test_set,
+            run_config, dataset.labeled_samples, dataset.unlabeled_samples, val_set=[]
         )
         rho, _ = evaluate(student, test_set)
         results.append((name, toggles, rho))

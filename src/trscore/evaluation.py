@@ -11,7 +11,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import ContractError, DimensionError, MetricUndefinedError
 from .networks import FeatureSequence, Network, teacher_forward
 
@@ -83,9 +82,7 @@ def evaluate(
                     raise DimensionError(
                         f"test sample {s.sample_id!r} is {s.features.shape}, not {shape}"
                     )
-            # the stack is a fresh float64 array: wrap it without the copy
-            # that Tensor() would make
-            x = Tensor._from_op(np.stack([s.features.array for s in batch]), (), None)
+            x = ad._adopt(np.stack([s.features.array for s in batch]))
             pred = teacher_forward(student, x)
             mus.append(pred.mu_values)
             sigmas.append(pred.sigma_values)

@@ -18,11 +18,14 @@ Forward functions accept a single ``T x D`` sequence or a stacked
 Each Mixer sublayer (token mixing, channel mixing) and each cross-attention
 block is recorded as one fused tape node with a hand-derived backward: about
 20 unfused nodes per layer cost more in Python dispatch than their arithmetic.
-A fused node computes the same numpy expressions, in the same order and on
-operands of the same layout, as the composition of ``autodiff`` operations it
-replaces, so values and gradients are bit-identical to it; the tests keep
-those compositions as oracles. Fused nodes read ``ps[name].tensor`` when they
-are called, so a caller may swap a parameter's tensor to probe its gradient.
+The regression head is fused too: one node for the pooling, the linear map,
+the clip and the exponential, plus one thin node per output column, 3 nodes
+where the unfused head took 7. A fused node computes the same numpy
+expressions, in the same order and on operands of the same layout, as the
+composition of unfused operations it replaces, so values and gradients are
+bit-identical to it; the tests keep those compositions as oracles. Fused
+nodes read ``ps[name].tensor`` when they are called, so a caller may swap a
+parameter's tensor to probe its gradient.
 """
 
 from __future__ import annotations
@@ -254,7 +257,7 @@ def _prenorm_mlp(x, scale, shift, w_in, w_out, across_tokens: bool):
     pre = h_in @ w_in
     act, cdf = ad._gelu_forward(pre)
     mixed = act @ w_out
-    out = x + (np.swapaxes(mixed, -1, -2) if across_tokens else mixed)
+    out = x + (mixed.mT if across_tokens else mixed)
 
     def backward(g, need_dx: bool = True):
         g_mixed = ad._transposed(g) if across_tokens else g
@@ -318,26 +321,57 @@ def regression_head(params: Network, encoded: Tensor) -> ScorePrediction:
 
     sigma is the exponential of the second raw output, so positivity holds by
     construction. Both bodies' layouts end in ``head.weight`` and
-    ``head.bias``, so every network shares this head.
+    ``head.bias``, so every network shares this head. The pooling, the map,
+    the clip of log sigma and the exponential are one fused node whose last
+    axis holds (mu, sigma); ``mu`` and ``sigma`` are thin column nodes on it.
     """
-    ps = params.params
     if encoded.ndim < 2:
         raise DimensionError(
             f"regression head needs >= 2 dimensions, got shape {encoded.shape}"
         )
-    single = encoded.ndim == 2
-    pooled = ad.mean(encoded, axis=-2)
-    if single:
-        pooled = ad.reshape(pooled, (1, pooled.shape[-1]))
-    raw = ad.add(ad.matmul(pooled, ps["head.weight"].tensor), ps["head.bias"].tensor)
-    mu = ad.select_index(raw, 0)
+    ps = params.params
+    weight, bias = ps["head.weight"].tensor, ps["head.bias"].tensor
+    *lead, t, d = encoded.shape
+    pooled = np.add.reduce(encoded.array, axis=-2) / t
+    if not lead:
+        pooled = pooled.reshape(1, d)
+    out = pooled @ weight.array + bias.array
+    log_sigma = out[..., 1].copy()
     # bounding log-sigma keeps sigma positive yet finite under extreme
     # optimizer excursions
-    sigma = ad.exp(ad.clip(ad.select_index(raw, 1), -LOG_SIGMA_BOUND, LOG_SIGMA_BOUND))
-    if single:
-        mu = ad.reshape(mu, ())
-        sigma = ad.reshape(sigma, ())
-    return ScorePrediction(mu, sigma)
+    sigma = np.exp(np.clip(log_sigma, -LOG_SIGMA_BOUND, LOG_SIGMA_BOUND))
+    out[..., 1] = sigma
+
+    def backward(g) -> None:
+        # the chain rule of the unfused nodes, term for term: exp, then clip.
+        # Each unfused node also added its gradient to 0.0, turning a -0.0
+        # into 0.0; every use of g_raw ends in such a sum, so the bits agree.
+        inside = (log_sigma > -LOG_SIGMA_BOUND) & (log_sigma < LOG_SIGMA_BOUND)
+        g_raw = g.copy()
+        g_raw[..., 1] = g[..., 1] * sigma * inside
+        bias._accumulate(ad._unbroadcast(g_raw, bias.shape))
+        d_pooled, d_weight = ad._matmul_backward(g_raw, pooled, weight.array)
+        weight._accumulate(ad._unbroadcast(d_weight, weight.shape))
+        if encoded.requires_grad:
+            # (..., 1, D): the accumulation broadcasts it over the snippets
+            encoded._accumulate(d_pooled.reshape(*lead, 1, d) * (1.0 / t))
+
+    head = Tensor._from_op(out, (encoded, weight, bias), backward)
+    shape = tuple(lead)
+    return ScorePrediction(
+        _column(head, out[..., 0], 0, shape), _column(head, sigma, 1, shape)
+    )
+
+
+def _column(head: Tensor, values: np.ndarray, index: int, shape) -> Tensor:
+    """Column ``index`` of ``head``'s last axis, reshaped to ``shape``."""
+
+    def backward(g) -> None:
+        full = np.zeros(head.shape)
+        full[..., index] = g
+        head._accumulate(full)
+
+    return Tensor._from_op(values.reshape(shape), (head,), backward)
 
 
 def teacher_forward(params: Network, v) -> ScorePrediction:

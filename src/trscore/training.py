@@ -16,7 +16,12 @@ burn-in, the student afterwards) and of the reference network when it is
 enabled. Given unlabeled data, the body pairs every labeled batch with an
 equal-sized unlabeled batch (a fixed 1:1 structure, drawn from a per-epoch
 shuffled pass over the unlabeled pool, wrapping around when the pool is
-small). ``burn_in_epoch`` runs the body on labeled data alone; ``trs_epoch``
+small). The teacher side of the pseudo-labels is computed once per epoch:
+the teacher changes only through the EMA update at the epoch's end, so its
+encoder runs over all of the epoch's weak views before the first step. Its
+head, the reference side (the reference network is stepped every batch) and
+the confidence memories stay per batch, in slot order. ``burn_in_epoch``
+runs the body on labeled data alone; ``trs_epoch``
 runs it with the unlabeled pool and then the once-per-epoch EMA update; the
 supervised baseline runs it on labeled data alone in both stages. ``train``
 and ``train_supervised`` share one epoch driver.
@@ -52,8 +57,10 @@ from .networks import (
     NetworkArch,
     init_reference_params,
     init_teacher_params,
+    mixer_forward,
     reference_forward,
     reference_layout,
+    regression_head,
     teacher_forward,
     teacher_layout,
 )
@@ -176,15 +183,18 @@ class Adam:
     """Adam with bias correction over one parameter set.
 
     The moments are flat vectors parallel to the set's arena, so a step is a
-    handful of vector expressions over every parameter at once.
+    handful of vector expressions over every parameter at once. They write
+    into two work vectors of the instance's own, so a step allocates nothing
+    of the arena's size.
     """
 
     def __init__(self, params: ParameterSet, learning_rate: float):
         self.params = params
         self.learning_rate = learning_rate
         self._step = 0
-        self._m = np.zeros(params.num_values())
-        self._v = np.zeros(params.num_values())
+        size = params.num_values()
+        self._m, self._v = np.zeros(size), np.zeros(size)
+        self._grad, self._work = np.empty(size), np.empty(size)
 
     def zero_grad(self) -> None:
         self.params.zero_grad()
@@ -202,17 +212,26 @@ class Adam:
         self._step += 1
         if missing:
             return
-        g = np.concatenate(grads)
         correct1 = 1.0 - ADAM_BETA1 ** self._step
         correct2 = 1.0 - ADAM_BETA2 ** self._step
-        m, v = self._m, self._v
+        m, v, g, work = self._m, self._v, self._grad, self._work
+        np.concatenate(grads, out=g)
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) (g g)
+        np.multiply(g, 1.0 - ADAM_BETA1, out=work)
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += work
+        np.multiply(g, g, out=g)
+        g *= 1.0 - ADAM_BETA2
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        self.params.data -= self.learning_rate * (m / correct1) / (
-            np.sqrt(v / correct2) + ADAM_EPSILON
-        )
+        v += g
+        # theta -= lr (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(m, correct1, out=work)
+        work *= self.learning_rate
+        np.divide(v, correct2, out=g)
+        np.sqrt(g, out=g)
+        g += ADAM_EPSILON
+        work /= g
+        self.params.data -= work
         for p in self.params:
             p.version += 1
 
@@ -377,6 +396,15 @@ def _epoch(
             unlab_partner = streams.derive(
                 config.seed, streams.PAIR_UNLABELED, epoch
             ).integers(0, n, m)
+        # 1:1 pairing: labeled position i meets unlabeled slot i, wrapping
+        # over the per-epoch shuffle when the pool runs out
+        slots = unlab_order[np.arange(n) % m]
+        paired = [unlabeled[int(j)] for j in slots]
+        # the teacher moves only at the epoch's end, so its encoder runs once
+        # over every weak view of the epoch
+        x_weak = _augmented_stack(paired, "weak", epoch, config)
+        with ad.no_grad():
+            weak_encoded = mixer_forward(state.theta_t, ad._adopt(x_weak)).array
 
     sums = {"l_reg_s": 0.0, "l_reg_r": 0.0, "l_unsup": 0.0}
     for b, (lo, hi) in enumerate(_batch_bounds(n, config.batch_size)):
@@ -385,27 +413,25 @@ def _epoch(
         state.opt_reference.zero_grad()
 
         # (name, loss summed over the batch, weight) per term
-        x, s = Tensor(x_lab[idx]), s_lab[idx]
+        x, s = ad._adopt(x_lab[idx]), s_lab[idx]
         direct = gaussian_nll(s, teacher_forward(net, x))
         terms = [("l_reg_s", ad.sum(direct), 1.0 / idx.size)]
         if use_reference:
             pair = partner[idx]
-            relative_pred = reference_forward(state.theta_f, x, Tensor(x_lab[pair]))
+            relative_pred = reference_forward(state.theta_f, x, ad._adopt(x_lab[pair]))
             relative = gaussian_nll(relative_target(s, s_lab[pair]), relative_pred)
             terms.append(("l_reg_r", ad.sum(relative), 1.0 / idx.size))
 
         if m:
-            # 1:1 pairing: an unlabeled batch of the same size, wrapping over
-            # the per-epoch shuffle when the pool runs out
-            slots = unlab_order[np.arange(lo, hi) % m]
-            batch = [unlabeled[int(j)] for j in slots]
+            batch = paired[lo:hi]
+            weak = (x_weak[lo:hi], weak_encoded[lo:hi])
             exemplars = None
             if use_reference:
-                pair = unlab_partner[slots]
+                pair = unlab_partner[slots[lo:hi]]
                 exemplars = (x_lab[pair], s_lab[pair])
-            s_bar = _pseudo_labels(state, batch, exemplars, config)
+            s_bar = _pseudo_labels(state, batch, weak, exemplars, config)
             x_strong = _augmented_stack(batch, "strong", epoch, config)
-            strong_pred = teacher_forward(net, Tensor(x_strong))
+            strong_pred = teacher_forward(net, ad._adopt(x_strong))
             terms.append(
                 ("l_unsup", ad.sum(unsupervised_loss(strong_pred, s_bar)), beta / len(batch))
             )
@@ -488,25 +514,29 @@ def _memory_side(
 def _pseudo_labels(
     state: TrsState,
     batch: Sequence[FeatureSequence],
+    weak: tuple[np.ndarray, np.ndarray],
     exemplars: tuple[np.ndarray, np.ndarray] | None,
     config: TrainConfig,
 ) -> np.ndarray:
     """Pseudo-labels for one unlabeled batch, made on its weak views (no
     gradients).
 
-    The teacher side is the teacher's prediction; the reference side, given
-    the labeled ``exemplars`` (features and scores) the samples are compared
-    with, is the exemplar's label plus the predicted difference. Each side
-    passes through its own confidence memory when that memory is on, and the
-    pseudo-label fuses the two sides (``fuse_scores``), or is the teacher side
-    alone without the reference network. A sample repeated within a batch has
-    the same weak view, so its second write is a tie and the memory keeps the
-    first.
+    ``weak`` holds the batch's weak views and the teacher encoder's output on
+    them. The teacher side is the teacher head's prediction on that output;
+    the reference side, given the labeled ``exemplars`` (features and scores)
+    the samples are compared with, is the exemplar's label plus the predicted
+    difference. Each side passes through its own confidence memory when that
+    memory is on, and the pseudo-label fuses the two sides (``fuse_scores``),
+    or is the teacher side alone without the reference network. A sample
+    repeated within a batch has the same weak view, so its second write is a
+    tie and the memory keeps the first.
     """
     toggles = config.component_toggles
-    x_weak = Tensor(_augmented_stack(batch, "weak", state.epoch, config))
+    x_weak, encoded = weak
     with ad.no_grad():
-        teacher_pred = teacher_forward(state.theta_t, x_weak)
+        # the head runs per batch: a 2-D matrix product's rounding depends on
+        # its row count, and a B-row batch must score as it did on its own
+        teacher_pred = regression_head(state.theta_t, ad._adopt(encoded))
     t_side = _memory_side(
         state.m_t, toggles.teacher_memory, batch,
         teacher_pred.mu_values, teacher_pred.sigma_values, state.epoch,
@@ -516,7 +546,9 @@ def _pseudo_labels(
 
     x_exemplar, s_exemplar = exemplars
     with ad.no_grad():
-        relative_pred = reference_forward(state.theta_f, x_weak, Tensor(x_exemplar))
+        relative_pred = reference_forward(
+            state.theta_f, ad._adopt(x_weak), ad._adopt(x_exemplar)
+        )
     r_side = _memory_side(
         state.m_r, toggles.reference_memory, batch,
         recovered_score(s_exemplar, relative_pred.mu_values),

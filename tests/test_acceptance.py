@@ -46,6 +46,8 @@ from trscore.training import (
     write_metrics_csv,
 )
 
+import unfused
+
 
 @contextlib.contextmanager
 def verdict(number: int, summary: str):
@@ -76,9 +78,9 @@ def _param_grad_errors(container, forward_scalar):
 def _loss_from_raw(raw: Tensor, target) -> Tensor:
     """Gaussian NLL as a function of raw (mu, log sigma) head outputs."""
     pred = ScorePrediction(
-        ad.select_index(raw, 0), ad.exp(ad.select_index(raw, 1))
+        unfused.select_index(raw, 0), unfused.exp(unfused.select_index(raw, 1))
     )
-    return ad.mean(gaussian_nll(target, pred))
+    return unfused.mean(gaussian_nll(target, pred))
 
 
 class TestCriterion1GradientFidelity:
@@ -132,12 +134,12 @@ class TestCriterion1GradientFidelity:
             enc0 = Tensor(gen.normal(size=(2, 3, 6)))
 
             def head_scalar():
-                return ad.mean(gaussian_nll(targets, regression_head(params, probe_enc)))
+                return unfused.mean(gaussian_nll(targets, regression_head(params, probe_enc)))
 
             probe_enc = enc0
 
             def head_input(t):
-                return ad.mean(gaussian_nll(targets, regression_head(params, t)))
+                return unfused.mean(gaussian_nll(targets, regression_head(params, t)))
 
             head_errs = [ad.grad_check(head_input, enc0)]
             for name in ("head.weight", "head.bias"):
@@ -178,7 +180,7 @@ class TestCriterion1GradientFidelity:
         params = init_teacher_params(arch, gen)
         targets = gen.normal(size=2)
         err = ad.grad_check(
-            lambda t: ad.mean(gaussian_nll(targets, teacher_forward(params, t))),
+            lambda t: unfused.mean(gaussian_nll(targets, teacher_forward(params, t))),
             Tensor(gen.normal(size=(2, 4, 8))),
         )
         worst["teacher end-to-end"] = err

@@ -423,3 +423,25 @@ class TestAblate:
         lines = table.read_text().splitlines()
         assert len(lines) == 6
         assert [line.split(",")[0] for line in lines[1:]] == order
+
+    def test_one_evaluation_per_config(self, tiny_data, tmp_path, monkeypatch):
+        # the grid trains without a validation set: only the final test-set
+        # evaluation of each configuration runs
+        from trscore import cli, evaluation
+
+        calls = []
+
+        def counted(student, samples):
+            calls.append(len(samples))
+            return real(student, samples)
+
+        real = evaluation.evaluate
+        monkeypatch.setattr(evaluation, "evaluate", counted)
+        monkeypatch.setattr(cli, "evaluate", counted)
+        train_file, test_file = tiny_data
+        code = run_cli(
+            ["ablate", "--data", train_file, "--test", test_file,
+             "--epochs", 4, "--burn-in", 2, "--seed", 2]
+        )
+        assert code == 0
+        assert len(calls) == len(cli.ABLATION_GRID)

@@ -1,11 +1,12 @@
 """Fused tape nodes and the flat parameter arena against unfused oracles.
 
-The Mixer sublayers, the cross-attention block and the Gaussian NLL are each
-one fused tape node, and Adam and the EMA update work on each parameter set's
-flat arena. The oracles below are the unfused compositions of public
-``autodiff`` operations and the per-array update loops that they replace,
-kept verbatim. Every comparison is exact (``np.array_equal``): the fused
-paths evaluate the same numpy expressions in the same order.
+The Mixer sublayers, the cross-attention block, the regression head and the
+Gaussian NLL are each one fused tape node, and Adam and the EMA update work
+on each parameter set's flat arena. The oracles below are the unfused
+compositions of the operations in ``unfused`` and the per-array update loops
+that they replace, kept verbatim. Every comparison is exact
+(``np.array_equal``, or equal bytes where the sign of a zero matters): the
+fused paths evaluate the same numpy expressions in the same order.
 """
 
 import math
@@ -17,6 +18,7 @@ from trscore import autodiff as ad
 from trscore.autodiff import ParameterSet, Tensor
 from trscore.errors import ContractError
 from trscore.networks import (
+    LOG_SIGMA_BOUND,
     NetworkArch,
     ScorePrediction,
     init_reference_params,
@@ -29,29 +31,32 @@ from trscore.networks import (
 from trscore.objectives import gaussian_nll
 from trscore.training import Adam, ema_update
 
+import unfused
+
+
 # -- oracles: the unfused compositions ----------------------------------------
 
 
 def oracle_mixer_forward(params, x):
     ps = params.params
     for i in range(params.arch.mixer_layers):
-        normed = ad.layer_norm(
+        normed = unfused.layer_norm(
             x, ps[f"mixer.{i}.norm_token.scale"].tensor,
             ps[f"mixer.{i}.norm_token.shift"].tensor,
         )
-        tok = ad.transpose_last_two(normed)
-        tok = ad.matmul(tok, ps[f"mixer.{i}.token_in"].tensor)
-        tok = ad.gelu(tok)
-        tok = ad.matmul(tok, ps[f"mixer.{i}.token_out"].tensor)
-        x = ad.add(x, ad.transpose_last_two(tok))
+        tok = unfused.transpose_last_two(normed)
+        tok = unfused.matmul(tok, ps[f"mixer.{i}.token_in"].tensor)
+        tok = unfused.gelu(tok)
+        tok = unfused.matmul(tok, ps[f"mixer.{i}.token_out"].tensor)
+        x = ad.add(x, unfused.transpose_last_two(tok))
 
-        normed = ad.layer_norm(
+        normed = unfused.layer_norm(
             x, ps[f"mixer.{i}.norm_channel.scale"].tensor,
             ps[f"mixer.{i}.norm_channel.shift"].tensor,
         )
-        ch = ad.matmul(normed, ps[f"mixer.{i}.channel_in"].tensor)
-        ch = ad.gelu(ch)
-        ch = ad.matmul(ch, ps[f"mixer.{i}.channel_out"].tensor)
+        ch = unfused.matmul(normed, ps[f"mixer.{i}.channel_in"].tensor)
+        ch = unfused.gelu(ch)
+        ch = unfused.matmul(ch, ps[f"mixer.{i}.channel_out"].tensor)
         x = ad.add(x, ch)
     return x
 
@@ -60,35 +65,51 @@ def oracle_attention_block(params, i, x, exemplar):
     ps = params.params
     scale = ps[f"attn.{i}.norm_in.scale"].tensor
     shift = ps[f"attn.{i}.norm_in.shift"].tensor
-    q_in = ad.layer_norm(x, scale, shift)
-    kv_in = ad.layer_norm(exemplar, scale, shift)
-    q = ad.matmul(q_in, ps[f"attn.{i}.w_query"].tensor)
-    k = ad.matmul(kv_in, ps[f"attn.{i}.w_key"].tensor)
-    v = ad.matmul(kv_in, ps[f"attn.{i}.w_value"].tensor)
+    q_in = unfused.layer_norm(x, scale, shift)
+    kv_in = unfused.layer_norm(exemplar, scale, shift)
+    q = unfused.matmul(q_in, ps[f"attn.{i}.w_query"].tensor)
+    k = unfused.matmul(kv_in, ps[f"attn.{i}.w_key"].tensor)
+    v = unfused.matmul(kv_in, ps[f"attn.{i}.w_value"].tensor)
     logits = ad.mul(
-        ad.matmul(q, ad.transpose_last_two(k)),
+        unfused.matmul(q, unfused.transpose_last_two(k)),
         Tensor(1.0 / math.sqrt(params.arch.d_k)),
     )
-    weights = ad.softmax_last_dim(logits)
-    attended = ad.matmul(ad.matmul(weights, v), ps[f"attn.{i}.w_out"].tensor)
+    weights = unfused.softmax_last_dim(logits)
+    attended = unfused.matmul(unfused.matmul(weights, v), ps[f"attn.{i}.w_out"].tensor)
     x = ad.add(x, attended)
 
-    normed = ad.layer_norm(
+    normed = unfused.layer_norm(
         x, ps[f"attn.{i}.norm_mlp.scale"].tensor,
         ps[f"attn.{i}.norm_mlp.shift"].tensor,
     )
-    h = ad.matmul(normed, ps[f"attn.{i}.mlp_in"].tensor)
-    h = ad.gelu(h)
-    h = ad.matmul(h, ps[f"attn.{i}.mlp_out"].tensor)
+    h = unfused.matmul(normed, ps[f"attn.{i}.mlp_in"].tensor)
+    h = unfused.gelu(h)
+    h = unfused.matmul(h, ps[f"attn.{i}.mlp_out"].tensor)
     return ad.add(x, h), weights
+
+
+def oracle_regression_head(params, encoded):
+    ps = params.params
+    single = encoded.ndim == 2
+    pooled = unfused.mean(encoded, axis=-2)
+    if single:
+        pooled = unfused.reshape(pooled, (1, pooled.shape[-1]))
+    raw = ad.add(unfused.matmul(pooled, ps["head.weight"].tensor), ps["head.bias"].tensor)
+    mu = unfused.select_index(raw, 0)
+    log_sigma = unfused.clip(unfused.select_index(raw, 1), -LOG_SIGMA_BOUND, LOG_SIGMA_BOUND)
+    sigma = unfused.exp(log_sigma)
+    if single:
+        mu = unfused.reshape(mu, ())
+        sigma = unfused.reshape(sigma, ())
+    return ScorePrediction(mu, sigma)
 
 
 def oracle_gaussian_nll(target, pred):
     target = target if isinstance(target, Tensor) else Tensor(np.asarray(target, dtype=np.float64))
-    residual = ad.sub(target, pred.mu)
+    residual = unfused.sub(target, pred.mu)
     squared = ad.mul(residual, residual)
     var2 = ad.mul(ad.mul(pred.sigma, pred.sigma), Tensor(2.0))
-    return ad.add(ad.log(pred.sigma), ad.div(squared, var2))
+    return ad.add(unfused.log(pred.sigma), unfused.div(squared, var2))
 
 
 # -- oracles: the per-array update loops --------------------------------------
@@ -144,6 +165,12 @@ BATCHES = (None, 1, 2, 3, 4, 5)  # None: a single T x D input
 def _input(gen, batch):
     shape = (ARCH_T, ARCH_D) if batch is None else (batch, ARCH_T, ARCH_D)
     return gen.normal(size=shape)
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shapes and bytes: unlike ``np.array_equal``, tells -0.0 from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _assert_same_grads(fused_params, oracle_params):
@@ -236,6 +263,81 @@ class TestFusedAttention:
                    if name.startswith("attn."))
 
 
+class TestFusedHead:
+    # log-sigma bias: inside the bound, exactly on either bound, and beyond it
+    @pytest.mark.parametrize("log_sigma", [None, LOG_SIGMA_BOUND, -LOG_SIGMA_BOUND, 25.0])
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_bit_identical_to_unfused(self, batch, log_sigma):
+        gen = np.random.default_rng(400 + (batch or 0))
+        net = init_teacher_params(NetworkArch(t=ARCH_T, d=ARCH_D), gen)
+        if log_sigma is not None:
+            # a zero log-sigma column makes log sigma equal to the bias exactly
+            weight = net.params["head.weight"].array.copy()
+            weight[:, 1] = 0.0
+            net.params["head.weight"].assign(weight)
+            net.params["head.bias"].assign(np.array([0.3, log_sigma]))
+        oracle_net = net.copy()
+        encoded = _input(gen, batch)
+        shape = () if batch is None else (batch,)
+        # signed weights, zeros among them, reach both columns
+        w_mu, w_sigma = gen.normal(size=shape), gen.normal(size=shape)
+        w_sigma = np.where(gen.random(size=shape) < 0.3, 0.0, w_sigma)
+        sides = []
+        for head, params in ((regression_head, net), (oracle_regression_head, oracle_net)):
+            leaf = Tensor(encoded, requires_grad=True)
+            pred = head(params, leaf)
+            loss = ad.add(
+                ad.sum(ad.mul(pred.mu, Tensor(w_mu))),
+                ad.sum(ad.mul(pred.sigma, Tensor(w_sigma))),
+            )
+            loss.backward()
+            sides.append((pred, leaf.grad, params.params))
+        (pred, leaf_grad, params), (ref, ref_grad, ref_params) = sides
+        assert _same_bits(pred.mu.array, ref.mu.array)
+        assert _same_bits(pred.sigma.array, ref.sigma.array)
+        assert _same_bits(leaf_grad, ref_grad)
+        for name in ("head.weight", "head.bias"):
+            assert _same_bits(params[name].grad, ref_params[name].grad), name
+
+    def test_three_tape_nodes(self):
+        net = init_teacher_params(NetworkArch(t=ARCH_T, d=ARCH_D), np.random.default_rng(2))
+        leaf = Tensor(np.ones((3, ARCH_T, ARCH_D)), requires_grad=True)
+        pred = regression_head(net, leaf)
+        leaves = {id(leaf), id(net.params["head.weight"].tensor),
+                  id(net.params["head.bias"].tensor)}
+        nodes, stack = set(), [pred.mu, pred.sigma]
+        while stack:
+            node = stack.pop()
+            if id(node) not in leaves and id(node) not in nodes:
+                nodes.add(id(node))
+                stack.extend(node._parents)
+        assert len(nodes) == 3  # the fused head and its two columns
+        assert pred.mu.requires_grad and pred.sigma.requires_grad
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 4, 5])
+    @pytest.mark.parametrize("n", [40, 41])
+    def test_epoch_encoder_pass_matches_per_batch_passes(self, n, batch_size):
+        """What the once-per-epoch teacher pass relies on: the encoder over a
+        stacked n-sample batch gives each sample the bits that a pass over its
+        own batch gives, and the head on those rows gives that batch's
+        ``teacher_forward``. (The head itself is run per batch: a 2-D matrix
+        product's rounding may depend on its row count.)"""
+        gen = np.random.default_rng(500 + n + batch_size)
+        arch = NetworkArch(t=10, d=64)
+        net = init_teacher_params(arch, gen)
+        x = gen.normal(size=(n, arch.t, arch.d))
+        with ad.no_grad():
+            encoded = mixer_forward(net, Tensor(x)).array
+            for lo in range(0, n, batch_size):
+                hi = min(lo + batch_size, n)
+                alone = mixer_forward(net, Tensor(x[lo:hi])).array
+                assert np.array_equal(encoded[lo:hi], alone)
+                pred = teacher_forward(net, Tensor(x[lo:hi]))
+                sliced = regression_head(net, Tensor(encoded[lo:hi]))
+                assert np.array_equal(pred.mu.array, sliced.mu.array)
+                assert np.array_equal(pred.sigma.array, sliced.sigma.array)
+
+
 class TestFusedNll:
     @pytest.mark.parametrize("batch", BATCHES)
     def test_bit_identical_to_unfused(self, batch):
@@ -279,7 +381,7 @@ class TestFusedNll:
         losses = []
         for forward, nll, params in (
             (teacher_forward, gaussian_nll, net),
-            (lambda p, t: regression_head(p, oracle_mixer_forward(p, t)),
+            (lambda p, t: oracle_regression_head(p, oracle_mixer_forward(p, t)),
              oracle_gaussian_nll, oracle_net),
         ):
             loss = ad.sum(nll(targets, forward(params, Tensor(x))))

@@ -423,6 +423,108 @@ class TestTrsEpoch:
             trs_epoch(state, labeled, unlabeled, beta=0.0, config=config)
 
 
+def _per_batch_trs_epoch(state, labeled, unlabeled, beta, config):
+    """A TRS epoch whose pseudo-labels run a whole teacher pass per batch, as
+    the epoch body did before it ran the teacher's encoder once per epoch;
+    kept as the oracle of that hoisting."""
+    from trscore import autodiff as ad
+    from trscore import rng as streams
+    from trscore.memory import fuse_scores
+    from trscore.networks import Network, reference_forward
+    from trscore.objectives import (
+        gaussian_nll, recovered_score, relative_target, unsupervised_loss,
+    )
+    from trscore.training import (
+        _augmented_stack, _batch_bounds, _labels, _memory_side, _stack,
+    )
+
+    net, opt, epoch = state.theta_s, state.opt_trained, state.epoch
+    toggles = config.component_toggles
+    n, m = len(labeled), len(unlabeled)
+    x_lab, s_lab = _stack(labeled), _labels(labeled)
+    order = streams.derive(config.seed, streams.SHUFFLE_LABELED, epoch).permutation(n)
+    partner = streams.derive(config.seed, streams.PAIR_LABELED, epoch).integers(0, n, n)
+    unlab_order = streams.derive(config.seed, streams.SHUFFLE_UNLABELED, epoch).permutation(m)
+    unlab_partner = streams.derive(config.seed, streams.PAIR_UNLABELED, epoch).integers(0, n, m)
+    for lo, hi in _batch_bounds(n, config.batch_size):
+        idx = order[lo:hi]
+        opt.zero_grad()
+        state.opt_reference.zero_grad()
+        x, s = Tensor(x_lab[idx]), s_lab[idx]
+        direct = ad.sum(gaussian_nll(s, teacher_forward(net, x)))
+        pair = partner[idx]
+        relative = ad.sum(gaussian_nll(
+            relative_target(s, s_lab[pair]),
+            reference_forward(state.theta_f, x, Tensor(x_lab[pair])),
+        ))
+        slots = unlab_order[np.arange(lo, hi) % m]
+        batch = [unlabeled[int(j)] for j in slots]
+        x_weak = Tensor(_augmented_stack(batch, "weak", epoch, config))
+        with ad.no_grad():
+            teacher_pred = teacher_forward(state.theta_t, x_weak)
+            t_side = _memory_side(state.m_t, toggles.teacher_memory, batch,
+                                  teacher_pred.mu_values, teacher_pred.sigma_values, epoch)
+            pair = unlab_partner[slots]
+            relative_pred = reference_forward(state.theta_f, x_weak, Tensor(x_lab[pair]))
+            r_side = _memory_side(state.m_r, toggles.reference_memory, batch,
+                                  recovered_score(s_lab[pair], relative_pred.mu_values),
+                                  relative_pred.sigma_values, epoch)
+        x_strong = Tensor(_augmented_stack(batch, "strong", epoch, config))
+        s_bar = fuse_scores(t_side, r_side)
+        unsup = ad.sum(unsupervised_loss(teacher_forward(net, x_strong), s_bar))
+        ad.add(
+            ad.add(ad.mul(direct, Tensor(1.0 / idx.size)), ad.mul(relative, Tensor(1.0 / idx.size))),
+            ad.mul(unsup, Tensor(beta / len(batch))),
+        ).backward()
+        opt.step()
+        state.opt_reference.step()
+    state.epoch = epoch + 1
+    state.theta_t = Network(state.theta_t.arch,
+                            ema_update(state.theta_t.params, state.theta_s.params, config.alpha))
+
+
+class TestOncePerEpochTeacherPass:
+    @pytest.mark.parametrize("frac", [0.7, 0.3])  # with and without wrap-around
+    def test_matches_per_batch_replay(self, frac):
+        labeled, unlabeled = toy_sets(n=30, frac=frac)
+        config = quick_config(batch_size=4, max_epochs=6)
+        states = []
+        for epoch_fn in (trs_epoch, _per_batch_trs_epoch):
+            state = TestTrsEpoch()._ready_state(config, labeled)
+            for _ in range(3):
+                epoch_fn(state, labeled, unlabeled, 0.1, config)
+            states.append(state)
+        ours, replay = states
+        if frac == 0.7:
+            assert len(unlabeled) < len(labeled)  # the unlabeled pass wraps
+        for memory in ("m_t", "m_r"):
+            mine, theirs = getattr(ours, memory), getattr(replay, memory)
+            assert len(mine) == len(theirs) > 0
+            for s in unlabeled:
+                assert mine.read(s.sample_id) == theirs.read(s.sample_id)
+        for net in ("theta_t", "theta_s", "theta_f"):
+            assert np.array_equal(getattr(ours, net).params.data,
+                                  getattr(replay, net).params.data), net
+
+
+class TestAdamBuffers:
+    def test_two_instances_share_no_array(self):
+        from trscore.training import Adam
+
+        ps = ParameterSet()
+        ps.new("w", np.ones((3, 2)))
+        ps.new("b", np.zeros(2))
+        first, second = Adam(ps, 0.1), Adam(ps.copy(), 0.1)
+        arrays = [
+            [v for v in vars(opt).values() if isinstance(v, np.ndarray)]
+            for opt in (first, second)
+        ]
+        assert len(arrays[0]) >= 4  # both moments and the work vectors
+        for a in arrays[0]:
+            for b in arrays[1]:
+                assert not np.shares_memory(a, b)
+
+
 def _reference_train_supervised(config, labeled_set, val_set=None):
     """The labeled-only baseline as a loop of its own, kept as a test oracle.
 

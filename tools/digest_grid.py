@@ -1,0 +1,122 @@
+"""Check that two checkouts of ``trscore`` train bit-identically.
+
+Usage, from the repository root:
+
+    python3 tools/digest_grid.py --baseline OTHER/src [--src src]
+
+For every case of the grid, each checkout trains in a fresh interpreter and
+hashes (SHA-256) what the run leaves behind: the metrics CSV and, for
+``train``, the checkpoint files ``params_{t,s,f}.bin``, ``memory_{t,r}.tsv``
+and ``state.json``; for ``train_supervised``, the student's parameter file.
+A case is one of the five ablation configurations of ``trscore ablate`` or
+the labeled-only baseline, on each of the shapes below. The script prints
+one line per file and exits 1 unless every file is bit-identical.
+
+The shapes differ in the batch arithmetic they exercise: full batches of 4
+at the benchmark's feature size; fewer unlabeled than labeled samples, so
+the unlabeled pass wraps around, with a last batch of one; and a batch size
+that does not divide the labeled count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# name -> (synthetic spec, training settings)
+SHAPES = {
+    "t10d64-b4": (
+        dict(num_samples=400, t=10, d=64, label_fraction=0.1, noise_std=1.0, seed=0),
+        dict(burn_in_epochs=6, max_epochs=16, batch_size=4, learning_rate=3e-3, seed=0),
+    ),
+    "t4d8-wrap-b4": (
+        dict(num_samples=30, t=4, d=8, label_fraction=0.7, noise_std=0.2, seed=1),
+        dict(burn_in_epochs=3, max_epochs=12, batch_size=4, learning_rate=1e-3, seed=1),
+    ),
+    "t7d5-b6": (
+        dict(num_samples=50, t=7, d=5, label_fraction=0.3, noise_std=0.5, seed=2),
+        dict(burn_in_epochs=3, max_epochs=12, batch_size=6, learning_rate=2e-3, seed=2),
+    ),
+}
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def emit(workdir: Path) -> dict[str, str]:
+    """Digest of every output file of the grid, keyed shape/case/file."""
+    from dataclasses import replace
+
+    from trscore import cli, data, training
+
+    digests = {}
+    for shape, (spec, settings) in SHAPES.items():
+        dataset = data.generate_synthetic(data.SyntheticSpec(**spec))
+        labeled, unlabeled = dataset.labeled_samples, dataset.unlabeled_samples
+        config = training.TrainConfig(**settings)
+        for case, toggles in cli.ABLATION_GRID:
+            out = workdir / shape / case
+            _, _, rows = training.train(
+                replace(config, component_toggles=toggles), labeled, unlabeled,
+                checkpoint_dir=out,
+            )
+            training.write_metrics_csv(rows, out / "metrics.csv")
+        out = workdir / shape / "supervised"
+        out.mkdir(parents=True)
+        student, rows = training.train_supervised(config, labeled)
+        training.write_metrics_csv(rows, out / "metrics.csv")
+        training.save_parameter_set(student.params, out / "params_s.bin")
+    for path in sorted(workdir.rglob("*")):
+        if path.is_file():
+            digests[path.relative_to(workdir).as_posix()] = _sha256(path)
+    return digests
+
+
+def _digests_of(src: Path) -> dict[str, str]:
+    """Run the grid against the package in ``src`` in a fresh interpreter."""
+    done = subprocess.run(
+        [sys.executable, __file__, "--emit", "--src", str(src)],
+        capture_output=True, text=True, check=False,
+    )
+    if done.returncode != 0:
+        sys.exit(f"the grid failed for {src}:\n{done.stderr}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="the checkout under test (default: this one)")
+    parser.add_argument("--baseline", type=Path,
+                        help="the src directory of the checkout to compare against")
+    parser.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.emit:
+        sys.path.insert(0, str(args.src.resolve()))
+        with tempfile.TemporaryDirectory() as tmp:
+            print(json.dumps(emit(Path(tmp))))
+        return 0
+    if args.baseline is None:
+        parser.error("--baseline is required")
+
+    ours, theirs = _digests_of(args.src), _digests_of(args.baseline)
+    same = 0
+    for name in sorted(ours.keys() | theirs.keys()):
+        verdict = "identical" if ours.get(name) == theirs.get(name) else "DIFFERENT"
+        same += verdict == "identical"
+        print(f"{verdict:<10} {name}")
+    total = len(ours.keys() | theirs.keys())
+    print(f"{same} of {total} files bit-identical")
+    return 0 if same == total else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
