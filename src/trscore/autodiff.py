@@ -400,17 +400,15 @@ class Parameter:
 class ParameterSet:
     """Ordered collection of uniquely named parameters in one flat arena.
 
-    ``data`` is a contiguous float64 vector holding every value in insertion
+    ``data`` is a contiguous float64 vector holding every value in layout
     order; each parameter's tensor is a reshaped view into it, so writes
     through ``Parameter.assign`` and writes to ``data`` are the same writes.
-    ``add``/``new`` grow the vector and re-point the existing views.
+    ``from_layout`` builds every set.
     """
 
-    def __init__(self, params: Iterable[Parameter] = ()):
+    def __init__(self):
         self._params: dict[str, Parameter] = {}
         self.data: Array = np.zeros(0)
-        for p in params:
-            self.add(p)
 
     @classmethod
     def from_layout(
@@ -447,16 +445,6 @@ class ParameterSet:
             size = p.tensor.numel
             p.tensor._array = data[offset : offset + size].reshape(p.tensor.shape)
             offset += size
-
-    def add(self, param: Parameter) -> Parameter:
-        if param.name in self._params:
-            raise ContractError(f"duplicate parameter name {param.name!r}")
-        self._params[param.name] = param
-        self._bind(np.concatenate([self.data, param.array.reshape(-1)]))
-        return param
-
-    def new(self, name: str, values) -> Parameter:
-        return self.add(Parameter(name, values))
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]

@@ -34,6 +34,10 @@ class DivergenceError(TrscoreError, ArithmeticError):
     """Training produced a non-finite loss term."""
 
 
+class WorkerError(TrscoreError, RuntimeError):
+    """A training worker process ended without reporting its epoch."""
+
+
 class FusionUnavailableError(TrscoreError, LookupError):
     """Pseudo-label fusion requires both memory entries to be present."""
 

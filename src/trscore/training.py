@@ -9,22 +9,29 @@ absolute score, both filtered through confidence memories. The teacher
 receives no gradients after burn-in; it trails the student through a
 per-epoch exponential moving average.
 
-Both stages and the labeled-only baseline share one epoch body: a shuffled
-pass over the labeled set in batches of ``batch_size``, where each batch
-drives one optimizer step of the network being trained (the teacher during
+Both stages and the labeled-only baseline share one epoch: a shuffled pass
+over the labeled set in batches of ``batch_size``, where each batch drives
+one optimizer step of the network being trained (the teacher during
 burn-in, the student afterwards) and of the reference network when it is
-enabled. Given unlabeled data, the body pairs every labeled batch with an
+enabled. Given unlabeled data, every labeled batch is paired with an
 equal-sized unlabeled batch (a fixed 1:1 structure, drawn from a per-epoch
 shuffled pass over the unlabeled pool, wrapping around when the pool is
-small). The teacher side of the pseudo-labels is computed once per epoch:
-the teacher changes only through the EMA update at the epoch's end, so its
-encoder runs over all of the epoch's weak views before the first step. Its
-head, the reference side (the reference network is stepped every batch) and
-the confidence memories stay per batch, in slot order. ``burn_in_epoch``
-runs the body on labeled data alone; ``trs_epoch``
-runs it with the unlabeled pool and then the once-per-epoch EMA update; the
-supervised baseline runs it on labeled data alone in both stages. ``train``
-and ``train_supervised`` share one epoch driver.
+small). The epoch's draws (``_plan``) come from the seed once, and each step
+has two halves. The trained network's half (``_trained_terms``) is its
+direct term and its unsupervised term on the strong views. The
+pseudo-label half (``_PseudoLabelHalf``) is the rest: the reference
+network's term and step, and the pseudo-labels, whose teacher side, head and
+memory included, runs per batch. Nothing of the trained network's half
+reaches the other half within an epoch: the reference network learns from
+labeled pairs only, and the teacher changes only through the EMA at the
+epoch's end.
+
+``burn_in_epoch``, ``trs_epoch`` and ``train_supervised`` run both halves
+in this process, step by step. ``train`` forks a worker that owns the
+trained network and its optimizer and runs its half, while this process
+runs the pseudo-label half, the EMA and the validation, one epoch ahead
+where it can; where no worker can be forked, ``train`` runs in this process
+too. Both ways give the same bits.
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+import mmap
+import multiprocessing
 import struct
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
@@ -40,6 +49,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
+from . import errors
 from . import rng as streams
 from .autodiff import ParameterSet, Tensor
 from .data import _Cursor
@@ -49,6 +59,8 @@ from .errors import (
     DivergenceError,
     MetricUndefinedError,
     ParseError,
+    TrscoreError,
+    WorkerError,
 )
 from .memory import REFERENCE, TEACHER, ConfidenceMemory, fuse_scores
 from .networks import (
@@ -358,6 +370,207 @@ class EpochMetrics:
     val_spearman: float
 
 
+# the loss terms of a step, in the order a step sums and names them
+_TERMS = ("l_reg_s", "l_reg_r", "l_unsup")
+
+
+@dataclass(frozen=True)
+class _Pools:
+    """The training samples as an epoch reads them: the labeled features and
+    scores stacked, and the unlabeled pool."""
+
+    x_lab: np.ndarray
+    s_lab: np.ndarray
+    unlabeled: Sequence[FeatureSequence]
+
+    @classmethod
+    def of(
+        cls, labeled: Sequence[FeatureSequence], unlabeled: Sequence[FeatureSequence]
+    ) -> "_Pools":
+        if not labeled:
+            raise ConfigurationError("an epoch requires at least one labeled sample")
+        return cls(_stack(labeled), _labels(labeled), unlabeled)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """One epoch's draws, each derived once from (seed, purpose, epoch).
+
+    ``order`` shuffles the labeled set, which ``bounds`` cuts into batches;
+    with the reference network, ``partner`` is each labeled sample's
+    exemplar. With unlabeled data, labeled position i meets the unlabeled
+    sample ``slots[i]`` (a 1:1 pairing over the per-epoch shuffle of the
+    pool, wrapping around when the pool runs out), whose reference side is
+    made against the exemplar ``slot_partner[i]``.
+    """
+
+    epoch: int
+    order: np.ndarray
+    bounds: list[tuple[int, int]]
+    partner: np.ndarray | None
+    slots: np.ndarray | None
+    slot_partner: np.ndarray | None
+
+
+def _plan(config: TrainConfig, n: int, m: int, epoch: int) -> _Plan:
+    use_reference = config.component_toggles.reference_network
+
+    def draw(purpose: int) -> np.random.Generator:
+        return streams.derive(config.seed, purpose, epoch)
+
+    partner = draw(streams.PAIR_LABELED).integers(0, n, n) if use_reference else None
+    slots = slot_partner = None
+    if m:
+        slots = draw(streams.SHUFFLE_UNLABELED).permutation(m)[np.arange(n) % m]
+        if use_reference:
+            slot_partner = draw(streams.PAIR_UNLABELED).integers(0, n, m)[slots]
+    order = draw(streams.SHUFFLE_LABELED).permutation(n)
+    return _Plan(
+        epoch, order, _batch_bounds(n, config.batch_size), partner, slots, slot_partner
+    )
+
+
+def _trained_terms(
+    net: Network,
+    pools: _Pools,
+    plan: _Plan,
+    b: int,
+    s_bar: np.ndarray | None,
+    beta: float,
+    config: TrainConfig,
+) -> list[tuple[str, Tensor, float]]:
+    """The trained network's half of batch ``b``: (name, loss summed over the
+    batch, weight) of the direct term on the labeled batch and, given the
+    pseudo-labels ``s_bar`` of the paired unlabeled batch, of the
+    unsupervised term on its strong views."""
+    lo, hi = plan.bounds[b]
+    idx = plan.order[lo:hi]
+    direct = gaussian_nll(pools.s_lab[idx], teacher_forward(net, ad._adopt(pools.x_lab[idx])))
+    terms = [("l_reg_s", ad.sum(direct), 1.0 / idx.size)]
+    if s_bar is not None:
+        batch = [pools.unlabeled[int(j)] for j in plan.slots[lo:hi]]
+        x_strong = _augmented_stack(batch, "strong", plan.epoch, config)
+        strong_pred = teacher_forward(net, ad._adopt(x_strong))
+        terms.append(
+            ("l_unsup", ad.sum(unsupervised_loss(strong_pred, s_bar)), beta / len(batch))
+        )
+    return terms
+
+
+class _PseudoLabelHalf:
+    """Everything of one epoch's steps that the trained network does not
+    touch: the reference network's term and step, and the pseudo-labels.
+
+    ``reference(b)`` returns batch ``b``'s relative term on its labeled pairs
+    (none without the reference network) and, with unlabeled data, makes the
+    reference side of the batch's pseudo-labels; both use the reference
+    network before its step of batch ``b``, so call it for every batch in
+    order, stepping in between. ``pseudo_labels(b)`` returns the batch's
+    pseudo-labels (s_bar), made after ``reference(b)`` on the weak views of
+    its unlabeled samples by the teacher as it is at that call. Each side
+    passes through its own confidence memory when that memory is on, and the
+    two sides are fused (``fuse_scores``); a sample repeated within a batch
+    has the same weak view, so its second write is a tie and the memory
+    keeps the first.
+    """
+
+    def __init__(self, state: TrsState, pools: _Pools, plan: _Plan, config: TrainConfig):
+        self.state, self.pools, self.plan = state, pools, plan
+        self.toggles = config.component_toggles
+        if plan.slots is not None:
+            self.paired = [pools.unlabeled[int(j)] for j in plan.slots]
+            self.x_weak = _augmented_stack(self.paired, "weak", plan.epoch, config)
+            self.r_side = np.empty(len(self.paired))
+
+    def reference(self, b: int) -> list[tuple[str, Tensor, float]]:
+        if not self.toggles.reference_network:
+            return []
+        plan, x_lab, s_lab = self.plan, self.pools.x_lab, self.pools.s_lab
+        theta_f = self.state.theta_f
+        lo, hi = plan.bounds[b]
+        idx = plan.order[lo:hi]
+        pair = plan.partner[idx]
+        relative_pred = reference_forward(
+            theta_f, ad._adopt(x_lab[idx]), ad._adopt(x_lab[pair])
+        )
+        relative = gaussian_nll(relative_target(s_lab[idx], s_lab[pair]), relative_pred)
+        if plan.slots is not None:
+            pair = plan.slot_partner[lo:hi]
+            with ad.no_grad():
+                pred = reference_forward(
+                    theta_f, ad._adopt(self.x_weak[lo:hi]), ad._adopt(x_lab[pair])
+                )
+            self.r_side[lo:hi] = _memory_side(
+                self.state.m_r, self.toggles.reference_memory, self.paired[lo:hi],
+                recovered_score(s_lab[pair], pred.mu_values), pred.sigma_values, plan.epoch,
+            )
+        return [("l_reg_r", ad.sum(relative), 1.0 / idx.size)]
+
+    def pseudo_labels(self, b: int) -> np.ndarray:
+        lo, hi = self.plan.bounds[b]
+        with ad.no_grad():
+            pred = teacher_forward(self.state.theta_t, ad._adopt(self.x_weak[lo:hi]))
+        t_side = _memory_side(
+            self.state.m_t, self.toggles.teacher_memory, self.paired[lo:hi],
+            pred.mu_values, pred.sigma_values, self.plan.epoch,
+        )
+        if not self.toggles.reference_network:
+            return t_side
+        return fuse_scores(t_side, self.r_side[lo:hi])
+
+
+def _memory_side(
+    memory: ConfidenceMemory,
+    enabled: bool,
+    batch: Sequence[FeatureSequence],
+    scores: np.ndarray,
+    sigmas: np.ndarray,
+    epoch: int,
+) -> np.ndarray:
+    """One side of the pseudo-label: the predicted ``scores`` themselves, or,
+    with the memory on, each sample's stored score after the memory was
+    offered the prediction. Scores holding a non-finite value pass through
+    unoffered: the step's divergence check then names its loss term."""
+    if not enabled or not np.isfinite(scores).all():
+        return scores
+    for sample, score, sigma in zip(batch, scores, sigmas):
+        memory.maybe_write(sample.sample_id, score, sigma, epoch)
+    return np.array([memory.read(sample.sample_id).score for sample in batch])
+
+
+def _checked(
+    epoch: int,
+    b: int,
+    terms: list[tuple[str, Tensor, float]],
+    known: dict[str, float] | None = None,
+) -> dict[str, float]:
+    """Each term's value, with the ``known`` values of terms made elsewhere;
+    any non-finite one raises ``DivergenceError`` naming every such term."""
+    values = dict(known or {})
+    values.update((name, loss.item()) for name, loss, _ in terms)
+    diverged = [name for name in _TERMS if not math.isfinite(values.get(name, 0.0))]
+    if diverged:
+        raise DivergenceError(
+            f"epoch {epoch}, batch {b}: non-finite {', '.join(diverged)}; "
+            "no parameter of this step was updated"
+        )
+    return values
+
+
+def _descend(terms: list[tuple[str, Tensor, float]], opt: Adam) -> None:
+    """Backpropagate the weighted sum of ``terms`` and step ``opt``."""
+    weighted = [ad.mul(loss, Tensor(weight)) for _, loss, weight in terms]
+    functools.reduce(ad.add, weighted).backward()
+    opt.step()
+
+
+def _row(epoch: int, sums: dict[str, float], n: int, beta: float) -> EpochMetrics:
+    # with unlabeled data every labeled sample was paired with one unlabeled
+    means = {name: sums[name] / n for name in _TERMS}
+    total = (means["l_reg_s"] + means["l_reg_r"]) + beta * means["l_unsup"]
+    return EpochMetrics(epoch, **means, beta=beta, total=total, val_spearman=math.nan)
+
+
 def _epoch(
     state: TrsState,
     labeled: Sequence[FeatureSequence],
@@ -365,97 +578,34 @@ def _epoch(
     beta: float,
     config: TrainConfig,
 ) -> EpochMetrics:
-    """One shuffled pass over the labeled set; advances the epoch.
+    """One shuffled pass over the labeled set, both halves of each step in
+    lockstep; advances the epoch.
 
     Trains the teacher during burn-in and the student in the TRS stage, and
     the reference network on labeled pairs when enabled. With unlabeled data
     each labeled batch gets an unlabeled batch whose strong views learn,
     with weight ``beta``, from pseudo-labels made on their weak views.
-    Each step's loss is the weighted sum of its terms, in the order
+    Each network's loss is the weighted sum of its terms, in the order
     direct, relative, unsupervised. A non-finite loss term raises
-    ``DivergenceError`` before its step. The returned row's Spearman is NaN.
+    ``DivergenceError`` before the step. The returned row's Spearman is NaN.
     """
-    if not labeled:
-        raise ConfigurationError("an epoch requires at least one labeled sample")
-    net, opt = state.trained, state.opt_trained
-    use_reference = config.component_toggles.reference_network
-    epoch = state.epoch
-    n = len(labeled)
-    m = len(unlabeled)
-    x_lab = _stack(labeled)
-    s_lab = _labels(labeled)
-
-    order = streams.derive(config.seed, streams.SHUFFLE_LABELED, epoch).permutation(n)
-    if use_reference:
-        partner = streams.derive(config.seed, streams.PAIR_LABELED, epoch).integers(0, n, n)
-    if m:
-        unlab_order = streams.derive(
-            config.seed, streams.SHUFFLE_UNLABELED, epoch
-        ).permutation(m)
-        if use_reference:
-            unlab_partner = streams.derive(
-                config.seed, streams.PAIR_UNLABELED, epoch
-            ).integers(0, n, m)
-        # 1:1 pairing: labeled position i meets unlabeled slot i, wrapping
-        # over the per-epoch shuffle when the pool runs out
-        slots = unlab_order[np.arange(n) % m]
-        paired = [unlabeled[int(j)] for j in slots]
-        # the teacher moves only at the epoch's end, so its encoder runs once
-        # over every weak view of the epoch
-        x_weak = _augmented_stack(paired, "weak", epoch, config)
-        with ad.no_grad():
-            weak_encoded = mixer_forward(state.theta_t, ad._adopt(x_weak)).array
-
-    sums = {"l_reg_s": 0.0, "l_reg_r": 0.0, "l_unsup": 0.0}
-    for b, (lo, hi) in enumerate(_batch_bounds(n, config.batch_size)):
-        idx = order[lo:hi]
-        opt.zero_grad()
+    pools = _Pools.of(labeled, unlabeled)
+    plan = _plan(config, len(labeled), len(unlabeled), state.epoch)
+    labels = _PseudoLabelHalf(state, pools, plan, config)
+    sums = dict.fromkeys(_TERMS, 0.0)
+    for b in range(len(plan.bounds)):
+        state.opt_trained.zero_grad()
         state.opt_reference.zero_grad()
-
-        # (name, loss summed over the batch, weight) per term
-        x, s = ad._adopt(x_lab[idx]), s_lab[idx]
-        direct = gaussian_nll(s, teacher_forward(net, x))
-        terms = [("l_reg_s", ad.sum(direct), 1.0 / idx.size)]
-        if use_reference:
-            pair = partner[idx]
-            relative_pred = reference_forward(state.theta_f, x, ad._adopt(x_lab[pair]))
-            relative = gaussian_nll(relative_target(s, s_lab[pair]), relative_pred)
-            terms.append(("l_reg_r", ad.sum(relative), 1.0 / idx.size))
-
-        if m:
-            batch = paired[lo:hi]
-            weak = (x_weak[lo:hi], weak_encoded[lo:hi])
-            exemplars = None
-            if use_reference:
-                pair = unlab_partner[slots[lo:hi]]
-                exemplars = (x_lab[pair], s_lab[pair])
-            s_bar = _pseudo_labels(state, batch, weak, exemplars, config)
-            x_strong = _augmented_stack(batch, "strong", epoch, config)
-            strong_pred = teacher_forward(net, ad._adopt(x_strong))
-            terms.append(
-                ("l_unsup", ad.sum(unsupervised_loss(strong_pred, s_bar)), beta / len(batch))
-            )
-
-        values = {name: loss.item() for name, loss, _ in terms}
-        diverged = [name for name, value in values.items() if not math.isfinite(value)]
-        if diverged:
-            raise DivergenceError(
-                f"epoch {epoch}, batch {b}: non-finite {', '.join(diverged)}; "
-                "no parameter of this step was updated"
-            )
-        for name, value in values.items():
+        relative = labels.reference(b)
+        s_bar = labels.pseudo_labels(b) if plan.slots is not None else None
+        trained = _trained_terms(state.trained, pools, plan, b, s_bar, beta, config)
+        for name, value in _checked(plan.epoch, b, trained + relative).items():
             sums[name] += value
-        weighted = [ad.mul(loss, Tensor(weight)) for _, loss, weight in terms]
-        functools.reduce(ad.add, weighted).backward()
-        opt.step()
-        if use_reference:
-            state.opt_reference.step()
-
-    state.epoch = epoch + 1
-    # with unlabeled data every labeled sample was paired with one unlabeled
-    means = {name: value / n for name, value in sums.items()}
-    total = (means["l_reg_s"] + means["l_reg_r"]) + beta * means["l_unsup"]
-    return EpochMetrics(epoch, **means, beta=beta, total=total, val_spearman=math.nan)
+        _descend(trained, state.opt_trained)
+        if relative:
+            _descend(relative, state.opt_reference)
+    state.epoch += 1
+    return _row(plan.epoch, sums, len(labeled), beta)
 
 
 def burn_in_epoch(
@@ -492,69 +642,11 @@ def initialize_student(state: TrsState, config: TrainConfig) -> TrsState:
     return state
 
 
-def _memory_side(
-    memory: ConfidenceMemory,
-    enabled: bool,
-    batch: Sequence[FeatureSequence],
-    scores: np.ndarray,
-    sigmas: np.ndarray,
-    epoch: int,
-) -> np.ndarray:
-    """One side of the pseudo-label: the predicted ``scores`` themselves, or,
-    with the memory on, each sample's stored score after the memory was
-    offered the prediction. Scores holding a non-finite value pass through
-    unoffered: the step's divergence check then names its loss term."""
-    if not enabled or not np.isfinite(scores).all():
-        return scores
-    for sample, score, sigma in zip(batch, scores, sigmas):
-        memory.maybe_write(sample.sample_id, score, sigma, epoch)
-    return np.array([memory.read(sample.sample_id).score for sample in batch])
-
-
-def _pseudo_labels(
-    state: TrsState,
-    batch: Sequence[FeatureSequence],
-    weak: tuple[np.ndarray, np.ndarray],
-    exemplars: tuple[np.ndarray, np.ndarray] | None,
-    config: TrainConfig,
-) -> np.ndarray:
-    """Pseudo-labels for one unlabeled batch, made on its weak views (no
-    gradients).
-
-    ``weak`` holds the batch's weak views and the teacher encoder's output on
-    them. The teacher side is the teacher head's prediction on that output;
-    the reference side, given the labeled ``exemplars`` (features and scores)
-    the samples are compared with, is the exemplar's label plus the predicted
-    difference. Each side passes through its own confidence memory when that
-    memory is on, and the pseudo-label fuses the two sides (``fuse_scores``),
-    or is the teacher side alone without the reference network. A sample
-    repeated within a batch has the same weak view, so its second write is a
-    tie and the memory keeps the first.
-    """
-    toggles = config.component_toggles
-    x_weak, encoded = weak
-    with ad.no_grad():
-        # the head runs per batch: a 2-D matrix product's rounding depends on
-        # its row count, and a B-row batch must score as it did on its own
-        teacher_pred = regression_head(state.theta_t, ad._adopt(encoded))
-    t_side = _memory_side(
-        state.m_t, toggles.teacher_memory, batch,
-        teacher_pred.mu_values, teacher_pred.sigma_values, state.epoch,
+def _ema(state: TrsState, config: TrainConfig) -> None:
+    state.theta_t = Network(
+        state.theta_t.arch,
+        ema_update(state.theta_t.params, state.theta_s.params, config.alpha),
     )
-    if exemplars is None:
-        return t_side
-
-    x_exemplar, s_exemplar = exemplars
-    with ad.no_grad():
-        relative_pred = reference_forward(
-            state.theta_f, ad._adopt(x_weak), ad._adopt(x_exemplar)
-        )
-    r_side = _memory_side(
-        state.m_r, toggles.reference_memory, batch,
-        recovered_score(s_exemplar, relative_pred.mu_values),
-        relative_pred.sigma_values, state.epoch,
-    )
-    return fuse_scores(t_side, r_side)
 
 
 def trs_epoch(
@@ -575,10 +667,7 @@ def trs_epoch(
     if state.theta_s is None:
         raise ContractError(f"trs_epoch requires stage {TRS!r}, got {BURN_IN!r}")
     row = _epoch(state, labeled, unlabeled, beta, config)
-    state.theta_t = Network(
-        state.theta_t.arch,
-        ema_update(state.theta_t.params, state.theta_s.params, config.alpha),
-    )
+    _ema(state, config)
     return row
 
 
@@ -634,19 +723,28 @@ def _safe_val_spearman(net: Network | None, val_set) -> float:
     return rho
 
 
-def _run_epochs(
+def _start(
     config: TrainConfig,
     labeled_set: Sequence[FeatureSequence],
     unlabeled_set: Sequence[FeatureSequence],
     val_set: Sequence[FeatureSequence] | None,
-    student_epoch: Callable[[TrsState, int], EpochMetrics],
-) -> tuple[TrsState, list[EpochMetrics]]:
-    """Burn-in epochs, the student at the boundary, then ``student_epoch``;
-    each row gets the student's validation Spearman."""
+) -> tuple[TrsState, list[FeatureSequence]]:
+    """The initial state and the checked validation set (the labeled set
+    without one)."""
     val = list(val_set) if val_set is not None else list(labeled_set)
     t, d = _check_training_sets(labeled_set, unlabeled_set, val)
-    state = init_state(config, NetworkArch(t=t, d=d))
+    return init_state(config, NetworkArch(t=t, d=d)), val
 
+
+def _run_epochs(
+    config: TrainConfig,
+    state: TrsState,
+    labeled_set: Sequence[FeatureSequence],
+    val: Sequence[FeatureSequence],
+    student_epoch: Callable[[TrsState, int], EpochMetrics],
+) -> list[EpochMetrics]:
+    """Burn-in epochs, the student at the boundary, then ``student_epoch``,
+    all in this process; each row gets the student's validation Spearman."""
     metrics: list[EpochMetrics] = []
     for epoch in range(config.max_epochs):
         if epoch < config.burn_in_epochs:
@@ -656,7 +754,7 @@ def _run_epochs(
                 initialize_student(state, config)
             row = student_epoch(state, epoch)
         metrics.append(replace(row, val_spearman=_safe_val_spearman(state.theta_s, val)))
-    return state, metrics
+    return metrics
 
 
 def train(
@@ -673,12 +771,29 @@ def train(
     burn-in, when no student exists); without an explicit validation set the
     labeled training samples are used. When ``checkpoint_dir`` is given the
     final run state is saved there.
-    """
-    def student_epoch(state: TrsState, epoch: int) -> EpochMetrics:
-        beta = beta_at(epoch, config.beta_peak)
-        return trs_epoch(state, labeled_set, unlabeled_set, beta, config)
 
-    state, metrics = _run_epochs(config, labeled_set, unlabeled_set, val_set, student_epoch)
+    The run uses two processes where the ``fork`` start method is available
+    and this process may have children. A forked worker owns the trained
+    network (the teacher in burn-in, the student after it) and its Adam
+    state, and makes every step of it. This process makes everything else:
+    the reference network's steps, the pseudo-labels, the EMA and the
+    validation. While the worker steps an epoch, this process validates the
+    previous epoch's student and makes the reference side of the next epoch.
+    Elsewhere the run stays in this process, epoch by epoch through
+    ``burn_in_epoch``, ``initialize_student`` and ``trs_epoch``; both ways
+    give bit-identical outputs. An error the worker raises is raised here as
+    the same package error type with the same text, and a worker that ends
+    without a reply raises ``WorkerError``. No worker outlives the call.
+    """
+    state, val = _start(config, labeled_set, unlabeled_set, val_set)
+    context = _fork_context()
+    if context is not None:
+        metrics = _run_forked(context, config, state, labeled_set, unlabeled_set, val)
+    else:
+        def student_epoch(state: TrsState, epoch: int) -> EpochMetrics:
+            return trs_epoch(state, labeled_set, unlabeled_set, _beta(config, epoch), config)
+
+        metrics = _run_epochs(config, state, labeled_set, val, student_epoch)
     if checkpoint_dir is not None:
         save_checkpoint(checkpoint_dir, state, config)
     return state.theta_t, state.theta_s, metrics
@@ -695,15 +810,255 @@ def train_supervised(
     the burn-in boundary) so its loss trajectory is epoch-for-epoch
     comparable with a semi-supervised run, but with the component toggles
     forced off and no unlabeled data: no pseudo-labels, memories, EMA or
-    reference network. Returns the student and one metrics row per epoch.
+    reference network. It runs in this process. Returns the student and one
+    metrics row per epoch.
     """
     config = replace(config, component_toggles=ComponentToggles(False, False, False))
 
     def student_epoch(state: TrsState, epoch: int) -> EpochMetrics:
         return _epoch(state, labeled_set, (), 0.0, config)
 
-    state, metrics = _run_epochs(config, labeled_set, (), val_set, student_epoch)
+    state, val = _start(config, labeled_set, (), val_set)
+    metrics = _run_epochs(config, state, labeled_set, val, student_epoch)
     return state.theta_s, metrics
+
+
+# -- the two-process run ------------------------------------------------------
+
+
+def _fork_context():
+    """The ``fork`` start method's context, or None where ``train`` runs in
+    one process: the method is unavailable, or this process is a daemonic
+    worker, which may not have children."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    if multiprocessing.current_process().daemon:
+        return None
+    return multiprocessing.get_context("fork")
+
+
+class _Exchange:
+    """What the two processes of ``train`` share, made before the fork; the
+    worker gets this alone, so that no cycle holds the parent's process
+    object.
+
+    Float64 vectors in one anonymous shared mapping: the trained network's
+    arena and Adam moments, which the worker writes at each epoch's end, and
+    the epoch's pseudo-labels (one per labeled position) and the reference
+    term of each batch, which the parent writes before it releases the
+    batches that read them. Two one-way pipes carry the rest. The parent
+    sends how many of the epoch's batches are released so far; the worker
+    replies once per epoch with its loss sums and Adam step count, or with
+    the error it raised. Every receive blocks, and every message is a few
+    numbers in one write below ``PIPE_BUF``.
+    """
+
+    def __init__(self, context, arena: int, n: int, batches: int):
+        sizes = {"arena": arena, "m": arena, "v": arena, "s_bar": n, "relative": batches}
+        flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes.values())), dtype=np.float64)
+        offset = 0
+        for name, size in sizes.items():
+            setattr(self, name, flat[offset : offset + size])
+            offset += size
+        self.to_worker = context.Pipe(duplex=False)  # (receiving end, sending end)
+        self.to_parent = context.Pipe(duplex=False)
+
+    def keep(self, worker: bool) -> None:
+        """Close the other side's pipe ends, so that a receive fails once the
+        other side is gone."""
+        self.to_worker[worker].close()
+        self.to_parent[not worker].close()
+
+
+def _beta(config: TrainConfig, epoch: int) -> float:
+    return 0.0 if epoch < config.burn_in_epochs else beta_at(epoch, config.beta_peak)
+
+
+def _work(exchange: _Exchange, state: TrsState, pools: _Pools, config: TrainConfig) -> None:
+    """The worker process of ``train``: every step of the trained network,
+    each batch once the parent has released it."""
+    exchange.keep(worker=True)
+    inbox, outbox = exchange.to_worker[0], exchange.to_parent[1]
+    n, m = len(pools.x_lab), len(pools.unlabeled)
+    try:
+        for epoch in range(config.max_epochs):
+            trs = epoch >= config.burn_in_epochs
+            if epoch == config.burn_in_epochs:
+                initialize_student(state, config)
+            plan = _plan(config, n, m if trs else 0, epoch)
+            sums = dict.fromkeys(_TERMS, 0.0)
+            ready = 0
+            for b, (lo, hi) in enumerate(plan.bounds):
+                while ready <= b:
+                    ready = inbox.recv()
+                state.opt_trained.zero_grad()
+                s_bar = exchange.s_bar[lo:hi] if plan.slots is not None else None
+                terms = _trained_terms(
+                    state.trained, pools, plan, b, s_bar, _beta(config, epoch), config
+                )
+                values = _checked(epoch, b, terms, {"l_reg_r": exchange.relative[b]})
+                for name, _, _ in terms:
+                    sums[name] += values[name]
+                _descend(terms, state.opt_trained)
+            state.epoch += 1
+            opt = state.opt_trained
+            exchange.arena[:] = opt.params.data
+            exchange.m[:] = opt._m
+            exchange.v[:] = opt._v
+            outbox.send(("done", sums["l_reg_s"], sums["l_unsup"], opt._step))
+    except TrscoreError as exc:
+        outbox.send(("error", type(exc).__name__, exc.args, vars(exc)))
+    except (EOFError, KeyboardInterrupt):
+        pass  # the parent is gone, or was interrupted and ends the run itself
+
+
+class _Worker:
+    """The parent's handle on the forked worker of ``train``."""
+
+    def __init__(self, context, state: TrsState, pools: _Pools, config: TrainConfig):
+        n = len(pools.x_lab)
+        self.exchange = _Exchange(
+            context, state.theta_t.params.num_values(), n,
+            len(_batch_bounds(n, config.batch_size)),
+        )
+        self.process = context.Process(
+            target=_work, args=(self.exchange, state, pools, config),
+            name="trscore-train", daemon=True,
+        )
+        self.process.start()
+        self.exchange.keep(worker=False)
+
+    def release(self, batches: int) -> None:
+        """Let the worker step the current epoch's first ``batches`` batches."""
+        try:
+            self.exchange.to_worker[1].send(batches)
+        except BrokenPipeError:
+            pass  # the worker is gone: ``reply`` says so
+
+    def reply(self) -> tuple:
+        """The worker's (l_reg_s sum, l_unsup sum, Adam steps) of the epoch
+        it was released for; its error, or ``WorkerError`` when it ended
+        without a reply, is raised here."""
+        try:
+            reply = self.exchange.to_parent[0].recv()
+        except EOFError:
+            reply = ("lost",)
+        if reply[0] != "done":
+            raise self.error(reply)
+        return reply[1:]
+
+    def error(self, reply: tuple) -> TrscoreError:
+        """The package error a reply other than "done" stands for: the one
+        the worker raised, rebuilt with its type, text and attributes."""
+        if reply[0] == "lost":
+            self.process.join()
+            return WorkerError(
+                f"the training worker ended with exit code {self.process.exitcode} "
+                "before it finished its epoch"
+            )
+        _, name, args, attrs = reply
+        kind = getattr(errors, name)
+        exc = kind.__new__(kind, *args)
+        exc.__dict__.update(attrs)
+        return exc
+
+    def stop(self, kill: bool) -> None:
+        """End the worker (at once with ``kill``), and wait for it."""
+        if kill:
+            self.process.kill()
+        for end in (self.exchange.to_worker[1], self.exchange.to_parent[0]):
+            end.close()
+        self.process.join()
+        self.process.close()
+
+
+def _reference_pass(labels: _PseudoLabelHalf, opt: Adam) -> np.ndarray:
+    """Step the reference network through one epoch; returns each batch's
+    relative term (0 without the reference network). The pass stops, without
+    that step, at the first non-finite term, which the worker's divergence
+    check of that batch then names."""
+    values = np.zeros(len(labels.plan.bounds))
+    for b in range(values.size):
+        opt.zero_grad()
+        relative = labels.reference(b)
+        if not relative:
+            continue
+        values[b] = relative[0][1].item()
+        if not math.isfinite(values[b]):
+            break
+        _descend(relative, opt)
+    return values
+
+
+def _run_forked(
+    context,
+    config: TrainConfig,
+    state: TrsState,
+    labeled_set: Sequence[FeatureSequence],
+    unlabeled_set: Sequence[FeatureSequence],
+    val: Sequence[FeatureSequence],
+) -> list[EpochMetrics]:
+    """``train``'s epochs with the trained network stepped by a forked worker.
+
+    Per epoch this process finishes the pseudo-labels with that epoch's
+    teacher and releases the epoch to the worker. While the worker steps it,
+    this process validates the previous epoch's student and makes the
+    reference half of the next epoch. Then it copies the worker's arena into
+    the teacher during burn-in and into the student after it, and makes the
+    EMA. The teacher's side of the pseudo-labels and the EMA are all that the
+    worker waits for between two epochs.
+    """
+    pools = _Pools.of(labeled_set, unlabeled_set)
+    n, m, burn_in = len(labeled_set), len(unlabeled_set), config.burn_in_epochs
+
+    def reference_half(epoch: int) -> tuple[_PseudoLabelHalf, np.ndarray]:
+        if epoch == burn_in:
+            initialize_student(state, config)
+        labels = _PseudoLabelHalf(
+            state, pools, _plan(config, n, m if epoch >= burn_in else 0, epoch), config
+        )
+        return labels, _reference_pass(labels, state.opt_reference)
+
+    def validated(row: EpochMetrics) -> EpochMetrics:
+        student = state.theta_s if row.epoch >= burn_in else None
+        return replace(row, val_spearman=_safe_val_spearman(student, val))
+
+    worker = _Worker(context, state, pools, config)
+    exchange = worker.exchange
+    metrics: list[EpochMetrics] = []
+    try:
+        labels, relative = reference_half(0)
+        for epoch in range(config.max_epochs):
+            exchange.relative[:] = relative
+            if labels.plan.slots is None:
+                worker.release(len(relative))
+            else:
+                for b, (lo, hi) in enumerate(labels.plan.bounds):
+                    exchange.s_bar[lo:hi] = labels.pseudo_labels(b)
+                    worker.release(b + 1)
+            state.epoch = epoch + 1
+            sums = {"l_reg_r": 0.0}
+            for value in relative.tolist():
+                sums["l_reg_r"] += value
+            if metrics:
+                metrics[-1] = validated(metrics[-1])
+            if epoch + 1 < config.max_epochs:
+                labels, relative = reference_half(epoch + 1)
+            sums["l_reg_s"], sums["l_unsup"], steps = worker.reply()
+            trained = state.theta_t if epoch < burn_in else state.theta_s
+            trained.params.data[:] = exchange.arena
+            if epoch >= burn_in:
+                _ema(state, config)
+            metrics.append(_row(epoch, sums, n, _beta(config, epoch)))
+        metrics[-1] = validated(metrics[-1])
+        state.opt_trained._m[:] = exchange.m
+        state.opt_trained._v[:] = exchange.v
+        state.opt_trained._step = steps
+    except BaseException:
+        worker.stop(kill=True)
+        raise
+    worker.stop(kill=False)
+    return metrics
 
 
 # -- checkpointing ------------------------------------------------------------

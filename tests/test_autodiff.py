@@ -255,20 +255,16 @@ class TestParameters:
     def test_same_seed_identical_sets(self):
         def build(seed):
             gen = np.random.default_rng(seed)
-            ps = ParameterSet()
-            ps.new("w", gen.uniform(-1, 1, (3, 3)))
-            ps.new("b", np.zeros(3))
-            return ps
+            values = np.concatenate([gen.uniform(-1, 1, 9), np.zeros(3)])
+            return ParameterSet.from_layout([("w", (3, 3)), ("b", (3,))], values)
 
         a, b = build(11), build(11)
         for name, p in a.items():
             np.testing.assert_array_equal(p.array, b[name].array)
 
     def test_duplicate_name_rejected(self):
-        ps = ParameterSet()
-        ps.new("w", [1.0])
         with pytest.raises(ContractError):
-            ps.new("w", [2.0])
+            ParameterSet.from_layout([("w", (1,)), ("w", (1,))], np.array([1.0, 2.0]))
 
     def test_assign_bumps_version_and_checks_shape(self):
         p = Parameter("w", np.zeros((2, 2)))
@@ -279,7 +275,7 @@ class TestParameters:
             p.assign(np.ones(3))
 
     def test_copy_is_deep(self):
-        ps = ParameterSet([Parameter("w", [1.0, 2.0])])
+        ps = ParameterSet.from_layout([("w", (2,))], np.array([1.0, 2.0]))
         dup = ps.copy()
         dup["w"].assign([9.0, 9.0])
         np.testing.assert_array_equal(ps["w"].array, [1.0, 2.0])

@@ -30,10 +30,9 @@ from trscore.training import (
 
 
 def _valid_blob(tmp_path) -> bytes:
-    ps = ParameterSet()
-    ps.new("w", np.arange(6.0).reshape(2, 3))
-    ps.new("bé", np.array([-1.5]))
-    ps.new("s", np.array(2.0))
+    ps = ParameterSet.from_layout(
+        [("w", (2, 3)), ("bé", (1,)), ("s", ())], np.append(np.arange(6.0), [-1.5, 2.0])
+    )
     path = tmp_path / "valid.bin"
     save_parameter_set(ps, path)
     return path.read_bytes()

@@ -150,10 +150,12 @@ class OracleAdam:
 
 
 def oracle_ema_update(theta_t, theta_s, alpha):
-    blended = ParameterSet()
-    for name, p in theta_t.items():
-        blended.new(name, alpha * p.array + (1.0 - alpha) * theta_s[name].array)
-    return blended
+    blended = [
+        (alpha * p.array + (1.0 - alpha) * theta_s[name].array).reshape(-1)
+        for name, p in theta_t.items()
+    ]
+    layout = [(name, p.tensor.shape) for name, p in theta_t.items()]
+    return ParameterSet.from_layout(layout, np.concatenate(blended))
 
 
 # -- helpers ------------------------------------------------------------------
@@ -396,9 +398,11 @@ class TestFusedNll:
 
 class TestArena:
     def test_parameters_are_views_of_one_vector(self):
-        ps = ParameterSet()
-        w = ps.new("w", np.arange(6.0).reshape(2, 3))
-        b = ps.new("b", [7.0, 8.0])  # growing re-points the earlier views
+        ps = ParameterSet.from_layout(
+            [("w", (2, 3)), ("b", (2,))], np.array([0, 1, 2, 3, 4, 5, 7, 8], dtype=float)
+        )
+        w, b = ps["w"], ps["b"]
+        np.testing.assert_array_equal(w.array, np.arange(6.0).reshape(2, 3))
         np.testing.assert_array_equal(ps.data, [0, 1, 2, 3, 4, 5, 7, 8])
         w.assign(np.zeros((2, 3)))
         assert w.version == 1 and b.version == 0
@@ -407,9 +411,7 @@ class TestArena:
         assert b.array[-1] == 9.0
 
     def test_copy_and_layout(self):
-        ps = ParameterSet()
-        ps.new("w", np.ones((2, 2)))
-        ps.new("s", np.array(3.0))
+        ps = ParameterSet.from_layout([("w", (2, 2)), ("s", ())], np.array([1.0, 1, 1, 1, 3]))
         dup = ps.copy()
         assert dup.names() == ps.names() and dup["s"].array.shape == ()
         dup.data[:] = 0.0
@@ -443,9 +445,8 @@ class TestArenaAdam:
         assert [p.version for p in net.params] == [p.version for p in oracle_net.params]
 
     def test_partial_gradient_moves_nothing(self):
-        ps = ParameterSet()
-        a = ps.new("a", [1.0, 2.0])
-        ps.new("b", [3.0])
+        ps = ParameterSet.from_layout([("a", (2,)), ("b", (1,))], np.array([1.0, 2.0, 3.0]))
+        a = ps["a"]
         opt = Adam(ps, 0.1)
         ad.sum(ad.mul(a.tensor, a.tensor)).backward()  # "b" gets no gradient
         before = ps.data.copy()
@@ -456,8 +457,7 @@ class TestArenaAdam:
         assert opt._step == 0
 
     def test_no_gradient_at_all_moves_nothing(self):
-        ps = ParameterSet()
-        ps.new("a", [1.0])
+        ps = ParameterSet.from_layout([("a", (1,))], np.array([1.0]))
         opt = Adam(ps, 0.1)
         opt.step()
         assert ps["a"].array[0] == 1.0 and ps["a"].version == 0

@@ -59,7 +59,7 @@ class TestMixer:
         params = init_teacher_params(arch, gen)
         perm = np.random.default_rng(5).permutation(arch.d)
 
-        permuted = ParameterSet()
+        layout, values_of = [], []
         for name, p in params.params.items():
             values = p.array
             if "norm_" in name:
@@ -70,7 +70,9 @@ class TestMixer:
                 values = values[:, perm]
             elif name.startswith("head."):
                 pass
-            permuted.new(name, values)
+            layout.append((name, p.tensor.shape))
+            values_of.append(values.reshape(-1))
+        permuted = ParameterSet.from_layout(layout, np.concatenate(values_of))
         from trscore.networks import TeacherParams
 
         params_perm = TeacherParams(arch, permuted)

@@ -48,16 +48,13 @@ def quick_config(**kwargs):
 
 class TestEmaUpdate:
     def _sets(self):
-        a = ParameterSet()
-        a.new("w", [[2.0, -1.0]])
-        b = ParameterSet()
-        b.new("w", [[1.0, 3.0]])
+        a = ParameterSet.from_layout([("w", (1, 2))], np.array([2.0, -1.0]))
+        b = ParameterSet.from_layout([("w", (1, 2))], np.array([1.0, 3.0]))
         return a, b
 
     def test_fixed_point(self):
         a, _ = self._sets()
-        same = ParameterSet()
-        same.new("w", a["w"].array)
+        same = ParameterSet.from_layout([("w", (1, 2))], a.data.copy())
         out = ema_update(a, same, 0.9)
         np.testing.assert_array_equal(out["w"].array, a["w"].array)
 
@@ -89,8 +86,7 @@ class TestEmaUpdate:
 
     def test_mismatched_sets_rejected(self):
         a, _ = self._sets()
-        other = ParameterSet()
-        other.new("v", [[1.0, 2.0]])
+        other = ParameterSet.from_layout([("v", (1, 2))], np.array([1.0, 2.0]))
         with pytest.raises(ContractError):
             ema_update(a, other, 0.5)
 
@@ -511,9 +507,9 @@ class TestAdamBuffers:
     def test_two_instances_share_no_array(self):
         from trscore.training import Adam
 
-        ps = ParameterSet()
-        ps.new("w", np.ones((3, 2)))
-        ps.new("b", np.zeros(2))
+        ps = ParameterSet.from_layout(
+            [("w", (3, 2)), ("b", (2,))], np.concatenate([np.ones(6), np.zeros(2)])
+        )
         first, second = Adam(ps, 0.1), Adam(ps.copy(), 0.1)
         arrays = [
             [v for v in vars(opt).values() if isinstance(v, np.ndarray)]
@@ -711,10 +707,10 @@ class TestTrain:
 class TestCheckpoint:
     def test_parameter_set_round_trip(self, tmp_path):
         gen = np.random.default_rng(12)
-        ps = ParameterSet()
-        ps.new("a.scalarish", gen.normal(size=1))
-        ps.new("b.matrix", gen.normal(size=(3, 5)))
-        ps.new("c.vector", gen.normal(size=7))
+        ps = ParameterSet.from_layout(
+            [("a.scalarish", (1,)), ("b.matrix", (3, 5)), ("c.vector", (7,))],
+            gen.normal(size=1 + 15 + 7),
+        )
         path = tmp_path / "params.bin"
         save_parameter_set(ps, path)
         loaded = load_parameter_set(path)

@@ -1,0 +1,283 @@
+"""``train`` in two processes: bit-identical to the one-process epochs, and no
+worker outlives a call, whether it returns or raises."""
+
+import importlib.util
+import math
+import multiprocessing
+import os
+import signal
+import typing
+from dataclasses import astuple, replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from trscore import cli, training
+from trscore.data import SyntheticSpec, generate_synthetic
+from trscore.errors import (
+    DivergenceError,
+    MetricUndefinedError,
+    ParseError,
+    TrscoreError,
+    WorkerError,
+)
+from trscore.evaluation import evaluate
+from trscore.networks import NetworkArch
+from trscore.objectives import beta_at
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("digest_grid", ROOT / "tools" / "digest_grid.py")
+digest_grid = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(digest_grid)
+
+PARENT = os.getpid()
+SMALL = "t4d8-wrap-b4"  # wraps the unlabeled pass, and its last batch has one sample
+
+
+def _in_worker() -> bool:
+    return os.getpid() != PARENT
+
+
+def _sets(shape: str):
+    spec, settings = digest_grid.SHAPES[shape]
+    dataset = generate_synthetic(SyntheticSpec(**spec))
+    return dataset.labeled_samples, dataset.unlabeled_samples, training.TrainConfig(**settings)
+
+
+def _lockstep(config, labeled, unlabeled):
+    """The epochs of ``train`` one by one in this process, validated on the
+    labeled set as ``train`` does without a validation set."""
+    state = training.init_state(config, NetworkArch(*labeled[0].features.shape))
+    rows = []
+    for epoch in range(config.max_epochs):
+        if epoch < config.burn_in_epochs:
+            row = training.burn_in_epoch(state, labeled, config)
+        else:
+            if epoch == config.burn_in_epochs:
+                training.initialize_student(state, config)
+            beta = beta_at(epoch, config.beta_peak)
+            row = training.trs_epoch(state, labeled, unlabeled, beta, config)
+        rho = math.nan
+        if state.theta_s is not None:
+            try:
+                rho, _ = evaluate(state.theta_s, labeled)
+            except MetricUndefinedError:
+                pass
+        rows.append(replace(row, val_spearman=rho))
+    return state, rows
+
+
+@pytest.fixture
+def worker_pids(monkeypatch):
+    """The pid of every worker that ``train`` starts; each must be gone when
+    the test ends."""
+    pids = []
+    start = training._Worker.__init__
+
+    def recorded(self, *args):
+        start(self, *args)
+        pids.append(self.process.pid)
+
+    monkeypatch.setattr(training._Worker, "__init__", recorded)
+    yield pids
+    assert multiprocessing.active_children() == []
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def _trained(config, labeled, unlabeled, monkeypatch, tmp_path):
+    """``train``'s rows and its final state, taken where it is checkpointed."""
+    seen = {}
+    monkeypatch.setattr(training, "save_checkpoint", lambda d, state, c: seen.update(state=state))
+    _, _, rows = training.train(config, labeled, unlabeled, checkpoint_dir=tmp_path)
+    return seen["state"], rows
+
+
+def _assert_same_state(ours, theirs):
+    assert ours.epoch == theirs.epoch
+    for net in ("theta_t", "theta_s", "theta_f"):
+        assert np.array_equal(getattr(ours, net).params.data, getattr(theirs, net).params.data), net
+    for memory in ("m_t", "m_r"):
+        # entries in insertion order: score, sigma and the epoch written
+        assert list(getattr(ours, memory).entries.items()) == list(
+            getattr(theirs, memory).entries.items()
+        ), memory
+    for opt in ("opt_trained", "opt_reference"):
+        mine, other = getattr(ours, opt), getattr(theirs, opt)
+        assert mine._step == other._step, opt
+        assert np.array_equal(mine._m, other._m) and np.array_equal(mine._v, other._v), opt
+
+
+@pytest.mark.parametrize("shape", list(digest_grid.SHAPES))
+@pytest.mark.parametrize("case", [name for name, _ in cli.ABLATION_GRID])
+def test_two_processes_equal_the_lockstep_epochs(shape, case, worker_pids, monkeypatch, tmp_path):
+    labeled, unlabeled, config = _sets(shape)
+    config = replace(config, component_toggles=dict(cli.ABLATION_GRID)[case])
+    state, rows = _trained(config, labeled, unlabeled, monkeypatch, tmp_path)
+    assert len(worker_pids) == 1
+    lock_state, lock_rows = _lockstep(config, labeled, unlabeled)
+    assert np.array_equal(
+        np.array([astuple(r) for r in rows]), np.array([astuple(r) for r in lock_rows]),
+        equal_nan=True,
+    )
+    training.write_metrics_csv(rows, tmp_path / "ours.csv")
+    training.write_metrics_csv(lock_rows, tmp_path / "lockstep.csv")
+    assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "lockstep.csv").read_bytes()
+    _assert_same_state(state, lock_state)
+
+
+def _lockstep_error(config, labeled, unlabeled) -> TrscoreError:
+    with pytest.raises(TrscoreError) as caught:
+        _lockstep(config, labeled, unlabeled)
+    return caught.value
+
+
+def _student_hook(monkeypatch, action):
+    """Run ``action(state)`` right after every ``initialize_student``."""
+    real = training.initialize_student
+
+    def hooked(state, config):
+        real(state, config)
+        action(state)
+        return state
+
+    monkeypatch.setattr(training, "initialize_student", hooked)
+
+
+def test_nan_student_head_raises_the_lockstep_text(worker_pids, monkeypatch):
+    labeled, unlabeled, config = _sets(SMALL)
+
+    def poison(state):
+        state.theta_s.params["head.weight"].array[...] = np.nan
+
+    _student_hook(monkeypatch, poison)
+    expected = _lockstep_error(config, labeled, unlabeled)
+    assert isinstance(expected, DivergenceError)
+    assert str(expected).startswith(
+        f"epoch {config.burn_in_epochs}, batch 0: non-finite l_reg_s, l_unsup; "
+    )
+    with pytest.raises(DivergenceError) as caught:
+        training.train(config, labeled, unlabeled)
+    assert str(caught.value) == str(expected)
+    assert worker_pids
+
+
+def test_infinite_reference_bias_raises_the_lockstep_text(worker_pids, monkeypatch):
+    labeled, unlabeled, config = _sets(SMALL)
+
+    def poison(state):
+        state.theta_f.params["head.bias"].array[...] = np.inf
+
+    _student_hook(monkeypatch, poison)
+    expected = _lockstep_error(config, labeled, unlabeled)
+    assert str(expected).startswith(
+        f"epoch {config.burn_in_epochs}, batch 0: non-finite l_reg_r, l_unsup; "
+    )
+    with pytest.raises(DivergenceError) as caught:
+        training.train(config, labeled, unlabeled)
+    assert str(caught.value) == str(expected)
+
+
+def test_a_worker_error_comes_back_as_its_own_type(worker_pids, monkeypatch):
+    labeled, unlabeled, config = _sets(SMALL)
+    real = training.teacher_forward
+
+    def faulty(net, x):
+        if _in_worker():
+            raise ParseError("a fault made in the worker", 17)
+        return real(net, x)
+
+    monkeypatch.setattr(training, "teacher_forward", faulty)
+    with pytest.raises(ParseError) as caught:
+        training.train(config, labeled, unlabeled)
+    assert type(caught.value) is ParseError
+    assert str(caught.value) == "a fault made in the worker (byte offset 17)"
+    assert caught.value.offset == 17
+
+
+def test_cli_train_exits_2_on_a_worker_error(worker_pids, monkeypatch, tmp_path, capsys):
+    from trscore.errors import DomainError
+
+    data = tmp_path / "train.aqaf"
+    assert cli.main(["synth", "--n", "20", "--t", "3", "--d", "4", "--label-frac", "0.5",
+                     "--seed", "2", "-o", str(data)]) == 0
+    real = training.Adam.step
+
+    def faulty(self):
+        if _in_worker():
+            raise DomainError("a fault made in the worker")
+        real(self)
+
+    monkeypatch.setattr(training.Adam, "step", faulty)
+    capsys.readouterr()
+    code = cli.main(["train", "--data", str(data), "--out-dir", str(tmp_path / "run"),
+                     "--epochs", "4", "--burn-in", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: a fault made in the worker\n"
+
+
+class _Alarm(Exception):
+    pass
+
+
+def test_a_killed_worker_raises_promptly(worker_pids, monkeypatch):
+    labeled, unlabeled, config = _sets(SMALL)
+
+    def kill_worker(state):
+        if _in_worker():
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    _student_hook(monkeypatch, kill_worker)
+
+    def alarm(signum, frame):
+        raise _Alarm("train() still waits for a dead worker")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.alarm(60)
+    try:
+        with pytest.raises(WorkerError, match="exit code -9"):
+            training.train(config, labeled, unlabeled)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_an_error_in_this_process_ends_the_worker(worker_pids, monkeypatch):
+    labeled, unlabeled, config = _sets(SMALL)
+    real = training._safe_val_spearman
+
+    def faulty(net, val):
+        if net is not None:
+            raise KeyboardInterrupt
+        return real(net, val)
+
+    monkeypatch.setattr(training, "_safe_val_spearman", faulty)
+    with pytest.raises(KeyboardInterrupt):
+        training.train(config, labeled, unlabeled)
+    assert worker_pids
+
+
+@pytest.mark.parametrize("why", ["no fork", "daemonic"])
+def test_one_process_where_no_worker_can_be_forked(why, worker_pids, monkeypatch, tmp_path):
+    labeled, unlabeled, config = _sets(SMALL)
+    forked_state, forked_rows = _trained(config, labeled, unlabeled, monkeypatch, tmp_path)
+    assert len(worker_pids) == 1
+    if why == "no fork":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    else:
+        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+    state, rows = _trained(config, labeled, unlabeled, monkeypatch, tmp_path)
+    assert len(worker_pids) == 1  # no second worker
+    assert [astuple(r)[:-1] for r in rows] == [astuple(r)[:-1] for r in forked_rows]
+    assert np.array_equal(
+        [r.val_spearman for r in rows], [r.val_spearman for r in forked_rows], equal_nan=True
+    )
+    _assert_same_state(state, forked_state)
+
+
+def test_a_worker_error_is_rebuilt_as_a_package_error():
+    # ``raise worker.error(...)`` is the one raise of a call in ``training``:
+    # what it returns must be a package error, as the CLI catches no other
+    assert typing.get_type_hints(training._Worker.error)["return"] is TrscoreError
