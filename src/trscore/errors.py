@@ -45,9 +45,15 @@ class FusionUnavailableError(TrscoreError, LookupError):
 class ParseError(TrscoreError, ValueError):
     """A serialized file is malformed.
 
-    ``offset`` is the byte position at which parsing failed.
+    ``offset`` is the byte position at which parsing failed. Both arguments
+    stay in ``args``, so that pickle, which calls the type with ``args``,
+    rebuilds the error.
     """
 
     def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
+        super().__init__(message, offset)
         self.offset = offset
+
+    def __str__(self) -> str:
+        message, offset = self.args
+        return f"{message} (byte offset {offset})"

@@ -1,8 +1,25 @@
-"""Rank-correlation metric and student-only test evaluation."""
+"""Rank-correlation metric and student-only test evaluation.
+
+``evaluate`` scores a test set in chunks of ``_EVAL_CHUNK`` samples on two
+threads. The encoder (``mixer_forward``) of a chunk of at least
+``_SPLIT_ROWS`` samples runs on the chunk's two halves at once: the first
+half on a helper thread, the second on the calling thread. numpy's matmuls
+and ufuncs and scipy's ``erf`` release the interpreter lock, so the halves
+use two cores. The calling thread then runs ``regression_head`` once over
+the whole chunk. The predictions are bit-identical to one
+``teacher_forward`` per chunk: each encoder row depends on its own sample
+alone, whatever the rows that share the pass, while the head's 2-D product
+rounds by the row count and so still sees the full chunk. A smaller chunk,
+such as the per-epoch validation set of ``train``, is one
+``teacher_forward`` on the calling thread. The helper thread lives in a pool
+made for its chunk and ends before ``evaluate`` returns or raises.
+"""
 
 from __future__ import annotations
 
+import contextvars
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -12,9 +29,18 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError, DimensionError, MetricUndefinedError
-from .networks import FeatureSequence, Network, teacher_forward
+from .networks import (
+    FeatureSequence,
+    Network,
+    ScorePrediction,
+    mixer_forward,
+    regression_head,
+    teacher_forward,
+)
 
 _EVAL_CHUNK = 256
+# a chunk of at least this many samples is encoded in two halves on two threads
+_SPLIT_ROWS = 128
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:
@@ -53,6 +79,25 @@ class PredictionRow:
     sigma: float
 
 
+def _forward(student: Network, x: np.ndarray) -> ScorePrediction:
+    """``teacher_forward`` over the chunk ``x``; from ``_SPLIT_ROWS`` samples
+    on, its encoder runs in two halves on two threads, with the same bits."""
+    if len(x) < _SPLIT_ROWS:
+        return teacher_forward(student, ad._adopt(x))
+    half = len(x) // 2
+    context = contextvars.copy_context()
+    with ThreadPoolExecutor(1) as pool:
+        first = pool.submit(context.run, mixer_forward, student, ad._adopt(x[:half]))
+        try:
+            second = mixer_forward(student, ad._adopt(x[half:]))
+        finally:
+            # read even when the second half failed: an error of the first
+            # half is the one raised
+            first_rows = first.result().array
+    encoded = np.concatenate([first_rows, second.array])
+    return regression_head(student, ad._adopt(encoded))
+
+
 def evaluate(
     student: Network, test_set: Iterable[FeatureSequence]
 ) -> tuple[float, list[PredictionRow]]:
@@ -66,6 +111,14 @@ def evaluate(
     ``ContractError`` and one whose shape is not the network's (T, D) raises
     ``DimensionError``, each when its chunk is reached; so does an error the
     iterable itself raises.
+
+    A chunk of at least ``_SPLIT_ROWS`` samples is encoded in two halves on
+    two threads, and the head runs over the whole chunk, so every bit is that
+    of one ``teacher_forward`` per chunk (see the module docstring). The
+    helper thread runs in a copy of the caller's context, so a caller's
+    ``np.errstate`` holds there too, and it ends before the call returns or
+    raises. An error in either half is raised here with its own type; when
+    both halves fail, the first half's error is raised.
     """
     shape = (student.arch.t, student.arch.d)
     ids: list[str] = []
@@ -82,8 +135,7 @@ def evaluate(
                     raise DimensionError(
                         f"test sample {s.sample_id!r} is {s.features.shape}, not {shape}"
                     )
-            x = ad._adopt(np.stack([s.features.array for s in batch]))
-            pred = teacher_forward(student, x)
+            pred = _forward(student, np.stack([s.features.array for s in batch]))
             mus.append(pred.mu_values)
             sigmas.append(pred.sigma_values)
             ids.extend(s.sample_id for s in batch)

@@ -304,9 +304,9 @@ class TestEvalStream:
             ids = {s.sample_id for s in samples}
             save_features(Dataset(samples, ids - {"bulk-00299"}, {"bulk-00299"}, (-9, 9)), path)
         forwards = []
-        scored = evaluation.teacher_forward
+        scored = evaluation._forward
         monkeypatch.setattr(
-            evaluation, "teacher_forward", lambda *a: forwards.append(1) or scored(*a)
+            evaluation, "_forward", lambda *a: forwards.append(1) or scored(*a)
         )
         capsys.readouterr()
         predictions = tmp_path / "pred.csv"

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import pickle
 import typing
 from pathlib import Path
 
@@ -57,3 +58,16 @@ def test_every_raise_uses_a_package_error_type():
             if not issubclass(ERROR_TYPES.get(name, type(None)), TrscoreError):
                 strays.append(f"{path.name}:{node.lineno}: {name}")
     assert strays == []
+
+
+def test_every_error_type_survives_pickling():
+    # a process pool sends a worker's error back pickled
+    for name, kind in ERROR_TYPES.items():
+        error = kind("bad header", 12) if kind is ParseError else kind(f"bad {name}")
+        error.note = "kept"
+        back = pickle.loads(pickle.dumps(error))
+        assert type(back) is kind, name
+        assert str(back) == str(error), name
+        assert vars(back) == vars(error), name
+        assert back.args == error.args, name
+    assert str(ParseError("bad header", 12)) == "bad header (byte offset 12)"

@@ -1,15 +1,23 @@
 """Spearman-metric and evaluation-path tests."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from trscore.autodiff import Tensor
+from trscore import evaluation
+from trscore.autodiff import Tensor, no_grad
 from trscore.data import SyntheticSpec, generate_synthetic
-from trscore.errors import ContractError, DimensionError, MetricUndefinedError
-from trscore.evaluation import evaluate, spearman, write_predictions_csv
+from trscore.errors import (
+    ContractError,
+    DimensionError,
+    MetricUndefinedError,
+    ParseError,
+)
+from trscore.evaluation import PredictionRow, evaluate, spearman, write_predictions_csv
 from trscore.networks import (
     FeatureSequence,
     NetworkArch,
@@ -146,8 +154,6 @@ class TestEvaluate:
             evaluate(params, labeled_samples(5))
 
     def test_streams_its_input_one_chunk_at_a_time(self, monkeypatch):
-        from trscore import evaluation
-
         params = init_teacher_params(NetworkArch(4, 8), np.random.default_rng(2))
         samples = labeled_samples(600, seed=4)
         drawn, forwards = [], []
@@ -157,13 +163,15 @@ class TestEvaluate:
                 drawn.append(s)
                 yield s
 
+        scored = evaluation._forward
+
         def forward(net, x):
             # never more than one chunk has been drawn beyond those scored
             forwards.append(len(drawn))
             assert len(drawn) <= 256 * len(forwards)
-            return teacher_forward(net, x)
+            return scored(net, x)
 
-        monkeypatch.setattr(evaluation, "teacher_forward", forward)
+        monkeypatch.setattr(evaluation, "_forward", forward)
         streamed = evaluate(params, stream())
         monkeypatch.undo()
         assert forwards == [256, 512, 600]
@@ -191,11 +199,114 @@ class TestEvaluate:
         assert len(lines) == 7
 
 
+def per_chunk_reference(params, samples):
+    """Spearman and rows from one ``teacher_forward`` per 256-sample chunk."""
+    mus, sigmas = [], []
+    with no_grad():
+        for start in range(0, len(samples), 256):
+            chunk = samples[start:start + 256]
+            pred = teacher_forward(params, np.stack([s.features.array for s in chunk]))
+            mus.extend(pred.mu_values.tolist())
+            sigmas.extend(pred.sigma_values.tolist())
+    truths = [s.score for s in samples]
+    rows = [
+        PredictionRow(s.sample_id, truth, mu, sigma)
+        for s, truth, mu, sigma in zip(samples, truths, mus, sigmas)
+    ]
+    return spearman(truths, mus), rows
+
+
+def bits(rows):
+    return [(r.sample_id, r.truth.hex(), r.mu.hex(), r.sigma.hex()) for r in rows]
+
+
+class TestTwoThreadEncoding:
+    """``evaluate`` encodes the halves of a chunk of at least 128 samples on
+    two threads and gives the bits of one ``teacher_forward`` per chunk."""
+
+    @pytest.mark.parametrize("t,d", [(10, 64), (7, 5)])
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 255, 256, 257, 600])
+    def test_equals_one_teacher_forward_per_chunk(self, n, t, d):
+        params = init_teacher_params(NetworkArch(t, d), np.random.default_rng(n))
+        samples = labeled_samples(n, t=t, d=d, seed=n)
+        if n < 2:
+            with pytest.raises(MetricUndefinedError):
+                evaluate(params, samples)
+            return
+        rho, rows = evaluate(params, samples)
+        expected_rho, expected_rows = per_chunk_reference(params, samples)
+        assert rho.hex() == expected_rho.hex()
+        assert bits(rows) == bits(expected_rows)
+
+    def test_halves_run_on_two_threads_from_the_split_size(self, monkeypatch):
+        params = init_teacher_params(NetworkArch(4, 8), np.random.default_rng(0))
+        caller = threading.get_ident()
+        passes = []
+
+        def recording(forward):
+            def record(net, x):
+                passes.append((x.shape[0], threading.get_ident() == caller))
+                return forward(net, x)
+            return record
+
+        for name in ("mixer_forward", "teacher_forward"):
+            monkeypatch.setattr(evaluation, name, recording(getattr(evaluation, name)))
+        # chunks of 256 and 129 split into halves, the first on the helper
+        evaluate(params, labeled_samples(385, seed=1))
+        assert sorted(passes) == [(64, False), (65, True), (128, False), (128, True)]
+        passes.clear()
+        evaluate(params, labeled_samples(127, seed=1))
+        assert passes == [(127, True)]
+
+    @pytest.mark.parametrize("failing", ["first", "second", "both"])
+    def test_an_error_in_either_half_keeps_its_type_and_text(self, monkeypatch, failing):
+        params = init_teacher_params(NetworkArch(4, 8), np.random.default_rng(0))
+        samples = labeled_samples(300, seed=2)
+        first_half = samples[0].features.array.tobytes()
+        encode = evaluation.mixer_forward
+        errors = {"first": ("bad first half", 7), "second": ("bad second half", 9)}
+
+        def failing_half(net, x):
+            half = "first" if x.array[0].tobytes() == first_half else "second"
+            if failing in (half, "both"):
+                raise ParseError(*errors[half])
+            return encode(net, x)
+
+        monkeypatch.setattr(evaluation, "mixer_forward", failing_half)
+        before = threading.active_count()
+        with pytest.raises(ParseError) as caught:
+            evaluate(params, samples)
+        assert threading.active_count() == before
+        # when both halves fail, the first half's error is the one raised
+        message, offset = errors["second" if failing == "second" else "first"]
+        assert str(caught.value) == f"{message} (byte offset {offset})"
+        assert caught.value.offset == offset
+
+    def test_no_thread_outlives_the_call(self):
+        params = init_teacher_params(NetworkArch(4, 8), np.random.default_rng(0))
+        samples = labeled_samples(600, seed=3)
+        before = threading.active_count()
+        evaluate(params, samples)
+        assert threading.active_count() == before
+        bad = samples[:300] + [FeatureSequence(np.zeros((5, 8)), "odd", 1.0)]
+        with pytest.raises(DimensionError):
+            evaluate(params, bad)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("row", [0, 127, 128, 255])
+    def test_callers_errstate_holds_in_either_half(self, row):
+        params = init_teacher_params(NetworkArch(4, 8), np.random.default_rng(0))
+        samples = labeled_samples(256, seed=4)
+        huge = samples[row].features.array.copy()
+        huge[0, 0] = 1e300
+        samples[row] = FeatureSequence(huge, samples[row].sample_id, samples[row].score)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            evaluate(params, samples)
+
+
 class TestPredictionsCsv:
     def test_ids_needing_quotes_read_back_with_csv_reader(self, tmp_path):
         import csv
-
-        from trscore.evaluation import PredictionRow
 
         ids = ["plain", "clip,7", 'say "hi"', "cr\rinside", "two\nlines", ""]
         rows = [PredictionRow(sample_id, i + 0.5, i * 0.1, 1.0 + i) for i, sample_id in enumerate(ids)]

@@ -7,10 +7,15 @@ Usage, from the repository root:
 For every case of the grid, each checkout trains in a fresh interpreter and
 hashes (SHA-256) what the run leaves behind: the metrics CSV and, for
 ``train``, the checkpoint files ``params_{t,s,f}.bin``, ``memory_{t,r}.tsv``
-and ``state.json``; for ``train_supervised``, the student's parameter file.
-A case is one of the five ablation configurations of ``trscore ablate`` or
-the labeled-only baseline, on each of the shapes below. The script prints
-one line per file and exits 1 unless every file is bit-identical.
+and ``state.json``; for ``train_supervised``, the student's parameter file;
+for both, the predictions CSV of ``evaluate`` with the trained student on a
+held-out split of ``HELD_OUT`` samples, whose 256-sample chunks (256, 256,
+88) cross both the chunk edge and the size from which a chunk is encoded on
+two threads. One ``trscore eval`` run on the first shape's ``full``
+checkpoint adds the CLI's predictions CSV. A case is one of the five
+ablation configurations of ``trscore ablate`` or the labeled-only baseline,
+on each of the shapes below. The script prints one line per file and exits
+1 unless every file is bit-identical.
 
 The shapes differ in the batch arithmetic they exercise: full batches of 4
 at the benchmark's feature size; fewer unlabeled than labeled samples, so
@@ -29,6 +34,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+HELD_OUT = 600
 
 # name -> (synthetic spec, training settings)
 SHAPES = {
@@ -55,25 +62,45 @@ def emit(workdir: Path) -> dict[str, str]:
     """Digest of every output file of the grid, keyed shape/case/file."""
     from dataclasses import replace
 
-    from trscore import cli, data, training
+    from trscore import cli, data, evaluation, training
+
+    def score(student, held_out, out: Path) -> None:
+        _, predictions = evaluation.evaluate(student, held_out.samples)
+        evaluation.write_predictions_csv(predictions, out / "predictions.csv")
 
     digests = {}
     for shape, (spec, settings) in SHAPES.items():
         dataset = data.generate_synthetic(data.SyntheticSpec(**spec))
         labeled, unlabeled = dataset.labeled_samples, dataset.unlabeled_samples
+        held_out = data.generate_synthetic(
+            data.SyntheticSpec(**{**spec, "num_samples": HELD_OUT, "label_fraction": 1.0}),
+            split="held-out",
+        )
         config = training.TrainConfig(**settings)
         for case, toggles in cli.ABLATION_GRID:
             out = workdir / shape / case
-            _, _, rows = training.train(
+            _, student, rows = training.train(
                 replace(config, component_toggles=toggles), labeled, unlabeled,
                 checkpoint_dir=out,
             )
             training.write_metrics_csv(rows, out / "metrics.csv")
+            score(student, held_out, out)
         out = workdir / shape / "supervised"
         out.mkdir(parents=True)
         student, rows = training.train_supervised(config, labeled)
         training.write_metrics_csv(rows, out / "metrics.csv")
         training.save_parameter_set(student.params, out / "params_s.bin")
+        score(student, held_out, out)
+        if shape == next(iter(SHAPES)):
+            aqaf = workdir / "held-out.aqaf"
+            data.save_features(held_out, aqaf)
+            cli_out = workdir / shape / "cli-eval"
+            cli_out.mkdir()
+            argv = ["eval", "--data", str(aqaf), "--checkpoint", str(workdir / shape / "full"),
+                    "-o", str(cli_out / "predictions.csv")]
+            if cli.main(argv) != 0:
+                sys.exit(f"trscore {' '.join(argv)} failed")
+            aqaf.unlink()
     for path in sorted(workdir.rglob("*")):
         if path.is_file():
             digests[path.relative_to(workdir).as_posix()] = _sha256(path)
