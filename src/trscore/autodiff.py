@@ -31,6 +31,7 @@ expressions.
 
 from __future__ import annotations
 
+import contextvars
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -46,21 +47,22 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 LAYER_NORM_EPS = 1e-5
 
-_grad_enabled = True
+# per context, so that one thread's ``no_grad`` leaves another thread recording
+_grad_enabled: contextvars.ContextVar[bool] = contextvars.ContextVar(
+    "grad_enabled", default=True
+)
 
 
 class no_grad:
-    """Context manager that disables graph recording (values only)."""
+    """Context manager that disables graph recording (values only) in the
+    current thread, or the current ``contextvars`` context, alone."""
 
     def __enter__(self) -> "no_grad":
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        self._token = _grad_enabled.set(False)
         return self
 
     def __exit__(self, *exc) -> bool:
-        global _grad_enabled
-        _grad_enabled = self._prev
+        _grad_enabled.reset(self._token)
         return False
 
 
@@ -90,7 +92,7 @@ class Tensor:
         arr.setflags(write=False)
         out._array = arr
         out._grad = None
-        live = tuple(p for p in parents if p.requires_grad) if _grad_enabled else ()
+        live = tuple(p for p in parents if p.requires_grad) if _grad_enabled.get() else ()
         if live:
             out.requires_grad = True
             out._parents = live

@@ -116,8 +116,8 @@ def evaluate(
     two threads, and the head runs over the whole chunk, so every bit is that
     of one ``teacher_forward`` per chunk (see the module docstring). The
     helper thread runs in a copy of the caller's context, so a caller's
-    ``np.errstate`` holds there too, and it ends before the call returns or
-    raises. An error in either half is raised here with its own type; when
+    ``np.errstate``, and the ``no_grad`` that this call enters, hold there
+    too; it ends before the call returns or raises. An error in either half is raised here with its own type; when
     both halves fail, the first half's error is raised.
     """
     shape = (student.arch.t, student.arch.d)

@@ -30,8 +30,12 @@ epoch's end.
 in this process, step by step. ``train`` forks a worker that owns the
 trained network and its optimizer and runs its half, while this process
 runs the pseudo-label half, the EMA and the validation, one epoch ahead
-where it can; where no worker can be forked, ``train`` runs in this process
-too. Both ways give the same bits.
+where it can. ``train_supervised`` forks a validator that scores each
+epoch's student while this process steps the next epoch. Where no process
+can be forked, either call runs wholly in this process. Both ways give the
+same bits: the forked process runs the same code on exact float64 copies of
+the same values, passed through shared memory. No forked process outlives
+the call that made it, whether the call returns or raises.
 """
 
 from __future__ import annotations
@@ -740,12 +744,17 @@ def _run_epochs(
     config: TrainConfig,
     state: TrsState,
     labeled_set: Sequence[FeatureSequence],
-    val: Sequence[FeatureSequence],
     student_epoch: Callable[[TrsState, int], EpochMetrics],
+    score: Callable[[Network], Callable[[], float]],
 ) -> list[EpochMetrics]:
     """Burn-in epochs, the student at the boundary, then ``student_epoch``,
-    all in this process; each row gets the student's validation Spearman."""
+    all stepped in this process. Each row gets the student's validation
+    Spearman: ``score(student)`` starts scoring the student as it is after
+    its epoch, and what it returns gives the Spearman once the next epoch has
+    been stepped (at once after the last), so that a validator in another
+    process scores one epoch while this process steps the next."""
     metrics: list[EpochMetrics] = []
+    pending = None
     for epoch in range(config.max_epochs):
         if epoch < config.burn_in_epochs:
             row = burn_in_epoch(state, labeled_set, config)
@@ -753,8 +762,24 @@ def _run_epochs(
             if epoch == config.burn_in_epochs:
                 initialize_student(state, config)
             row = student_epoch(state, epoch)
-        metrics.append(replace(row, val_spearman=_safe_val_spearman(state.theta_s, val)))
+        if pending is not None:
+            metrics[-1] = replace(metrics[-1], val_spearman=pending())
+        pending = score(state.theta_s) if state.theta_s is not None else None
+        metrics.append(row)
+    if pending is not None:
+        metrics[-1] = replace(metrics[-1], val_spearman=pending())
     return metrics
+
+
+def _score_here(val: Sequence[FeatureSequence]) -> Callable[[Network], Callable[[], float]]:
+    """``_run_epochs``'s ``score`` in this process: the Spearman is made at
+    once."""
+
+    def score(student: Network) -> Callable[[], float]:
+        rho = _safe_val_spearman(student, val)
+        return lambda: rho
+
+    return score
 
 
 def train(
@@ -793,7 +818,7 @@ def train(
         def student_epoch(state: TrsState, epoch: int) -> EpochMetrics:
             return trs_epoch(state, labeled_set, unlabeled_set, _beta(config, epoch), config)
 
-        metrics = _run_epochs(config, state, labeled_set, val, student_epoch)
+        metrics = _run_epochs(config, state, labeled_set, student_epoch, _score_here(val))
     if checkpoint_dir is not None:
         save_checkpoint(checkpoint_dir, state, config)
     return state.theta_t, state.theta_s, metrics
@@ -810,8 +835,17 @@ def train_supervised(
     the burn-in boundary) so its loss trajectory is epoch-for-epoch
     comparable with a semi-supervised run, but with the component toggles
     forced off and no unlabeled data: no pseudo-labels, memories, EMA or
-    reference network. It runs in this process. Returns the student and one
-    metrics row per epoch.
+    reference network. Returns the student and one metrics row per epoch.
+
+    Every step runs in this process. Where the ``fork`` start method is
+    available, this process may have children and the validation set is not
+    empty, a forked validator scores each epoch's student while this process
+    steps the next epoch: it copies the student's arena from shared memory
+    into its own network and runs the same ``evaluate``, so the rows are
+    bit-identical to validating in this process, as happens elsewhere. An
+    error the validator raises is raised here as the same package error type
+    with the same text, and a validator that ends without a reply raises
+    ``WorkerError``. No validator outlives the call.
     """
     config = replace(config, component_toggles=ComponentToggles(False, False, False))
 
@@ -819,15 +853,27 @@ def train_supervised(
         return _epoch(state, labeled_set, (), 0.0, config)
 
     state, val = _start(config, labeled_set, (), val_set)
-    metrics = _run_epochs(config, state, labeled_set, val, student_epoch)
+    context = _fork_context() if val else None
+    if context is None:
+        metrics = _run_epochs(config, state, labeled_set, student_epoch, _score_here(val))
+        return state.theta_s, metrics
+    exchange = _Exchange(context, arena=state.theta_t.params.num_values())
+    with _Worker(context, "validation", exchange, _validate, (state.theta_t, val)) as validator:
+
+        def score(student: Network) -> Callable[[], float]:
+            exchange.arena[:] = student.params.data
+            validator.send(0)
+            return lambda: validator.reply()[0]
+
+        metrics = _run_epochs(config, state, labeled_set, student_epoch, score)
     return state.theta_s, metrics
 
 
-# -- the two-process run ------------------------------------------------------
+# -- the forked workers -------------------------------------------------------
 
 
 def _fork_context():
-    """The ``fork`` start method's context, or None where ``train`` runs in
+    """The ``fork`` start method's context, or None where a run stays in
     one process: the method is unavailable, or this process is a daemonic
     worker, which may not have children."""
     if "fork" not in multiprocessing.get_all_start_methods():
@@ -838,23 +884,17 @@ def _fork_context():
 
 
 class _Exchange:
-    """What the two processes of ``train`` share, made before the fork; the
+    """What a parent and its forked worker share, made before the fork; the
     worker gets this alone, so that no cycle holds the parent's process
     object.
 
-    Float64 vectors in one anonymous shared mapping: the trained network's
-    arena and Adam moments, which the worker writes at each epoch's end, and
-    the epoch's pseudo-labels (one per labeled position) and the reference
-    term of each batch, which the parent writes before it releases the
-    batches that read them. Two one-way pipes carry the rest. The parent
-    sends how many of the epoch's batches are released so far; the worker
-    replies once per epoch with its loss sums and Adam step count, or with
-    the error it raised. Every receive blocks, and every message is a few
-    numbers in one write below ``PIPE_BUF``.
+    One float64 vector per keyword, of that size, all in one anonymous
+    shared mapping, and two one-way pipes for the rest. Every receive
+    blocks, and every message is a few numbers in one write below
+    ``PIPE_BUF``.
     """
 
-    def __init__(self, context, arena: int, n: int, batches: int):
-        sizes = {"arena": arena, "m": arena, "v": arena, "s_bar": n, "relative": batches}
+    def __init__(self, context, **sizes: int):
         flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes.values())), dtype=np.float64)
         offset = 0
         for name, size in sizes.items():
@@ -870,42 +910,15 @@ class _Exchange:
         self.to_parent[not worker].close()
 
 
-def _beta(config: TrainConfig, epoch: int) -> float:
-    return 0.0 if epoch < config.burn_in_epochs else beta_at(epoch, config.beta_peak)
-
-
-def _work(exchange: _Exchange, state: TrsState, pools: _Pools, config: TrainConfig) -> None:
-    """The worker process of ``train``: every step of the trained network,
-    each batch once the parent has released it."""
+def _serve(exchange: _Exchange, body: Callable, args: tuple) -> None:
+    """A forked worker's life: ``body(exchange, inbox, outbox, *args)``
+    answers the parent's messages until the parent closes its end. An error
+    of the package that it raises is sent instead, by its type name, args
+    and attributes."""
     exchange.keep(worker=True)
-    inbox, outbox = exchange.to_worker[0], exchange.to_parent[1]
-    n, m = len(pools.x_lab), len(pools.unlabeled)
+    outbox = exchange.to_parent[1]
     try:
-        for epoch in range(config.max_epochs):
-            trs = epoch >= config.burn_in_epochs
-            if epoch == config.burn_in_epochs:
-                initialize_student(state, config)
-            plan = _plan(config, n, m if trs else 0, epoch)
-            sums = dict.fromkeys(_TERMS, 0.0)
-            ready = 0
-            for b, (lo, hi) in enumerate(plan.bounds):
-                while ready <= b:
-                    ready = inbox.recv()
-                state.opt_trained.zero_grad()
-                s_bar = exchange.s_bar[lo:hi] if plan.slots is not None else None
-                terms = _trained_terms(
-                    state.trained, pools, plan, b, s_bar, _beta(config, epoch), config
-                )
-                values = _checked(epoch, b, terms, {"l_reg_r": exchange.relative[b]})
-                for name, _, _ in terms:
-                    sums[name] += values[name]
-                _descend(terms, state.opt_trained)
-            state.epoch += 1
-            opt = state.opt_trained
-            exchange.arena[:] = opt.params.data
-            exchange.m[:] = opt._m
-            exchange.v[:] = opt._v
-            outbox.send(("done", sums["l_reg_s"], sums["l_unsup"], opt._step))
+        body(exchange, exchange.to_worker[0], outbox, *args)
     except TrscoreError as exc:
         outbox.send(("error", type(exc).__name__, exc.args, vars(exc)))
     except (EOFError, KeyboardInterrupt):
@@ -913,32 +926,34 @@ def _work(exchange: _Exchange, state: TrsState, pools: _Pools, config: TrainConf
 
 
 class _Worker:
-    """The parent's handle on the forked worker of ``train``."""
+    """The parent's handle on a forked worker that runs ``body`` (see
+    ``_serve``); ``role`` names it in ``WorkerError``. As a context manager it
+    stops the worker on leaving, killing it first when an exception leaves."""
 
-    def __init__(self, context, state: TrsState, pools: _Pools, config: TrainConfig):
-        n = len(pools.x_lab)
-        self.exchange = _Exchange(
-            context, state.theta_t.params.num_values(), n,
-            len(_batch_bounds(n, config.batch_size)),
-        )
+    def __init__(self, context, role: str, exchange: _Exchange, body: Callable, args: tuple):
+        self.role, self.exchange = role, exchange
         self.process = context.Process(
-            target=_work, args=(self.exchange, state, pools, config),
-            name="trscore-train", daemon=True,
+            target=_serve, args=(exchange, body, args), name=f"trscore-{role}", daemon=True
         )
         self.process.start()
-        self.exchange.keep(worker=False)
+        exchange.keep(worker=False)
 
-    def release(self, batches: int) -> None:
-        """Let the worker step the current epoch's first ``batches`` batches."""
+    def __enter__(self) -> "_Worker":
+        return self
+
+    def __exit__(self, kind, exc, traceback) -> bool:
+        self.stop(kill=kind is not None)
+        return False
+
+    def send(self, message) -> None:
         try:
-            self.exchange.to_worker[1].send(batches)
+            self.exchange.to_worker[1].send(message)
         except BrokenPipeError:
             pass  # the worker is gone: ``reply`` says so
 
     def reply(self) -> tuple:
-        """The worker's (l_reg_s sum, l_unsup sum, Adam steps) of the epoch
-        it was released for; its error, or ``WorkerError`` when it ended
-        without a reply, is raised here."""
+        """The numbers of the worker's "done" reply; its error, or
+        ``WorkerError`` when it ended without a reply, is raised here."""
         try:
             reply = self.exchange.to_parent[0].recv()
         except EOFError:
@@ -953,7 +968,7 @@ class _Worker:
         if reply[0] == "lost":
             self.process.join()
             return WorkerError(
-                f"the training worker ended with exit code {self.process.exitcode} "
+                f"the {self.role} worker ended with exit code {self.process.exitcode} "
                 "before it finished its epoch"
             )
         _, name, args, attrs = reply
@@ -970,6 +985,56 @@ class _Worker:
             end.close()
         self.process.join()
         self.process.close()
+
+
+def _validate(exchange: _Exchange, inbox, outbox, net: Network, val) -> None:
+    """``train_supervised``'s validator: at each message it copies the
+    student's arena from the exchange into ``net``, which the fork made its
+    own, and replies with the student's validation Spearman."""
+    while True:
+        inbox.recv()
+        net.params.data[:] = exchange.arena
+        outbox.send(("done", _safe_val_spearman(net, val)))
+
+
+# -- the two-process train ----------------------------------------------------
+
+
+def _beta(config: TrainConfig, epoch: int) -> float:
+    return 0.0 if epoch < config.burn_in_epochs else beta_at(epoch, config.beta_peak)
+
+
+def _work(
+    exchange: _Exchange, inbox, outbox, state: TrsState, pools: _Pools, config: TrainConfig
+) -> None:
+    """The worker process of ``train``: every step of the trained network,
+    each batch once the parent has released it (see ``_run_forked``)."""
+    n, m = len(pools.x_lab), len(pools.unlabeled)
+    for epoch in range(config.max_epochs):
+        trs = epoch >= config.burn_in_epochs
+        if epoch == config.burn_in_epochs:
+            initialize_student(state, config)
+        plan = _plan(config, n, m if trs else 0, epoch)
+        sums = dict.fromkeys(_TERMS, 0.0)
+        ready = 0
+        for b, (lo, hi) in enumerate(plan.bounds):
+            while ready <= b:
+                ready = inbox.recv()
+            state.opt_trained.zero_grad()
+            s_bar = exchange.s_bar[lo:hi] if plan.slots is not None else None
+            terms = _trained_terms(
+                state.trained, pools, plan, b, s_bar, _beta(config, epoch), config
+            )
+            values = _checked(epoch, b, terms, {"l_reg_r": exchange.relative[b]})
+            for name, _, _ in terms:
+                sums[name] += values[name]
+            _descend(terms, state.opt_trained)
+        state.epoch += 1
+        opt = state.opt_trained
+        exchange.arena[:] = opt.params.data
+        exchange.m[:] = opt._m
+        exchange.v[:] = opt._v
+        outbox.send(("done", sums["l_reg_s"], sums["l_unsup"], opt._step))
 
 
 def _reference_pass(labels: _PseudoLabelHalf, opt: Adam) -> np.ndarray:
@@ -1007,6 +1072,13 @@ def _run_forked(
     the teacher during burn-in and into the student after it, and makes the
     EMA. The teacher's side of the pseudo-labels and the EMA are all that the
     worker waits for between two epochs.
+
+    The exchange holds the trained network's arena and Adam moments, which
+    the worker writes at each epoch's end, and the epoch's pseudo-labels (one
+    per labeled position) and each batch's reference term, which this
+    process writes before it releases the batches that read them. This
+    process sends how many of the epoch's batches are released so far; the
+    worker replies once per epoch with its loss sums and Adam step count.
     """
     pools = _Pools.of(labeled_set, unlabeled_set)
     n, m, burn_in = len(labeled_set), len(unlabeled_set), config.burn_in_epochs
@@ -1023,19 +1095,22 @@ def _run_forked(
         student = state.theta_s if row.epoch >= burn_in else None
         return replace(row, val_spearman=_safe_val_spearman(student, val))
 
-    worker = _Worker(context, state, pools, config)
-    exchange = worker.exchange
+    arena = state.theta_t.params.num_values()
+    exchange = _Exchange(
+        context, arena=arena, m=arena, v=arena, s_bar=n,
+        relative=len(_batch_bounds(n, config.batch_size)),
+    )
     metrics: list[EpochMetrics] = []
-    try:
+    with _Worker(context, "training", exchange, _work, (state, pools, config)) as worker:
         labels, relative = reference_half(0)
         for epoch in range(config.max_epochs):
             exchange.relative[:] = relative
             if labels.plan.slots is None:
-                worker.release(len(relative))
+                worker.send(len(relative))
             else:
                 for b, (lo, hi) in enumerate(labels.plan.bounds):
                     exchange.s_bar[lo:hi] = labels.pseudo_labels(b)
-                    worker.release(b + 1)
+                    worker.send(b + 1)
             state.epoch = epoch + 1
             sums = {"l_reg_r": 0.0}
             for value in relative.tolist():
@@ -1054,10 +1129,6 @@ def _run_forked(
         state.opt_trained._m[:] = exchange.m
         state.opt_trained._v[:] = exchange.v
         state.opt_trained._step = steps
-    except BaseException:
-        worker.stop(kill=True)
-        raise
-    worker.stop(kill=False)
     return metrics
 
 

@@ -1,5 +1,8 @@
 """Engine-level tests: op semantics, backward rules, grad_check contract."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -243,6 +246,70 @@ class TestGraphProperties:
         assert not y.requires_grad
         with pytest.raises(ContractError):
             y.backward()
+
+    def test_no_grad_in_one_thread_leaves_another_recording(self):
+        entered, done = threading.Event(), threading.Event()
+
+        def idle_without_grad():
+            with ad.no_grad():
+                entered.set()
+                done.wait(10)
+
+        helper = threading.Thread(target=idle_without_grad)
+        helper.start()
+        try:
+            assert entered.wait(10)
+            x = Tensor([3.0], requires_grad=True)
+            ad.sum(ad.mul(x, x)).backward()
+        finally:
+            done.set()
+            helper.join()
+        np.testing.assert_array_equal(x.grad, [6.0])
+
+    def test_interleaved_no_grad_exits_leave_recording_on(self):
+        # this thread enters, the helper enters, this thread exits, the helper exits
+        helper_in, main_out = threading.Event(), threading.Event()
+        recorded = []
+
+        def helper_body():
+            with ad.no_grad():
+                helper_in.set()
+                main_out.wait(10)
+            recorded.append(ad.mul(Tensor([1.0], requires_grad=True), Tensor(2.0)))
+
+        helper = threading.Thread(target=helper_body)
+        with ad.no_grad():
+            helper.start()
+            assert helper_in.wait(10)
+        main_out.set()
+        helper.join()
+        assert recorded[0].requires_grad
+        assert ad.mul(Tensor([1.0], requires_grad=True), Tensor(2.0)).requires_grad
+
+    def test_no_grad_holds_per_thread_under_rapid_switching(self):
+        wrong = []
+
+        def churn(index):
+            x = Tensor([1.0], requires_grad=True)
+            for _ in range(300):
+                with ad.no_grad():
+                    if ad.mul(x, x).requires_grad:
+                        wrong.append(index)
+                if not ad.mul(x, x).requires_grad:
+                    wrong.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
     def test_reused_node_accumulates(self):
         x = Tensor([3.0], requires_grad=True)

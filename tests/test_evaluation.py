@@ -258,6 +258,21 @@ class TestTwoThreadEncoding:
         evaluate(params, labeled_samples(127, seed=1))
         assert passes == [(127, True)]
 
+    def test_neither_half_records_a_graph(self, monkeypatch):
+        # ``no_grad`` holds per thread, so the helper must inherit the caller's
+        params = init_teacher_params(NetworkArch(4, 8), np.random.default_rng(0))
+        encode = evaluation.mixer_forward
+        recorded = []
+
+        def recording(net, x):
+            out = encode(net, x)
+            recorded.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(evaluation, "mixer_forward", recording)
+        evaluate(params, labeled_samples(256, seed=1))
+        assert recorded == [False, False]
+
     @pytest.mark.parametrize("failing", ["first", "second", "both"])
     def test_an_error_in_either_half_keeps_its_type_and_text(self, monkeypatch, failing):
         params = init_teacher_params(NetworkArch(4, 8), np.random.default_rng(0))

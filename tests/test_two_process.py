@@ -1,5 +1,6 @@
-"""``train`` in two processes: bit-identical to the one-process epochs, and no
-worker outlives a call, whether it returns or raises."""
+"""``train`` in two processes, and ``train_supervised`` with a forked
+validator: bit-identical to the one-process epochs, and no worker outlives a
+call, whether it returns or raises."""
 
 import importlib.util
 import math
@@ -17,6 +18,7 @@ from trscore import cli, training
 from trscore.data import SyntheticSpec, generate_synthetic
 from trscore.errors import (
     DivergenceError,
+    DomainError,
     MetricUndefinedError,
     ParseError,
     TrscoreError,
@@ -70,8 +72,8 @@ def _lockstep(config, labeled, unlabeled):
 
 @pytest.fixture
 def worker_pids(monkeypatch):
-    """The pid of every worker that ``train`` starts; each must be gone when
-    the test ends."""
+    """The pid of every worker that ``train`` or ``train_supervised`` starts;
+    each must be gone when the test ends."""
     pids = []
     start = training._Worker.__init__
 
@@ -81,10 +83,11 @@ def worker_pids(monkeypatch):
 
     monkeypatch.setattr(training._Worker, "__init__", recorded)
     yield pids
-    assert multiprocessing.active_children() == []
+    # before ``active_children``, which would reap a worker left unjoined
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+    assert multiprocessing.active_children() == []
 
 
 def _trained(config, labeled, unlabeled, monkeypatch, tmp_path):
@@ -281,3 +284,127 @@ def test_a_worker_error_is_rebuilt_as_a_package_error():
     # ``raise worker.error(...)`` is the one raise of a call in ``training``:
     # what it returns must be a package error, as the CLI catches no other
     assert typing.get_type_hints(training._Worker.error)["return"] is TrscoreError
+
+
+# -- train_supervised's forked validator --------------------------------------
+
+
+def _held_out(shape: str, n: int = 150):
+    spec, _ = digest_grid.SHAPES[shape]
+    spec = {**spec, "num_samples": n, "label_fraction": 1.0}
+    return generate_synthetic(SyntheticSpec(**spec), split="held-out").samples
+
+
+def _validation_set(shape: str, which: str):
+    return {"default": None, "explicit": _held_out(shape), "empty": []}[which]
+
+
+def _in_one_process(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+
+
+def _supervised_outputs(config, labeled, val, path):
+    """The metrics CSV bytes, the rows and the student's arena of one call."""
+    student, rows = training.train_supervised(config, labeled, val)
+    training.write_metrics_csv(rows, path)
+    return path.read_bytes(), rows, student.params.data.copy()
+
+
+@pytest.mark.parametrize("shape", list(digest_grid.SHAPES))
+@pytest.mark.parametrize("which", ["default", "explicit", "empty"])
+def test_forked_validator_equals_validating_here(shape, which, worker_pids, monkeypatch, tmp_path):
+    labeled, _, config = _sets(shape)
+    val = _validation_set(shape, which)
+    csv, rows, arena = _supervised_outputs(config, labeled, val, tmp_path / "forked.csv")
+    assert len(worker_pids) == (0 if which == "empty" else 1)
+    _in_one_process(monkeypatch)
+    here_csv, _, here_arena = _supervised_outputs(config, labeled, val, tmp_path / "here.csv")
+    assert len(worker_pids) == (0 if which == "empty" else 1)  # no second validator
+    assert csv == here_csv
+    assert arena.tobytes() == here_arena.tobytes()
+    if which == "empty":
+        assert all(math.isnan(r.val_spearman) for r in rows)
+    else:
+        assert all(math.isfinite(r.val_spearman) for r in rows[config.burn_in_epochs:])
+
+
+def test_tied_validation_scores_give_nan_rows_on_both_paths(worker_pids, monkeypatch, tmp_path):
+    labeled, _, config = _sets(SMALL)
+    tied = [replace(s, score=2.5) for s in _held_out(SMALL, 20)]
+    csv, rows, arena = _supervised_outputs(config, labeled, tied, tmp_path / "forked.csv")
+    assert len(worker_pids) == 1
+    assert all(math.isnan(r.val_spearman) for r in rows)
+    _in_one_process(monkeypatch)
+    assert _supervised_outputs(config, labeled, tied, tmp_path / "here.csv")[0] == csv
+
+
+def test_a_validator_error_comes_back_as_its_own_type(worker_pids, monkeypatch):
+    labeled, _, config = _sets(SMALL)
+
+    def faulty(net, val):
+        if _in_worker():
+            raise DomainError("a fault made in the validator")
+        raise AssertionError("validation ran in the parent")
+
+    monkeypatch.setattr(training, "_safe_val_spearman", faulty)
+    with pytest.raises(DomainError) as caught:
+        training.train_supervised(config, labeled)
+    assert type(caught.value) is DomainError
+    assert str(caught.value) == "a fault made in the validator"
+    assert len(worker_pids) == 1
+
+
+def test_a_killed_validator_raises_promptly(worker_pids, monkeypatch):
+    labeled, _, config = _sets(SMALL)
+
+    def kill_validator(net, val):
+        if _in_worker():
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise AssertionError("validation ran in the parent")
+
+    monkeypatch.setattr(training, "_safe_val_spearman", kill_validator)
+
+    def alarm(signum, frame):
+        raise _Alarm("train_supervised() still waits for a dead validator")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.alarm(60)
+    try:
+        with pytest.raises(WorkerError, match="validation worker ended with exit code -9"):
+            training.train_supervised(config, labeled)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(worker_pids) == 1
+
+
+def test_an_interrupt_here_ends_the_validator(worker_pids, monkeypatch):
+    labeled, _, config = _sets(SMALL)
+    real = training._epoch
+
+    def interrupted(state, *args):
+        if state.epoch == config.burn_in_epochs + 2:
+            raise KeyboardInterrupt
+        return real(state, *args)
+
+    monkeypatch.setattr(training, "_epoch", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        training.train_supervised(config, labeled)
+    assert len(worker_pids) == 1
+
+
+@pytest.mark.parametrize("why", ["no fork", "daemonic"])
+def test_validation_stays_here_where_no_validator_can_be_forked(
+    why, worker_pids, monkeypatch, tmp_path
+):
+    labeled, _, config = _sets(SMALL)
+    forked = _supervised_outputs(config, labeled, None, tmp_path / "forked.csv")
+    assert len(worker_pids) == 1
+    if why == "no fork":
+        _in_one_process(monkeypatch)
+    else:
+        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+    here = _supervised_outputs(config, labeled, None, tmp_path / "here.csv")
+    assert len(worker_pids) == 1  # no second validator
+    assert here[0] == forked[0]
+    assert here[2].tobytes() == forked[2].tobytes()

@@ -14,7 +14,9 @@ held-out split of ``HELD_OUT`` samples, whose 256-sample chunks (256, 256,
 two threads. One ``trscore eval`` run on the first shape's ``full``
 checkpoint adds the CLI's predictions CSV. A case is one of the five
 ablation configurations of ``trscore ablate`` or the labeled-only baseline,
-on each of the shapes below. The script prints one line per file and exits
+on each of the shapes below. The baseline runs three times: validated on
+its labeled set, on the first ``VALIDATION`` held-out samples, and on those
+samples with every score set equal, whose Spearman is undefined (NaN). The script prints one line per file and exits
 1 unless every file is bit-identical.
 
 The shapes differ in the batch arithmetic they exercise: full batches of 4
@@ -36,6 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 HELD_OUT = 600
+VALIDATION = 150  # one validation chunk, encoded on two threads
 
 # name -> (synthetic spec, training settings)
 SHAPES = {
@@ -85,12 +88,16 @@ def emit(workdir: Path) -> dict[str, str]:
             )
             training.write_metrics_csv(rows, out / "metrics.csv")
             score(student, held_out, out)
-        out = workdir / shape / "supervised"
-        out.mkdir(parents=True)
-        student, rows = training.train_supervised(config, labeled)
-        training.write_metrics_csv(rows, out / "metrics.csv")
-        training.save_parameter_set(student.params, out / "params_s.bin")
-        score(student, held_out, out)
+        validation = held_out.samples[:VALIDATION]
+        tied = [replace(s, score=1.0) for s in validation]
+        for case, val in (("supervised", None), ("supervised-val", validation),
+                          ("supervised-tied", tied)):
+            out = workdir / shape / case
+            out.mkdir(parents=True)
+            student, rows = training.train_supervised(config, labeled, val)
+            training.write_metrics_csv(rows, out / "metrics.csv")
+            training.save_parameter_set(student.params, out / "params_s.bin")
+            score(student, held_out, out)
         if shape == next(iter(SHAPES)):
             aqaf = workdir / "held-out.aqaf"
             data.save_features(held_out, aqaf)
