@@ -35,7 +35,8 @@ class DivergenceError(TrscoreError, ArithmeticError):
 
 
 class WorkerError(TrscoreError, RuntimeError):
-    """A training worker process ended without reporting its epoch."""
+    """A forked worker ended without a reply, or raised an error that could
+    not be sent back."""
 
 
 class FusionUnavailableError(TrscoreError, LookupError):

@@ -45,6 +45,7 @@ import json
 import math
 import mmap
 import multiprocessing
+import pickle
 import struct
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
@@ -53,7 +54,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from . import errors
 from . import rng as streams
 from .autodiff import ParameterSet, Tensor
 from .data import _Cursor
@@ -63,7 +63,6 @@ from .errors import (
     DivergenceError,
     MetricUndefinedError,
     ParseError,
-    TrscoreError,
     WorkerError,
 )
 from .memory import REFERENCE, TEACHER, ConfidenceMemory, fuse_scores
@@ -806,9 +805,10 @@ def train(
     previous epoch's student and makes the reference side of the next epoch.
     Elsewhere the run stays in this process, epoch by epoch through
     ``burn_in_epoch``, ``initialize_student`` and ``trs_epoch``; both ways
-    give bit-identical outputs. An error the worker raises is raised here as
-    the same package error type with the same text, and a worker that ends
-    without a reply raises ``WorkerError``. No worker outlives the call.
+    give bit-identical outputs. An error the worker raises is raised here
+    with the same type, text and attributes, as it would be in one process;
+    one that pickle cannot rebuild, or a worker that ends without a reply,
+    raises ``WorkerError``. No worker outlives the call.
     """
     state, val = _start(config, labeled_set, unlabeled_set, val_set)
     context = _fork_context()
@@ -843,9 +843,9 @@ def train_supervised(
     steps the next epoch: it copies the student's arena from shared memory
     into its own network and runs the same ``evaluate``, so the rows are
     bit-identical to validating in this process, as happens elsewhere. An
-    error the validator raises is raised here as the same package error type
-    with the same text, and a validator that ends without a reply raises
-    ``WorkerError``. No validator outlives the call.
+    error the validator raises is raised here with the same type, text and
+    attributes; one that pickle cannot rebuild, or a validator that ends
+    without a reply, raises ``WorkerError``. No validator outlives the call.
     """
     config = replace(config, component_toggles=ComponentToggles(False, False, False))
 
@@ -890,8 +890,10 @@ class _Exchange:
 
     One float64 vector per keyword, of that size, all in one anonymous
     shared mapping, and two one-way pipes for the rest. Every receive
-    blocks, and every message is a few numbers in one write below
-    ``PIPE_BUF``.
+    blocks. Every message is a few numbers in one write below ``PIPE_BUF``,
+    except a worker's error, which is the pickled exception and may be
+    longer; the worker sends it as its last message, and the parent reads it
+    at its next receive.
     """
 
     def __init__(self, context, **sizes: int):
@@ -913,16 +915,22 @@ class _Exchange:
 def _serve(exchange: _Exchange, body: Callable, args: tuple) -> None:
     """A forked worker's life: ``body(exchange, inbox, outbox, *args)``
     answers the parent's messages until the parent closes its end. An error
-    of the package that it raises is sent instead, by its type name, args
-    and attributes."""
+    that it raises is sent instead, pickled, so that the parent raises the
+    same exception; one that pickle cannot rebuild is sent as its type name
+    and text."""
     exchange.keep(worker=True)
     outbox = exchange.to_parent[1]
     try:
         body(exchange, exchange.to_worker[0], outbox, *args)
-    except TrscoreError as exc:
-        outbox.send(("error", type(exc).__name__, exc.args, vars(exc)))
     except (EOFError, KeyboardInterrupt):
         pass  # the parent is gone, or was interrupted and ends the run itself
+    except Exception as exc:
+        try:
+            pickle.loads(pickle.dumps(exc))  # what the parent's receive does
+            reply = ("error", exc)
+        except Exception:
+            reply = ("unpicklable", f"{type(exc).__name__}: {exc}")
+        outbox.send(reply)
 
 
 class _Worker:
@@ -962,20 +970,19 @@ class _Worker:
             raise self.error(reply)
         return reply[1:]
 
-    def error(self, reply: tuple) -> TrscoreError:
-        """The package error a reply other than "done" stands for: the one
-        the worker raised, rebuilt with its type, text and attributes."""
-        if reply[0] == "lost":
-            self.process.join()
-            return WorkerError(
-                f"the {self.role} worker ended with exit code {self.process.exitcode} "
-                "before it finished its epoch"
-            )
-        _, name, args, attrs = reply
-        kind = getattr(errors, name)
-        exc = kind.__new__(kind, *args)
-        exc.__dict__.update(attrs)
-        return exc
+    def error(self, reply: tuple) -> Exception:
+        """The error a reply other than "done" stands for: the one the worker
+        raised, or ``WorkerError`` when it ended without a reply or raised
+        an error that pickle cannot rebuild."""
+        if reply[0] == "error":
+            return reply[1]
+        if reply[0] == "unpicklable":
+            return WorkerError(f"the {self.role} worker raised {reply[1]}")
+        self.process.join()
+        return WorkerError(
+            f"the {self.role} worker ended with exit code {self.process.exitcode} "
+            "before it finished its epoch"
+        )
 
     def stop(self, kill: bool) -> None:
         """End the worker (at once with ``kill``), and wait for it."""

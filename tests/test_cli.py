@@ -1,15 +1,17 @@
 """Command-line surface tests (fast, tiny runs)."""
 
 import os
+import platform
 import struct
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from trscore import evaluation
+from trscore import cli, evaluation
 from trscore.cli import main, parse_config_file
 from trscore.data import Dataset, load_features, save_features
 from trscore.errors import ConfigurationError
@@ -339,6 +341,60 @@ class TestEvalStream:
         traced_eval(50)  # lazy set-up happens outside the measured calls
         growth = traced_eval(2000) - traced_eval(500)
         assert growth <= 0.25 * 1500 * 10 * 64 * 8
+
+
+class TestHeapThresholds:
+    """``main`` pins glibc's mmap and trim thresholds before any subcommand."""
+
+    def _synth(self, tmp_path):
+        return run_cli(["synth", "--n", 10, "--t", 2, "--d", 3, "--label-frac", 0.5,
+                        "-o", tmp_path / "d.aqaf"])
+
+    def test_main_pins_both_thresholds(self, tmp_path, monkeypatch):
+        calls = []
+        libc = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 1)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        assert self._synth(tmp_path) == 0
+        # M_MMAP_THRESHOLD 32 MiB, then M_TRIM_THRESHOLD 64 MiB: either alone
+        # switches glibc's dynamic thresholds off, the other left at 128 KiB
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    @pytest.mark.parametrize("why", ["no symbol", "no library"])
+    def test_a_silent_no_op_without_mallopt(self, why, tmp_path, monkeypatch, capsys):
+        def lookup(name):
+            if why == "no library":
+                raise OSError("no C library here")
+            return SimpleNamespace()
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lookup)
+        assert cli._pin_heap_thresholds() is None
+        assert capsys.readouterr() == ("", "")
+        assert self._synth(tmp_path) == 0
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator only")
+    def test_a_second_eval_faults_in_almost_no_pages(self, tmp_path):
+        # without the pinned thresholds, glibc hands each chunk's freed
+        # forward temporaries back to the kernel and a 600-sample eval takes
+        # about 6 k minor faults however often it runs in one process
+        checkpoint = _train_checkpoint(tmp_path, 10, 64)
+        path = _labeled_file(tmp_path / "bulk.aqaf", 600, 10, 64)
+        argv = ["eval", "--data", str(path), "--checkpoint", str(checkpoint),
+                "-o", str(tmp_path / "pred.csv")]
+        script = (
+            "import contextlib, io, resource, sys\n"
+            "from trscore import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    first = cli.main(sys.argv[1:])\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    second = cli.main(sys.argv[1:])\n"
+            "print(first, second, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        first, second, faults = map(int, done.stdout.split())
+        assert (first, second) == (0, 0)
+        assert faults < 1000
 
 
 class TestConfigFile:

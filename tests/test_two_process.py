@@ -7,7 +7,6 @@ import math
 import multiprocessing
 import os
 import signal
-import typing
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -280,10 +279,67 @@ def test_one_process_where_no_worker_can_be_forked(why, worker_pids, monkeypatch
     _assert_same_state(state, forked_state)
 
 
-def test_a_worker_error_is_rebuilt_as_a_package_error():
-    # ``raise worker.error(...)`` is the one raise of a call in ``training``:
-    # what it returns must be a package error, as the CLI catches no other
-    assert typing.get_type_hints(training._Worker.error)["return"] is TrscoreError
+class _TwoArgs(Exception):
+    """Pickles, but pickle cannot rebuild it: ``args`` holds the message only."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
+        self.code = code
+
+
+def _fault_in(monkeypatch, where: str, error: Exception):
+    """Make ``train``'s worker or ``train_supervised``'s validator raise
+    ``error``; returns the call that runs it."""
+    labeled, unlabeled, config = _sets(SMALL)
+    if where == "validation":
+        def faulty(net, val):
+            if _in_worker():
+                raise error
+            raise AssertionError("validation ran in the parent")
+
+        monkeypatch.setattr(training, "_safe_val_spearman", faulty)
+        return lambda: training.train_supervised(config, labeled)
+    real = training.teacher_forward
+
+    def faulty(net, x):
+        if _in_worker():
+            raise error
+        return real(net, x)
+
+    monkeypatch.setattr(training, "teacher_forward", faulty)
+    return lambda: training.train(config, labeled, unlabeled)
+
+
+@pytest.mark.parametrize("where", ["training", "validation"])
+@pytest.mark.parametrize("error", [
+    FloatingPointError("overflow encountered in exp"),
+    ParseError("a fault made in the worker", 17),
+], ids=["FloatingPointError", "ParseError"])
+def test_any_worker_error_comes_back_as_itself(where, error, worker_pids, monkeypatch):
+    # as in one process: errstate's FloatingPointError is no package error
+    run = _fault_in(monkeypatch, where, error)
+    with pytest.raises(type(error)) as caught:
+        run()
+    assert type(caught.value) is type(error)
+    assert str(caught.value) == str(error)
+    assert caught.value.args == error.args and vars(caught.value) == vars(error)
+    assert len(worker_pids) == 1
+
+
+@pytest.mark.parametrize("where", ["training", "validation"])
+@pytest.mark.parametrize("kind", ["local class", "no rebuild"])
+def test_an_unpicklable_worker_error_becomes_a_worker_error(
+    where, kind, worker_pids, monkeypatch
+):
+    class Local(Exception):
+        pass
+
+    error = Local("a local fault") if kind == "local class" else _TwoArgs("a coded fault", 3)
+    run = _fault_in(monkeypatch, where, error)
+    with pytest.raises(WorkerError) as caught:
+        run()
+    assert str(caught.value) == f"the {where} worker raised {type(error).__name__}: {error}"
+    assert len(worker_pids) == 1
 
 
 # -- train_supervised's forked validator --------------------------------------
