@@ -111,10 +111,10 @@ def _cmd_synth(args) -> int:
     )
     dataset = generate_synthetic(spec, split=args.split)
     save_features(dataset, args.out)
+    t, d = dataset.samples[0].features.shape
     print(
-        f"wrote {args.out}: {dataset.num_labeled} labeled + "
-        f"{dataset.num_unlabeled} unlabeled samples of "
-        f"{dataset.num_snippets} x {dataset.feature_dim}"
+        f"wrote {args.out}: {len(dataset.labeled_samples)} labeled + "
+        f"{len(dataset.unlabeled_samples)} unlabeled samples of {t} x {d}"
     )
     return 0
 

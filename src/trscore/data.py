@@ -1,5 +1,9 @@
 """Dataset container, synthetic task generation and the AQAF binary format.
 
+A sample is labeled exactly when it carries a score: the split between the
+small labeled portion and the unlabeled pool is the samples' own, in memory
+as on disk (AQAF's has_score flag).
+
 AQAF layout (little-endian): magic "AQAF", u32 version=1, u32 sample count,
 then per sample: u16 id length + UTF-8 id, u8 has_score flag, f64 score when
 flagged, u32 T, u32 D, and T*D f64 features in row-major order.
@@ -44,63 +48,32 @@ _BLOCK_BYTES = 1 << 18
 
 @dataclass
 class Dataset:
-    """Feature sequences split into labeled and unlabeled id sets."""
+    """Feature sequences, each labeled exactly when it carries a score.
+
+    Ids are unique, every sample has the same feature shape, and every score
+    is finite.
+    """
 
     samples: list[FeatureSequence]
-    labeled_ids: frozenset[str]
-    unlabeled_ids: frozenset[str]
-    score_range: tuple[float, float]
 
     def __post_init__(self):
-        self.labeled_ids = frozenset(self.labeled_ids)
-        self.unlabeled_ids = frozenset(self.unlabeled_ids)
         ids = [s.sample_id for s in self.samples]
         if len(set(ids)) != len(ids):
             raise ConfigurationError("sample ids must be unique")
-        if self.labeled_ids & self.unlabeled_ids:
-            raise ConfigurationError("labeled and unlabeled id sets must be disjoint")
-        if (self.labeled_ids | self.unlabeled_ids) != set(ids):
-            raise ConfigurationError("id sets must cover exactly the samples")
-        lo, hi = self.score_range
         for s in self.samples:
-            if s.sample_id in self.labeled_ids:
-                if s.score is None:
-                    raise ConfigurationError(f"labeled sample {s.sample_id!r} has no score")
-                if not lo <= s.score <= hi:
-                    raise ConfigurationError(
-                        f"score {s.score} of {s.sample_id!r} outside range [{lo}, {hi}]"
-                    )
-            elif s.score is not None:
-                raise ConfigurationError(
-                    f"unlabeled sample {s.sample_id!r} carries a score"
-                )
+            if s.score is not None and not math.isfinite(s.score):
+                raise ConfigurationError(f"score of {s.sample_id!r} is {s.score}")
         shapes = {s.features.shape for s in self.samples}
         if len(shapes) > 1:
             raise ConfigurationError(f"inconsistent feature shapes: {sorted(shapes)}")
 
     @property
     def labeled_samples(self) -> list[FeatureSequence]:
-        return [s for s in self.samples if s.sample_id in self.labeled_ids]
+        return [s for s in self.samples if s.score is not None]
 
     @property
     def unlabeled_samples(self) -> list[FeatureSequence]:
-        return [s for s in self.samples if s.sample_id in self.unlabeled_ids]
-
-    @property
-    def num_labeled(self) -> int:
-        return len(self.labeled_ids)
-
-    @property
-    def num_unlabeled(self) -> int:
-        return len(self.unlabeled_ids)
-
-    @property
-    def num_snippets(self) -> int:
-        return self.samples[0].num_snippets
-
-    @property
-    def feature_dim(self) -> int:
-        return self.samples[0].feature_dim
+        return [s for s in self.samples if s.score is None]
 
 
 @dataclass(frozen=True)
@@ -123,8 +96,10 @@ class SyntheticSpec:
             )
         if round(self.num_samples * self.label_fraction) < 1:
             raise ConfigurationError("label_fraction yields zero labeled samples")
-        if self.noise_std < 0.0:
-            raise ConfigurationError(f"noise_std must be nonnegative, got {self.noise_std}")
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ConfigurationError(
+                f"noise_std must be finite and nonnegative, got {self.noise_std}"
+            )
 
 
 def generate_synthetic(spec: SyntheticSpec, split: str = "train") -> Dataset:
@@ -170,17 +145,12 @@ def generate_synthetic(spec: SyntheticSpec, split: str = "train") -> Dataset:
     num_labeled = int(round(spec.num_samples * spec.label_fraction))
     labeled_positions = set(draw.permutation(spec.num_samples)[:num_labeled].tolist())
 
-    samples = []
-    labeled_ids, unlabeled_ids = [], []
-    for i, tensor in enumerate(features):
-        sample_id = f"{split}-{i:05d}"
-        if i in labeled_positions:
-            samples.append(FeatureSequence(tensor, sample_id, float(scores[i])))
-            labeled_ids.append(sample_id)
-        else:
-            samples.append(FeatureSequence(tensor, sample_id, None))
-            unlabeled_ids.append(sample_id)
-    return Dataset(samples, frozenset(labeled_ids), frozenset(unlabeled_ids), SCORE_RANGE)
+    return Dataset([
+        FeatureSequence(
+            tensor, f"{split}-{i:05d}", float(scores[i]) if i in labeled_positions else None
+        )
+        for i, tensor in enumerate(features)
+    ])
 
 
 # -- AQAF serialization -------------------------------------------------------
@@ -314,9 +284,4 @@ def iter_features(path) -> Iterator[FeatureSequence]:
 
 def load_features(path) -> Dataset:
     """Parse a whole AQAF file into a ``Dataset``; errors as ``iter_features``."""
-    samples = list(iter_features(path))
-    labeled_ids = frozenset(s.sample_id for s in samples if s.score is not None)
-    unlabeled_ids = frozenset(s.sample_id for s in samples if s.score is None)
-    scores = [s.score for s in samples if s.score is not None]
-    score_range = (min(scores), max(scores)) if scores else (0.0, 1.0)
-    return Dataset(samples, labeled_ids, unlabeled_ids, score_range)
+    return Dataset(list(iter_features(path)))

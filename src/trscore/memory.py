@@ -1,10 +1,12 @@
 """Confidence memories: per-sample stores of the most confident prediction.
 
-One memory tracks the teacher's direct score predictions, another tracks the
-reference network's recovered absolute scores. Lower sigma means higher
-confidence (a prediction with sigma near zero is a confident one), so a write
-replaces an entry only when it strictly lowers sigma; stored sigma is
-therefore the running minimum over a sample's lifetime and never increases.
+Entries are kept for the unlabeled pool, the samples without a score. One
+memory tracks the teacher's direct score predictions, another tracks the
+reference network's recovered absolute scores; the training state's ``m_t``
+and ``m_r`` tell the two apart. Lower sigma means higher confidence (a
+prediction with sigma near zero is a confident one), so a write replaces an
+entry only when it strictly lowers sigma; stored sigma is therefore the
+running minimum over a sample's lifetime and never increases.
 """
 
 from __future__ import annotations
@@ -14,9 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigurationError, ContractError, FusionUnavailableError, ParseError
-
-TEACHER = "teacher"
-REFERENCE = "reference"
 
 
 @dataclass
@@ -29,10 +28,7 @@ class MemoryEntry:
 class ConfidenceMemory:
     """Map from sample id to the most confident (score, sigma) seen so far."""
 
-    def __init__(self, kind: str):
-        if kind not in (TEACHER, REFERENCE):
-            raise ContractError(f"memory kind must be teacher or reference, got {kind!r}")
-        self.kind = kind
+    def __init__(self):
         self.entries: dict[str, MemoryEntry] = {}
 
     def __len__(self) -> int:
@@ -87,7 +83,7 @@ class ConfidenceMemory:
         Path(path).write_bytes("".join(lines).encode("utf-8"))
 
     @classmethod
-    def load_tsv(cls, path, kind: str) -> "ConfidenceMemory":
+    def load_tsv(cls, path) -> "ConfidenceMemory":
         """Inverse of ``save_tsv``.
 
         A malformed line (not UTF-8, fewer than four fields, a bad number, a
@@ -95,7 +91,7 @@ class ConfidenceMemory:
         epoch or a repeated id) raises ``ParseError`` naming the file, at the
         line's byte offset.
         """
-        mem = cls(kind)
+        mem = cls()
         lines = Path(path).read_bytes().split(b"\n")
         if not lines[-1]:
             lines.pop()  # the terminator of the last line

@@ -63,14 +63,6 @@ class FeatureSequence:
         if self.score is not None:
             self.score = float(self.score)
 
-    @property
-    def num_snippets(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.features.shape[1]
-
 
 @dataclass(frozen=True)
 class NetworkArch:

@@ -65,7 +65,7 @@ from .errors import (
     ParseError,
     WorkerError,
 )
-from .memory import REFERENCE, TEACHER, ConfidenceMemory, fuse_scores
+from .memory import ConfidenceMemory, fuse_scores
 from .networks import (
     FeatureSequence,
     Network,
@@ -320,8 +320,8 @@ def init_state(config: TrainConfig, arch: NetworkArch) -> TrsState:
         theta_s=None,
         theta_f=theta_f,
         epoch=0,
-        m_t=ConfidenceMemory(TEACHER),
-        m_r=ConfidenceMemory(REFERENCE),
+        m_t=ConfidenceMemory(),
+        m_r=ConfidenceMemory(),
         opt_trained=Adam(theta_t.params, config.learning_rate),
         opt_reference=Adam(theta_f.params, config.learning_rate),
     )
@@ -1309,8 +1309,8 @@ def load_checkpoint(directory) -> tuple[TrsState, TrainConfig]:
         theta_s=theta_s,
         theta_f=theta_f,
         epoch=payload["epoch"],
-        m_t=ConfidenceMemory.load_tsv(directory / "memory_t.tsv", TEACHER),
-        m_r=ConfidenceMemory.load_tsv(directory / "memory_r.tsv", REFERENCE),
+        m_t=ConfidenceMemory.load_tsv(directory / "memory_t.tsv"),
+        m_r=ConfidenceMemory.load_tsv(directory / "memory_r.tsv"),
         opt_trained=Adam((theta_s if trs else theta_t).params, config.learning_rate),
         opt_reference=Adam(theta_f.params, config.learning_rate),
     ), config

@@ -24,7 +24,7 @@ from trscore.data import (
 )
 from trscore.errors import ParseError
 from trscore.evaluation import evaluate, spearman
-from trscore.memory import TEACHER, ConfidenceMemory, MemoryEntry, fuse_pseudo_label
+from trscore.memory import ConfidenceMemory, MemoryEntry, fuse_pseudo_label
 from trscore.networks import (
     FeatureSequence,
     NetworkArch,
@@ -255,7 +255,7 @@ class TestCriterion3EmaClosedForm:
 class TestCriterion4MemoryProtocol:
     def test_randomized_writes_match_replay_oracle(self):
         gen = np.random.default_rng(44)
-        mem = ConfidenceMemory(TEACHER)
+        mem = ConfidenceMemory()
         oracle: dict[str, tuple[float, float]] = {}
         with verdict(4, "10^4 randomized writes agree with the replay oracle"):
             for op in range(10_000):
@@ -387,17 +387,14 @@ class TestCriterion8FormatRoundTrip:
         t = int(gen.integers(1, 6))
         d = int(gen.integers(1, 8))
         n = int(gen.integers(1, 25))
-        samples, labeled, unlabeled = [], [], []
+        samples = []
         for i in range(n):
             sample_id = f"clipé{seed}-{i}" if i % 4 == 0 else f"clip{seed}-{i}"
             score = float(gen.normal() * 10) if gen.random() < 0.6 else None
             samples.append(
                 FeatureSequence(Tensor(gen.normal(size=(t, d))), sample_id, score)
             )
-            (labeled if score is not None else unlabeled).append(sample_id)
-        scores = [s for s in (x.score for x in samples) if s is not None]
-        rng = (min(scores), max(scores)) if scores else (0.0, 1.0)
-        return Dataset(samples, frozenset(labeled), frozenset(unlabeled), rng)
+        return Dataset(samples)
 
     def test_round_trip_and_corruption(self, tmp_path):
         with verdict(8, "100 random datasets round-trip; corrupted files rejected"):
@@ -412,7 +409,9 @@ class TestCriterion8FormatRoundTrip:
                 for a, b in zip(loaded.samples, ds.samples):
                     assert a.score == b.score
                     np.testing.assert_array_equal(a.features.array, b.features.array)
-                assert loaded.labeled_ids == ds.labeled_ids
+                assert [s.sample_id for s in loaded.labeled_samples] == [
+                    s.sample_id for s in ds.labeled_samples
+                ]
 
             reference = tmp_path / "rt0.aqaf"
             blob = reference.read_bytes()

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from trscore.autodiff import ParameterSet
 from trscore.errors import ConfigurationError, ParseError
-from trscore.memory import TEACHER, ConfidenceMemory
+from trscore.memory import ConfidenceMemory
 from trscore.networks import NetworkArch
 from trscore.training import (
     TrainConfig,
@@ -248,20 +248,20 @@ _AWKWARD_IDS = ["a\tb", "tab\t\t", "c\rd", "end\r", "e\x85f", "g\u2028h", "i\x0b
 def _load_tsv(tmp_path, blob: bytes):
     path = tmp_path / "memory_t.tsv"
     path.write_bytes(blob)
-    return ConfidenceMemory.load_tsv(path, TEACHER)
+    return ConfidenceMemory.load_tsv(path)
 
 
 class TestMemoryFile:
     def test_awkward_ids_round_trip(self, tmp_path):
-        mem = ConfidenceMemory(TEACHER)
+        mem = ConfidenceMemory()
         for i, sample_id in enumerate(_AWKWARD_IDS):
             mem.maybe_write(sample_id, i - 3.25, 0.5 + i, i)
         path = tmp_path / "memory_t.tsv"
         mem.save_tsv(path)
-        assert ConfidenceMemory.load_tsv(path, TEACHER).entries == mem.entries
+        assert ConfidenceMemory.load_tsv(path).entries == mem.entries
 
     def test_newline_in_id_rejected_on_save(self, tmp_path):
-        mem = ConfidenceMemory(TEACHER)
+        mem = ConfidenceMemory()
         mem.maybe_write("two\nlines", 1.0, 0.5, 0)
         with pytest.raises(ConfigurationError, match="two\\\\nlines"):
             mem.save_tsv(tmp_path / "memory_t.tsv")
@@ -297,7 +297,7 @@ class TestMemoryFile:
     @given(st.data())
     def test_byte_mutations_load_or_raise_parse_error(self, tmp_path_factory, data):
         tmp_path = tmp_path_factory.mktemp("tsv")
-        mem = ConfidenceMemory(TEACHER)
+        mem = ConfidenceMemory()
         for i, sample_id in enumerate(_AWKWARD_IDS):
             mem.maybe_write(sample_id, i * 1.5, 0.25 + i, i)
         mem.save_tsv(tmp_path / "memory_t.tsv")

@@ -63,6 +63,19 @@ class TestSynth:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_exits_2_without_a_file(self, tmp_path, capsys, noise):
+        out = tmp_path / "x.aqaf"
+        assert run_cli(["synth", "--n", 10, "--noise-std", noise, "-o", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "noise_std" in err[0]
+        assert os.listdir(tmp_path) == []
+
+    def test_summary_line(self, tmp_path, capsys):
+        out = tmp_path / "d.aqaf"
+        assert run_cli(["synth", "--n", 10, "--t", 3, "--d", 4, "-o", out]) == 0
+        assert capsys.readouterr().out == f"wrote {out}: 1 labeled + 9 unlabeled samples of 3 x 4\n"
+
 
 class TestTrainEval:
     def test_end_to_end(self, tiny_data, tmp_path, capsys):
@@ -303,8 +316,7 @@ class TestEvalStream:
         else:
             samples = load_features(path).samples
             samples[-1].score = None
-            ids = {s.sample_id for s in samples}
-            save_features(Dataset(samples, ids - {"bulk-00299"}, {"bulk-00299"}, (-9, 9)), path)
+            save_features(Dataset(samples), path)
         forwards = []
         scored = evaluation._forward
         monkeypatch.setattr(

@@ -27,6 +27,10 @@ from trscore.evaluation import spearman
 from trscore.networks import FeatureSequence
 
 
+def _ids(samples) -> list[str]:
+    return [s.sample_id for s in samples]
+
+
 class TestSyntheticSpec:
     def test_rejects_zero_label_fraction_rounding(self):
         with pytest.raises(ConfigurationError):
@@ -54,8 +58,8 @@ class TestGenerateSynthetic:
     def test_full_label_fraction_means_no_unlabeled(self):
         spec = SyntheticSpec(num_samples=15, t=3, d=6, label_fraction=1.0, seed=1)
         ds = generate_synthetic(spec)
-        assert ds.num_unlabeled == 0
-        assert ds.num_labeled == 15
+        assert len(ds.unlabeled_samples) == 0
+        assert len(ds.labeled_samples) == 15
 
     def test_splits_share_task_but_not_samples(self):
         spec = SyntheticSpec(num_samples=10, t=3, d=6, label_fraction=1.0, seed=2)
@@ -87,14 +91,14 @@ class TestGenerateSynthetic:
         for rows in (1, 3, 7):
             monkeypatch.setattr(data_module, "_BLOCK_BYTES", rows * 8 * spec.t * spec.d)
             blocked = generate_synthetic(spec)
-            assert blocked.labeled_ids == whole.labeled_ids
+            assert _ids(blocked.labeled_samples) == _ids(whole.labeled_samples)
             for a, b in zip(blocked.samples, whole.samples):
                 assert a.score == b.score
                 assert a.features.array.tobytes() == b.features.array.tobytes()
 
     def test_scores_within_declared_range(self):
         ds = generate_synthetic(SyntheticSpec(num_samples=200, t=2, d=4, label_fraction=1.0, seed=4))
-        lo, hi = ds.score_range
+        lo, hi = data_module.SCORE_RANGE
         assert all(lo <= s.score <= hi for s in ds.samples)
 
 
@@ -104,33 +108,22 @@ class TestDatasetValidation:
 
     def test_duplicate_ids(self):
         with pytest.raises(ConfigurationError):
-            Dataset([self._seq("a", 1.0), self._seq("a", 2.0)], {"a"}, set(), (0, 5))
+            Dataset([self._seq("a", 1.0), self._seq("a", 2.0)])
 
-    def test_overlapping_id_sets(self):
-        with pytest.raises(ConfigurationError):
-            Dataset([self._seq("a", 1.0)], {"a"}, {"a"}, (0, 5))
-
-    def test_score_out_of_range(self):
-        with pytest.raises(ConfigurationError):
-            Dataset([self._seq("a", 9.0)], {"a"}, set(), (0.0, 5.0))
-
-    def test_labeled_without_score(self):
-        with pytest.raises(ConfigurationError):
-            Dataset([self._seq("a", None)], {"a"}, set(), (0.0, 5.0))
+    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score(self, score):
+        with pytest.raises(ConfigurationError, match="'a'"):
+            Dataset([self._seq("b", 1.0), self._seq("a", score)])
 
     def test_inconsistent_shapes(self):
         odd = FeatureSequence(Tensor(np.zeros((3, 2))), "b", None)
         with pytest.raises(ConfigurationError):
-            Dataset([self._seq("a", 1.0), odd], {"a"}, {"b"}, (0.0, 5.0))
+            Dataset([self._seq("a", 1.0), odd])
 
-    @pytest.mark.parametrize("labeled, unlabeled", [({"a"}, set()), ({"a"}, {"b", "c"})])
-    def test_id_sets_must_cover_the_samples(self, labeled, unlabeled):
-        with pytest.raises(ConfigurationError, match="cover"):
-            Dataset([self._seq("a", 1.0), self._seq("b")], labeled, unlabeled, (0.0, 5.0))
-
-    def test_unlabeled_sample_with_score(self):
-        with pytest.raises(ConfigurationError, match="carries a score"):
-            Dataset([self._seq("a", 1.0)], set(), {"a"}, (0.0, 5.0))
+    def test_labeled_means_scored(self):
+        ds = Dataset([self._seq("a", 1.0), self._seq("b"), self._seq("c", 0.0)])
+        assert _ids(ds.labeled_samples) == ["a", "c"]
+        assert _ids(ds.unlabeled_samples) == ["b"]
 
 
 def random_dataset(seed):
@@ -138,15 +131,12 @@ def random_dataset(seed):
     t = int(gen.integers(1, 6))
     d = int(gen.integers(1, 8))
     n = int(gen.integers(1, 20))
-    samples, labeled, unlabeled = [], [], []
+    samples = []
     for i in range(n):
         sample_id = f"v{i}-α{seed}" if i % 3 == 0 else f"v{i}"
         score = float(gen.normal()) if gen.random() < 0.6 else None
         samples.append(FeatureSequence(Tensor(gen.normal(size=(t, d))), sample_id, score))
-        (labeled if score is not None else unlabeled).append(sample_id)
-    scores = [s.score for s in samples if s.score is not None]
-    rng_range = (min(scores), max(scores)) if scores else (0.0, 1.0)
-    return Dataset(samples, frozenset(labeled), frozenset(unlabeled), rng_range)
+    return Dataset(samples)
 
 
 class TestAqafRoundTrip:
@@ -157,8 +147,8 @@ class TestAqafRoundTrip:
             save_features(ds, path)
             loaded = load_features(path)
             assert [s.sample_id for s in loaded.samples] == [s.sample_id for s in ds.samples]
-            assert loaded.labeled_ids == ds.labeled_ids
-            assert loaded.unlabeled_ids == ds.unlabeled_ids
+            assert _ids(loaded.labeled_samples) == _ids(ds.labeled_samples)
+            assert _ids(loaded.unlabeled_samples) == _ids(ds.unlabeled_samples)
             for a, b in zip(loaded.samples, ds.samples):
                 assert a.score == b.score
                 np.testing.assert_array_equal(a.features.array, b.features.array)
@@ -292,7 +282,7 @@ class TestAqafErrors:
             FeatureSequence(Tensor(np.ones((2, 3))), "c", -2.0),
         ]
         path = tmp_path / "whole.aqaf"
-        save_features(Dataset(samples, {"a", "c"}, {"bé"}, (-2.0, 1.5)), path)
+        save_features(Dataset(samples), path)
         blob = path.read_bytes()
         cut = tmp_path / "cut.aqaf"
         for end in range(len(blob)):
@@ -396,7 +386,7 @@ class TestAqafErrors:
         # the overlong id comes last, after every other sample was written
         samples = [FeatureSequence(Tensor(np.zeros((1, 1))), f"s{i}", None) for i in range(3)]
         samples.append(FeatureSequence(Tensor(np.zeros((1, 1))), "é" * 32768, None))
-        dataset = Dataset(samples, set(), {s.sample_id for s in samples}, (0.0, 1.0))
+        dataset = Dataset(samples)
         path = tmp_path / "long.aqaf"
         if existing is not None:
             path.write_bytes(existing)
@@ -445,7 +435,7 @@ class TestGoldenFixture:
         path = tmp_path / "golden.aqaf"
         path.write_bytes(blob)
         ds = load_features(path)
-        assert ds.num_labeled == 1 and ds.num_unlabeled == 1
+        assert len(ds.labeled_samples) == 1 and len(ds.unlabeled_samples) == 1
         first = ds.samples[0]
         assert first.sample_id == "dive1"
         assert first.score == 7.5

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from trscore import cli, training
 from trscore.data import SyntheticSpec, generate_synthetic
@@ -38,6 +40,10 @@ SMALL = "t4d8-wrap-b4"  # wraps the unlabeled pass, and its last batch has one s
 
 def _in_worker() -> bool:
     return os.getpid() != PARENT
+
+
+def _in_one_process(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
 
 
 def _sets(shape: str):
@@ -279,6 +285,45 @@ def test_one_process_where_no_worker_can_be_forked(why, worker_pids, monkeypatch
     _assert_same_state(state, forked_state)
 
 
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n=st.integers(5, 20),
+    label_fraction=st.floats(0.1, 1.0),
+    t=st.integers(1, 4),
+    d=st.integers(1, 6),
+    batch=st.integers(1, 16),
+    burn_in=st.integers(1, 3),
+    trs=st.integers(1, 4),
+    toggles=st.builds(training.ComponentToggles, st.booleans(), st.booleans(), st.booleans()),
+    seed=st.integers(0, 1000),
+)
+def test_forked_train_equals_one_process(
+    n, label_fraction, t, d, batch, burn_in, trs, toggles, seed, worker_pids, tmp_path
+):
+    assume(round(n * label_fraction) >= 1)
+    dataset = generate_synthetic(SyntheticSpec(n, t, d, label_fraction, 0.5, seed))
+    labeled, unlabeled = dataset.labeled_samples, dataset.unlabeled_samples
+    config = training.TrainConfig(
+        burn_in_epochs=burn_in, max_epochs=burn_in + trs, learning_rate=1e-3, seed=seed,
+        batch_size=batch, component_toggles=toggles,
+    )
+    started = len(worker_pids)
+    with pytest.MonkeyPatch.context() as patch:
+        forked_state, forked_rows = _trained(config, labeled, unlabeled, patch, tmp_path)
+        assert len(worker_pids) == started + 1
+        with pytest.raises(ProcessLookupError):
+            os.kill(worker_pids[-1], 0)
+        _in_one_process(patch)
+        state, rows = _trained(config, labeled, unlabeled, patch, tmp_path)
+    assert len(worker_pids) == started + 1  # no second worker
+    assert np.array_equal(
+        np.array([astuple(r) for r in rows]), np.array([astuple(r) for r in forked_rows]),
+        equal_nan=True,
+    )
+    _assert_same_state(state, forked_state)
+
+
 class _TwoArgs(Exception):
     """Pickles, but pickle cannot rebuild it: ``args`` holds the message only."""
 
@@ -353,10 +398,6 @@ def _held_out(shape: str, n: int = 150):
 
 def _validation_set(shape: str, which: str):
     return {"default": None, "explicit": _held_out(shape), "empty": []}[which]
-
-
-def _in_one_process(monkeypatch):
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
 
 
 def _supervised_outputs(config, labeled, val, path):

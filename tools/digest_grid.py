@@ -12,12 +12,15 @@ for both, the predictions CSV of ``evaluate`` with the trained student on a
 held-out split of ``HELD_OUT`` samples, whose 256-sample chunks (256, 256,
 88) cross both the chunk edge and the size from which a chunk is encoded on
 two threads. One ``trscore eval`` run on the first shape's ``full``
-checkpoint adds the CLI's predictions CSV. A case is one of the five
+checkpoint adds the CLI's predictions CSV. The AQAF bytes that
+``save_features`` writes are hashed too: each shape's training split, and the
+held-out file that ``trscore eval`` reads. A case is one of the five
 ablation configurations of ``trscore ablate`` or the labeled-only baseline,
 on each of the shapes below. The baseline runs three times: validated on
 its labeled set, on the first ``VALIDATION`` held-out samples, and on those
-samples with every score set equal, whose Spearman is undefined (NaN). The script prints one line per file and exits
-1 unless every file is bit-identical.
+samples with every score set equal, whose Spearman is undefined (NaN). The
+script prints one line per file and exits 1 unless every file is
+bit-identical.
 
 The shapes differ in the batch arithmetic they exercise: full batches of 4
 at the benchmark's feature size; fewer unlabeled than labeled samples, so
@@ -74,6 +77,8 @@ def emit(workdir: Path) -> dict[str, str]:
     digests = {}
     for shape, (spec, settings) in SHAPES.items():
         dataset = data.generate_synthetic(data.SyntheticSpec(**spec))
+        (workdir / shape).mkdir()
+        data.save_features(dataset, workdir / shape / "train.aqaf")
         labeled, unlabeled = dataset.labeled_samples, dataset.unlabeled_samples
         held_out = data.generate_synthetic(
             data.SyntheticSpec(**{**spec, "num_samples": HELD_OUT, "label_fraction": 1.0}),
@@ -107,7 +112,6 @@ def emit(workdir: Path) -> dict[str, str]:
                     "-o", str(cli_out / "predictions.csv")]
             if cli.main(argv) != 0:
                 sys.exit(f"trscore {' '.join(argv)} failed")
-            aqaf.unlink()
     for path in sorted(workdir.rglob("*")):
         if path.is_file():
             digests[path.relative_to(workdir).as_posix()] = _sha256(path)
