@@ -23,10 +23,11 @@ values and gradients are bit-identical to them. Only ``add``, ``mul`` and
 ``sum``, which combine a step's loss terms, remain as operations here; the
 unfused building blocks live in the tests as the fused nodes' oracles.
 
-A ``ParameterSet`` keeps all its values in one contiguous float64 vector
-(``ParameterSet.data``) of which every parameter's tensor is a reshaped view,
-so whole-set updates (Adam, EMA, copies, checkpoint data) are single vector
-expressions.
+A ``ParameterSet`` is a layout, the ``[(name, shape)]`` list, over one
+contiguous float64 vector (``ParameterSet.data``) of which every parameter's
+tensor is a reshaped view, so whole-set updates (Adam, EMA, copies,
+checkpoint data, a forked worker's exchange) are single vector expressions,
+and one ``version`` per set counts the optimizer steps that moved it.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError
 
 Array = np.ndarray
 
@@ -359,20 +360,13 @@ def grad_check(
 
 
 class Parameter:
-    """A named trainable tensor with an update counter.
+    """A named trainable tensor: a view into its set's arena, or whatever
+    tensor a caller swaps in to probe the gradient through it."""
 
-    All in-place mutation goes through ``assign``; the counter makes update
-    provenance checkable (e.g. that EMA-only parameters were never stepped).
-    """
+    __slots__ = ("name", "tensor")
 
-    __slots__ = ("name", "tensor", "version")
-
-    def __init__(self, name: str, values):
-        if not name:
-            raise ContractError("parameter name must be non-empty")
-        self.name = name
-        self.tensor = Tensor(values, requires_grad=True)
-        self.version = 0
+    def __init__(self, name: str, tensor: Tensor):
+        self.name, self.tensor = name, tensor
 
     @property
     def array(self) -> Array:
@@ -382,77 +376,38 @@ class Parameter:
     def grad(self) -> Array | None:
         return self.tensor.grad
 
-    def assign(self, values: Array) -> None:
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.shape != self.tensor.shape:
-            raise DimensionError(
-                f"cannot assign shape {arr.shape} to parameter "
-                f"{self.name!r} of shape {self.tensor.shape}"
-            )
-        self.tensor._array[...] = arr
-        self.version += 1
-
-    def zero_grad(self) -> None:
-        self.tensor.zero_grad()
-
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.tensor.shape})"
 
 
 class ParameterSet:
-    """Ordered collection of uniquely named parameters in one flat arena.
+    """Uniquely named parameters laid out in order over one flat arena.
 
-    ``data`` is a contiguous float64 vector holding every value in layout
-    order; each parameter's tensor is a reshaped view into it, so writes
-    through ``Parameter.assign`` and writes to ``data`` are the same writes.
-    ``from_layout`` builds every set.
+    ``layout`` is the ``[(name, shape)]`` list and ``data`` the contiguous
+    float64 vector, adopted, not copied, that holds every value in layout
+    order; each parameter's tensor is a reshaped view into it, so a write
+    through either is a write to both. ``version`` counts the optimizer
+    steps that moved the set.
     """
 
-    def __init__(self):
-        self._params: dict[str, Parameter] = {}
-        self.data: Array = np.zeros(0)
-
-    @classmethod
-    def from_layout(
-        cls, layout: Iterable[tuple[str, tuple[int, ...]]], data: Array
-    ) -> "ParameterSet":
-        """Parameters named and shaped by ``layout`` over the vector ``data``.
-
-        ``data`` is adopted, not copied.
-        """
-        out = cls()
-        size = 0  # the module's own ``sum`` shadows the builtin
-        for name, shape in layout:
-            if name in out._params:
-                raise ContractError(f"duplicate parameter name {name!r}")
-            out._params[name] = Parameter(name, np.empty(shape))
-            size += out._params[name].tensor.numel
-        if data.shape != (size,) or data.dtype != np.float64:
+    def __init__(self, layout: Iterable[tuple[str, Sequence[int]]], data: Array):
+        self.layout = [(name, tuple(shape)) for name, shape in layout]
+        bounds = np.cumsum([0] + [math.prod(shape) for _, shape in self.layout])
+        if data.shape != (bounds[-1],) or data.dtype != np.float64:
             raise ContractError(
-                f"arena needs {size} float64 values, got {data.dtype} {data.shape}"
+                f"arena needs {bounds[-1]} float64 values, got {data.dtype} {data.shape}"
             )
-        out._bind(data)
-        return out
-
-    def with_data(self, data: Array) -> "ParameterSet":
-        """A new set with this set's names and shapes over ``data``."""
-        return ParameterSet.from_layout(
-            ((name, p.tensor.shape) for name, p in self.items()), data
-        )
-
-    def _bind(self, data: Array) -> None:
-        self.data = data
-        offset = 0
-        for p in self._params.values():
-            size = p.tensor.numel
-            p.tensor._array = data[offset : offset + size].reshape(p.tensor.shape)
-            offset += size
+        self.data, self.version = data, 0
+        self._params: dict[str, Parameter] = {}
+        for (name, shape), lo, hi in zip(self.layout, bounds, bounds[1:]):
+            if not name or name in self._params:
+                raise ContractError(f"empty or duplicate parameter name {name!r}")
+            tensor = Tensor(0.0, requires_grad=True)
+            tensor._array = data[lo:hi].reshape(shape)  # a view into the arena
+            self._params[name] = Parameter(name, tensor)
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
 
     def __iter__(self):
         return iter(self._params.values())
@@ -460,31 +415,12 @@ class ParameterSet:
     def __len__(self) -> int:
         return len(self._params)
 
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def items(self):
         return self._params.items()
 
     def zero_grad(self) -> None:
         for p in self._params.values():
-            p.zero_grad()
+            p.tensor.zero_grad()
 
     def copy(self) -> "ParameterSet":
-        return self.with_data(self.data.copy())
-
-    def assert_matches(self, other: "ParameterSet") -> None:
-        """Raise unless both sets share names and shapes."""
-        if self.names() != other.names():
-            raise ContractError(
-                f"parameter sets disagree: {self.names()} vs {other.names()}"
-            )
-        for name, p in self.items():
-            if p.tensor.shape != other[name].tensor.shape:
-                raise ContractError(
-                    f"parameter {name!r} shape mismatch: "
-                    f"{p.tensor.shape} vs {other[name].tensor.shape}"
-                )
-
-    def num_values(self) -> int:
-        return int(self.data.size)
+        return ParameterSet(self.layout, self.data.copy())

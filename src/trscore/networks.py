@@ -207,7 +207,7 @@ def _init_params(layout: Layout, rng: np.random.Generator) -> ParameterSet:
         else:
             limit = 1.0 / math.sqrt(shape[0])  # shape is (fan_in, fan_out)
             values.append(rng.uniform(-limit, limit, size=shape))
-    return ParameterSet.from_layout(layout, np.concatenate([v.reshape(-1) for v in values]))
+    return ParameterSet(layout, np.concatenate([v.reshape(-1) for v in values]))
 
 
 def init_teacher_params(arch: NetworkArch, rng: np.random.Generator) -> Network:

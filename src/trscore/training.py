@@ -132,18 +132,21 @@ class TrainConfig:
                 f"max_epochs ({self.max_epochs}) must exceed burn_in_epochs "
                 f"({self.burn_in_epochs})"
             )
-        if self.learning_rate <= 0.0:
+        if not 0.0 < self.learning_rate < math.inf:
             raise ConfigurationError(
-                f"learning_rate must be positive, got {self.learning_rate}"
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
             )
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be positive, got {self.batch_size}")
-        if self.augment_noise_std < 0.0:
+        if not 0.0 <= self.augment_noise_std < math.inf:
             raise ConfigurationError(
-                f"augment_noise_std must be nonnegative, got {self.augment_noise_std}"
+                "augment_noise_std must be nonnegative and finite, "
+                f"got {self.augment_noise_std}"
             )
-        if self.beta_peak < 0.0:
-            raise ConfigurationError(f"beta_peak must be nonnegative, got {self.beta_peak}")
+        if not 0.0 <= self.beta_peak < math.inf:
+            raise ConfigurationError(
+                f"beta_peak must be nonnegative and finite, got {self.beta_peak}"
+            )
 
     def to_dict(self) -> dict:
         """Flat key -> value map; the toggles sit beside the other fields."""
@@ -207,7 +210,7 @@ class Adam:
         self.params = params
         self.learning_rate = learning_rate
         self._step = 0
-        size = params.num_values()
+        size = params.data.size
         self._m, self._v = np.zeros(size), np.zeros(size)
         self._grad, self._work = np.empty(size), np.empty(size)
 
@@ -247,8 +250,7 @@ class Adam:
         g += ADAM_EPSILON
         work /= g
         self.params.data -= work
-        for p in self.params:
-            p.version += 1
+        self.params.version += 1
 
 
 def ema_update(theta_t: ParameterSet, theta_s: ParameterSet, alpha: float) -> ParameterSet:
@@ -258,8 +260,11 @@ def ema_update(theta_t: ParameterSet, theta_s: ParameterSet, alpha: float) -> Pa
     """
     if not 0.0 < alpha < 1.0:
         raise ContractError(f"alpha must lie in (0, 1), got {alpha}")
-    theta_t.assert_matches(theta_s)
-    return theta_t.with_data(alpha * theta_t.data + (1.0 - alpha) * theta_s.data)
+    if theta_t.layout != theta_s.layout:
+        raise ContractError(
+            f"parameter sets disagree: {theta_t.layout} vs {theta_s.layout}"
+        )
+    return ParameterSet(theta_t.layout, alpha * theta_t.data + (1.0 - alpha) * theta_s.data)
 
 
 def augment(
@@ -692,7 +697,8 @@ def _check_training_sets(
     unlabeled: Sequence[FeatureSequence],
     val: Sequence[FeatureSequence] = (),
 ) -> tuple[int, int]:
-    """The (T, D) of every sample; the validation set may repeat training ids."""
+    """The (T, D) of every sample; every labeled and validation score is
+    finite, and the validation set may repeat training ids."""
     if not labeled:
         raise ConfigurationError("training requires at least one labeled sample")
     seen: set[str] = set()
@@ -702,8 +708,11 @@ def _check_training_sets(
         seen.add(sample.sample_id)
     for what, samples in (("labeled", labeled), ("validation", val)):
         for sample in samples:
-            if sample.score is None:
-                raise ConfigurationError(f"{what} sample {sample.sample_id!r} has no score")
+            if sample.score is None or not math.isfinite(sample.score):
+                raise ConfigurationError(
+                    f"{what} sample {sample.sample_id!r} has score {sample.score}, "
+                    "expected a finite number"
+                )
     t, d = labeled[0].features.shape
     for sample in list(labeled) + list(unlabeled) + list(val):
         if sample.features.shape != (t, d):
@@ -857,7 +866,7 @@ def train_supervised(
     if context is None:
         metrics = _run_epochs(config, state, labeled_set, student_epoch, _score_here(val))
         return state.theta_s, metrics
-    exchange = _Exchange(context, arena=state.theta_t.params.num_values())
+    exchange = _Exchange(context, arena=state.theta_t.params.data.size)
     with _Worker(context, "validation", exchange, _validate, (state.theta_t, val)) as validator:
 
         def score(student: Network) -> Callable[[], float]:
@@ -1041,7 +1050,7 @@ def _work(
         exchange.arena[:] = opt.params.data
         exchange.m[:] = opt._m
         exchange.v[:] = opt._v
-        outbox.send(("done", sums["l_reg_s"], sums["l_unsup"], opt._step))
+        outbox.send(("done", sums["l_reg_s"], sums["l_unsup"], opt._step, opt.params.version))
 
 
 def _reference_pass(labels: _PseudoLabelHalf, opt: Adam) -> np.ndarray:
@@ -1085,7 +1094,8 @@ def _run_forked(
     per labeled position) and each batch's reference term, which this
     process writes before it releases the batches that read them. This
     process sends how many of the epoch's batches are released so far; the
-    worker replies once per epoch with its loss sums and Adam step count.
+    worker replies once per epoch with its loss sums, its Adam step count and
+    the trained set's version.
     """
     pools = _Pools.of(labeled_set, unlabeled_set)
     n, m, burn_in = len(labeled_set), len(unlabeled_set), config.burn_in_epochs
@@ -1102,7 +1112,7 @@ def _run_forked(
         student = state.theta_s if row.epoch >= burn_in else None
         return replace(row, val_spearman=_safe_val_spearman(student, val))
 
-    arena = state.theta_t.params.num_values()
+    arena = state.theta_t.params.data.size
     exchange = _Exchange(
         context, arena=arena, m=arena, v=arena, s_bar=n,
         relative=len(_batch_bounds(n, config.batch_size)),
@@ -1126,9 +1136,10 @@ def _run_forked(
                 metrics[-1] = validated(metrics[-1])
             if epoch + 1 < config.max_epochs:
                 labels, relative = reference_half(epoch + 1)
-            sums["l_reg_s"], sums["l_unsup"], steps = worker.reply()
+            sums["l_reg_s"], sums["l_unsup"], steps, version = worker.reply()
             trained = state.theta_t if epoch < burn_in else state.theta_s
             trained.params.data[:] = exchange.arena
+            trained.params.version = version
             if epoch >= burn_in:
                 _ema(state, config)
             metrics.append(_row(epoch, sums, n, _beta(config, epoch)))
@@ -1147,12 +1158,12 @@ _BIN_VERSION = 1
 def save_parameter_set(params: ParameterSet, path) -> None:
     """Name table (name, shape per parameter) followed by raw float64 data."""
     chunks = [struct.pack("<II", _BIN_VERSION, len(params))]
-    for name, p in params.items():
+    for name, shape in params.layout:
         encoded = name.encode("utf-8")
         chunks.append(struct.pack("<H", len(encoded)))
         chunks.append(encoded)
-        chunks.append(struct.pack("<B", p.tensor.ndim))
-        chunks.append(struct.pack(f"<{p.tensor.ndim}I", *p.tensor.shape))
+        chunks.append(struct.pack("<B", len(shape)))
+        chunks.append(struct.pack(f"<{len(shape)}I", *shape))
     chunks.append(params.data.astype("<f8").tobytes())
     Path(path).write_bytes(b"".join(chunks))
 
@@ -1186,7 +1197,7 @@ def load_parameter_set(path) -> ParameterSet:
         if cur.offset != cur.size:
             raise cur.error(f"{cur.size - cur.offset} bytes after the data section")
     data = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return ParameterSet.from_layout(layout.items(), data)
+    return ParameterSet(layout.items(), data)
 
 
 def save_checkpoint(directory, state: TrsState, config: TrainConfig) -> None:
@@ -1295,7 +1306,7 @@ def load_checkpoint(directory) -> tuple[TrsState, TrainConfig]:
     def load(name: str, layout) -> Network:
         # the fused network ops index parameters by the arch's shapes
         params = load_parameter_set(directory / name)
-        if [(key, p.tensor.shape) for key, p in params.items()] != layout:
+        if params.layout != layout:
             raise ConfigurationError(
                 f"{directory / name}: parameter names or shapes do not match {arch}"
             )

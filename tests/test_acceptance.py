@@ -210,9 +210,9 @@ class TestCriterion2EquationUnitSuite:
             assert abs(beta_at(0) - 0.2 * np.exp(-5.0)) < atol
             assert abs(beta_at(100) - 0.2 * np.exp(-1.25)) < atol
             # ema_update
-            a = ParameterSet.from_layout([("w", (1,))], np.array([2.0]))
-            b = ParameterSet.from_layout([("w", (1,))], np.array([1.0]))
-            same = ParameterSet.from_layout([("w", (1,))], np.array([2.0]))
+            a = ParameterSet([("w", (1,))], np.array([2.0]))
+            b = ParameterSet([("w", (1,))], np.array([1.0]))
+            same = ParameterSet([("w", (1,))], np.array([2.0]))
             assert abs(ema_update(a, same, 0.9)["w"].array[0] - 2.0) < atol
             assert abs(ema_update(a, b, 0.99)["w"].array[0] - 1.99) < atol
             current = a
@@ -240,8 +240,8 @@ class TestCriterion3EmaClosedForm:
         for _, shape in layout:
             t_values.append(gen.normal(size=shape).reshape(-1))
             s_values.append(gen.normal(size=shape).reshape(-1))
-        theta_t = ParameterSet.from_layout(layout, np.concatenate(t_values))
-        theta_s = ParameterSet.from_layout(layout, np.concatenate(s_values))
+        theta_t = ParameterSet(layout, np.concatenate(t_values))
+        theta_s = ParameterSet(layout, np.concatenate(s_values))
         alpha, k = 0.99, 50
         current = theta_t
         for _ in range(k):

@@ -30,7 +30,7 @@ from trscore.training import (
 
 
 def _valid_blob(tmp_path) -> bytes:
-    ps = ParameterSet.from_layout(
+    ps = ParameterSet(
         [("w", (2, 3)), ("bé", (1,)), ("s", ())], np.append(np.arange(6.0), [-1.5, 2.0])
     )
     path = tmp_path / "valid.bin"
@@ -47,7 +47,7 @@ def _load_blob(tmp_path, blob: bytes):
 class TestParameterFile:
     def test_round_trip_keeps_layout_and_values(self, tmp_path):
         loaded = _load_blob(tmp_path, _valid_blob(tmp_path))
-        assert loaded.names() == ["w", "bé", "s"]
+        assert loaded.layout == [("w", (2, 3)), ("bé", (1,)), ("s", ())]
         assert loaded["s"].array.shape == ()
         np.testing.assert_array_equal(loaded.data, [0, 1, 2, 3, 4, 5, -1.5, 2.0])
         loaded.data[0] = 7.0  # the arena is writable and owned

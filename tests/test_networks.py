@@ -36,7 +36,7 @@ def rand(shape, seed=0):
 def zeroed(params, substrings):
     for p in params.params:
         if any(s in p.name for s in substrings):
-            p.assign(np.zeros_like(p.array))
+            p.array[...] = 0.0
 
 
 class TestMixer:
@@ -72,7 +72,7 @@ class TestMixer:
                 pass
             layout.append((name, p.tensor.shape))
             values_of.append(values.reshape(-1))
-        permuted = ParameterSet.from_layout(layout, np.concatenate(values_of))
+        permuted = ParameterSet(layout, np.concatenate(values_of))
         from trscore.networks import TeacherParams
 
         params_perm = TeacherParams(arch, permuted)
@@ -102,8 +102,8 @@ class TestMixer:
 class TestRegressionHead:
     def _with_bias(self, arch, bias):
         params = init_teacher_params(arch, np.random.default_rng(0))
-        params.params["head.weight"].assign(np.zeros((arch.d, 2)))
-        params.params["head.bias"].assign(np.array(bias))
+        params.params["head.weight"].array[...] = 0.0
+        params.params["head.bias"].array[...] = bias
         return params
 
     def test_raw_outputs_exp_identity(self):
@@ -170,7 +170,7 @@ class TestReferenceForward:
     def test_zero_query_projection_gives_uniform_attention(self):
         arch = small_arch()
         params = init_reference_params(arch, np.random.default_rng(0))
-        params.params["attn.0.w_query"].assign(np.zeros((arch.d, arch.d_k)))
+        params.params["attn.0.w_query"].array[...] = 0.0
         weights = attention_maps(
             params, Tensor(rand((arch.t, arch.d), 1)), Tensor(rand((arch.t, arch.d), 2))
         )[0]

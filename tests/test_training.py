@@ -1,5 +1,7 @@
 """Training-loop tests: EMA, augmentation, stages, degeneration, checkpoints."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -48,13 +50,13 @@ def quick_config(**kwargs):
 
 class TestEmaUpdate:
     def _sets(self):
-        a = ParameterSet.from_layout([("w", (1, 2))], np.array([2.0, -1.0]))
-        b = ParameterSet.from_layout([("w", (1, 2))], np.array([1.0, 3.0]))
+        a = ParameterSet([("w", (1, 2))], np.array([2.0, -1.0]))
+        b = ParameterSet([("w", (1, 2))], np.array([1.0, 3.0]))
         return a, b
 
     def test_fixed_point(self):
         a, _ = self._sets()
-        same = ParameterSet.from_layout([("w", (1, 2))], a.data.copy())
+        same = ParameterSet([("w", (1, 2))], a.data.copy())
         out = ema_update(a, same, 0.9)
         np.testing.assert_array_equal(out["w"].array, a["w"].array)
 
@@ -81,14 +83,22 @@ class TestEmaUpdate:
     def test_preserves_names_and_shapes(self):
         a, b = self._sets()
         out = ema_update(a, b, 0.5)
-        assert out.names() == a.names()
+        assert out.layout == a.layout
         assert out["w"].tensor.shape == a["w"].tensor.shape
 
-    def test_mismatched_sets_rejected(self):
-        a, _ = self._sets()
-        other = ParameterSet.from_layout([("v", (1, 2))], np.array([1.0, 2.0]))
-        with pytest.raises(ContractError):
-            ema_update(a, other, 0.5)
+    @pytest.mark.parametrize(
+        "other",
+        [
+            [("w", (1, 2)), ("c", (1,))],  # a name
+            [("w", (2, 1)), ("b", (1,))],  # a shape only
+            [("b", (1,)), ("w", (1, 2))],  # the order
+        ],
+        ids=["name", "shape", "order"],
+    )
+    def test_mismatched_sets_rejected(self, other):
+        a = ParameterSet([("w", (1, 2)), ("b", (1,))], np.array([2.0, -1.0, 0.5]))
+        with pytest.raises(ContractError, match="disagree"):
+            ema_update(a, ParameterSet(other, np.array([1.0, 2.0, 3.0])), 0.5)
 
     def test_alpha_out_of_range(self):
         a, b = self._sets()
@@ -183,8 +193,8 @@ class TestBurnIn:
         state = init_state(config, NetworkArch(t=4, d=8))
         bd = burn_in_epoch(state, labeled, config)
         assert bd.l_reg_r == 0.0
-        assert all(p.version == 0 for p in state.theta_f.params)
-        assert all(p.version == 1 for p in state.theta_t.params)
+        assert state.theta_f.params.version == 0
+        assert state.theta_t.params.version == 1
 
     def test_requires_burn_in_stage(self):
         labeled, unlabeled = toy_sets()
@@ -209,8 +219,8 @@ class TestBurnIn:
         state.theta_t.params["head.weight"].array[...] = np.nan
         with pytest.raises(DivergenceError, match=r"epoch 0, batch 0: non-finite l_reg_s\b"):
             burn_in_epoch(state, labeled, config)
-        assert all(p.version == 0 for p in state.theta_t.params)
-        assert all(p.version == 0 for p in state.theta_f.params)
+        assert state.theta_t.params.version == 0
+        assert state.theta_f.params.version == 0
         assert state.epoch == 0
 
     def test_non_finite_reference_and_unlabeled_terms_named(self):
@@ -238,7 +248,7 @@ class TestBurnIn:
         state.theta_s.params["head.weight"].array[...] = np.nan
         with pytest.raises(DivergenceError, match="epoch 2, batch 0: non-finite l_reg_s, l_unsup;"):
             trs_epoch(state, labeled, unlabeled, 0.1, config)
-        assert all(p.version == 0 for p in state.theta_s.params)
+        assert state.theta_s.params.version == 0
         assert len(state.m_r) > 0 and memories_finite()
 
 
@@ -391,8 +401,8 @@ class TestTrsEpoch:
         state = self._ready_state(config, labeled)
         for _ in range(3):
             trs_epoch(state, labeled, unlabeled, beta=0.1, config=config)
-        assert all(p.version == 0 for p in state.theta_t.params)
-        assert all(p.version >= 1 for p in state.theta_s.params)
+        assert state.theta_t.params.version == 0
+        assert state.theta_s.params.version >= 1
 
     def test_toggles_off_uses_current_predictions(self):
         labeled, unlabeled = toy_sets()
@@ -507,7 +517,7 @@ class TestAdamBuffers:
     def test_two_instances_share_no_array(self):
         from trscore.training import Adam
 
-        ps = ParameterSet.from_layout(
+        ps = ParameterSet(
             [("w", (3, 2)), ("b", (2,))], np.concatenate([np.ones(6), np.zeros(2)])
         )
         first, second = Adam(ps, 0.1), Adam(ps.copy(), 0.1)
@@ -589,7 +599,7 @@ class TestDegeneration:
         np.testing.assert_equal(
             [astuple(row) for row in metrics], [astuple(row) for row in ref_metrics]
         )
-        assert net.params.names() == ref_net.params.names()
+        assert net.params.layout == ref_net.params.layout
         for name, p in net.params.items():
             assert np.array_equal(p.array, ref_net.params[name].array), name
 
@@ -642,9 +652,15 @@ class TestTrain:
             ("alpha", 1.0),
             ("burn_in_epochs", 0),
             ("learning_rate", 0.0),
+            ("learning_rate", math.nan),
+            ("learning_rate", math.inf),
             ("batch_size", 0),
             ("augment_noise_std", -0.1),
+            ("augment_noise_std", math.nan),
+            ("augment_noise_std", math.inf),
             ("beta_peak", -0.1),
+            ("beta_peak", math.nan),
+            ("beta_peak", math.inf),
         ],
     )
     def test_each_invalid_field_rejected(self, field, value):
@@ -652,25 +668,30 @@ class TestTrain:
         with pytest.raises(ConfigurationError, match=field):
             train(quick_config(**{field: value}), labeled, unlabeled)
 
-    @pytest.mark.parametrize("defect", ["no labeled", "labeled without score", "shape"])
+    @pytest.mark.parametrize(
+        "defect", ["no labeled", "labeled without score", "NaN score", "inf score", "shape"]
+    )
     def test_malformed_training_sets_rejected(self, defect):
         labeled, unlabeled = toy_sets()
+        bad_score = {"labeled without score": None, "NaN score": math.nan, "inf score": math.inf}
         if defect == "no labeled":
             labeled = []
-        elif defect == "labeled without score":
-            labeled = labeled[:-1] + [FeatureSequence(labeled[-1].features, "x", None)]
+        elif defect in bad_score:
+            bad = FeatureSequence(labeled[-1].features, "x", bad_score[defect])
+            labeled = labeled[:-1] + [bad]
         else:
             unlabeled = unlabeled + [FeatureSequence(np.zeros((5, 8)), "x", None)]
         with pytest.raises(ConfigurationError, match="labeled sample|shape"):
             train(quick_config(), labeled, unlabeled)
 
-    @pytest.mark.parametrize("defect", ["no score", "shape"])
+    @pytest.mark.parametrize("defect", ["no score", "NaN score", "inf score", "shape"])
     def test_malformed_validation_set_rejected_before_epoch_0(self, monkeypatch, defect):
         from trscore import training
 
         labeled, unlabeled = toy_sets()
         features = np.zeros((5, 8)) if defect == "shape" else labeled[0].features
-        bad = FeatureSequence(features, "v", 1.0 if defect == "shape" else None)
+        score = {"no score": None, "NaN score": math.nan, "inf score": math.inf}.get(defect, 1.0)
+        bad = FeatureSequence(features, "v", score)
         monkeypatch.setattr(training, "burn_in_epoch", lambda *a: pytest.fail("an epoch ran"))
         with pytest.raises(ConfigurationError, match="'v'"):
             train(quick_config(), labeled, unlabeled, val_set=labeled[:3] + [bad])
@@ -707,14 +728,14 @@ class TestTrain:
 class TestCheckpoint:
     def test_parameter_set_round_trip(self, tmp_path):
         gen = np.random.default_rng(12)
-        ps = ParameterSet.from_layout(
+        ps = ParameterSet(
             [("a.scalarish", (1,)), ("b.matrix", (3, 5)), ("c.vector", (7,))],
             gen.normal(size=1 + 15 + 7),
         )
         path = tmp_path / "params.bin"
         save_parameter_set(ps, path)
         loaded = load_parameter_set(path)
-        assert loaded.names() == ps.names()
+        assert loaded.layout == ps.layout
         for name, p in ps.items():
             np.testing.assert_array_equal(loaded[name].array, p.array)
 

@@ -106,7 +106,8 @@ def _trained(config, labeled, unlabeled, monkeypatch, tmp_path):
 def _assert_same_state(ours, theirs):
     assert ours.epoch == theirs.epoch
     for net in ("theta_t", "theta_s", "theta_f"):
-        assert np.array_equal(getattr(ours, net).params.data, getattr(theirs, net).params.data), net
+        mine, other = getattr(ours, net).params, getattr(theirs, net).params
+        assert np.array_equal(mine.data, other.data) and mine.version == other.version, net
     for memory in ("m_t", "m_r"):
         # entries in insertion order: score, sigma and the epoch written
         assert list(getattr(ours, memory).entries.items()) == list(
