@@ -30,7 +30,7 @@ import numpy as np
 from . import rng as streams
 from .autodiff import Tensor
 from .errors import ConfigurationError, ParseError
-from .networks import FeatureSequence
+from .networks import FeatureSequence, check_field_types
 
 AQAF_MAGIC = b"AQAF"
 AQAF_VERSION = 1
@@ -88,6 +88,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.num_samples < 1 or self.t < 1 or self.d < 1:
             raise ConfigurationError("num_samples, t and d must be positive")
         if not 0.0 < self.label_fraction <= 1.0:

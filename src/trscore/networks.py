@@ -26,12 +26,18 @@ composition of unfused operations it replaces, so values and gradients are
 bit-identical to it; the tests keep those compositions as oracles. Fused
 nodes read ``ps[name].tensor`` when they are called, so a caller may swap a
 parameter's tensor to probe its gradient.
+
+The settings records (``NetworkArch`` here, ``TrainConfig``, ``ComponentToggles``
+and ``SyntheticSpec``) share one field-type rule, ``check_field_types``: an
+``int`` field takes an integer (a numpy integer too) and a ``float`` field a
+real number, neither a bool, and a ``bool`` field takes a bool.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 import math
+import numbers
 
 import numpy as np
 
@@ -64,6 +70,19 @@ class FeatureSequence:
             self.score = float(self.score)
 
 
+_FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
+
+
+def check_field_types(record) -> None:
+    """Raise ``ConfigurationError`` naming the first field of the dataclass
+    ``record`` that breaks the field-type rule (see the module docstring)."""
+    for f in fields(record):
+        kind, value = getattr(f.type, "__name__", f.type), getattr(record, f.name)
+        if kind in _FIELD_KINDS and (isinstance(value, bool) != (kind == "bool")
+                                     or not isinstance(value, _FIELD_KINDS[kind])):
+            raise ConfigurationError(f"{f.name}: expected {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NetworkArch:
     """Shapes of both network bodies for a dataset with T snippets, D dims:
@@ -76,23 +95,13 @@ class NetworkArch:
     attn_blocks: int = 1
 
     def __post_init__(self):
+        check_field_types(self)
         if min(self.t, self.d, self.mixer_layers, self.attn_blocks) < 1:
             raise DimensionError(f"need t, d, mixer_layers and attn_blocks >= 1, got {self}")
 
     @property
     def d_k(self) -> int:
         return max(1, self.d // 4)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "NetworkArch":
-        """Inverse of ``to_dict``; every value must be an int (not a bool)."""
-        for key, value in raw.items():
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigurationError(f"{key}: expected int, got {value!r}")
-        return cls(**raw)
 
 
 @dataclass

@@ -70,6 +70,7 @@ from .networks import (
     FeatureSequence,
     Network,
     NetworkArch,
+    check_field_types,
     init_reference_params,
     init_teacher_params,
     mixer_forward,
@@ -80,9 +81,7 @@ from .networks import (
     teacher_layout,
 )
 from .objectives import (
-    BETA_HORIZON,
     BETA_PEAK,
-    BETA_SHARPNESS,
     beta_at,
     gaussian_nll,
     recovered_score,
@@ -101,6 +100,9 @@ class ComponentToggles:
     reference_network: bool = True
     teacher_memory: bool = True
     reference_memory: bool = True
+
+    def __post_init__(self):
+        check_field_types(self)
 
 
 @dataclass(frozen=True)
@@ -121,6 +123,7 @@ class TrainConfig:
     beta_peak: float = BETA_PEAK
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 < self.alpha < 1.0:
             raise ConfigurationError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.burn_in_epochs < 1:
@@ -1214,7 +1217,7 @@ def save_checkpoint(directory, state: TrsState, config: TrainConfig) -> None:
         "epoch": state.epoch,
         "stage": state.stage,
         "config": config.to_dict(),
-        "arch": state.theta_t.arch.to_dict(),
+        "arch": asdict(state.theta_t.arch),
     }
     (directory / "state.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -1258,50 +1261,35 @@ def _read_state_json(path: Path) -> dict:
     return payload
 
 
-# Settings that older state.json files carry and that are now constants: the
-# value each still loads at, and for the arch keys the attribute it equals.
-_RETIRED_CONFIG = {
-    "adam_beta1": ADAM_BETA1, "adam_beta2": ADAM_BETA2, "adam_epsilon": ADAM_EPSILON,
-    "beta_sharpness": BETA_SHARPNESS, "beta_horizon": BETA_HORIZON,
-}
-_RETIRED_ARCH = {"token_hidden": "t", "channel_hidden": "d", "d_k": "d_k", "attn_mlp_hidden": "d"}
-
-
-def _retire(raw: dict, fixed: dict) -> dict:
-    """``raw`` without its retired keys, each of which must hold its ``fixed``
-    value; any other value raises ``ConfigurationError`` naming the key."""
-    for key in fixed.keys() & raw.keys():
-        if isinstance(raw[key], bool) or raw[key] != fixed[key]:
-            raise ConfigurationError(f"{key} is now fixed at {fixed[key]!r}, got {raw[key]!r}")
-    return {key: value for key, value in raw.items() if key not in fixed}
-
-
 def load_checkpoint(directory) -> tuple[TrsState, TrainConfig]:
-    """Restore a saved run state.
+    """Restore a saved run state. ``state.json`` has one format, the one
+    ``save_checkpoint`` writes, so a key it does not write is an error.
 
     Optimizer moments are not part of the checkpoint layout, so resumed
     optimizers start fresh. A malformed file, or a ``state.json`` that
-    contradicts the others, raises ``ParseError`` or ``ConfigurationError``
-    naming the file.
+    contradicts itself or the others, raises ``ParseError`` or
+    ``ConfigurationError`` naming the file.
     """
     directory = Path(directory)
     state_path = directory / "state.json"
     payload = _read_state_json(state_path)
     try:
-        config = TrainConfig.from_dict(_retire(payload["config"], _RETIRED_CONFIG))
+        config = TrainConfig.from_dict(payload["config"])
     except ConfigurationError as exc:
         raise ConfigurationError(f"{state_path}: config: {exc}") from None
     try:
-        raw_arch = payload["arch"]
-        arch = NetworkArch.from_dict({k: v for k, v in raw_arch.items() if k not in _RETIRED_ARCH})
-        _retire(raw_arch, {key: getattr(arch, name) for key, name in _RETIRED_ARCH.items()})
+        arch = NetworkArch(**payload["arch"])
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{state_path}: arch: {exc}") from None
 
-    trs = payload["stage"] == TRS
+    trs, epoch = payload["stage"] == TRS, payload["epoch"]
     if trs != (directory / "params_s.bin").exists():
         where = "missing" if trs else "present"
         raise ConfigurationError(f"{state_path}: stage {payload['stage']!r}, params_s.bin {where}")
+    low, high = (config.burn_in_epochs, config.max_epochs) if trs else (0, config.burn_in_epochs)
+    if not low <= epoch <= high:
+        where = f"stage {payload['stage']!r} at epoch {epoch}"
+        raise ConfigurationError(f"{state_path}: {where}, not in [{low}, {high}]")
 
     def load(name: str, layout) -> Network:
         # the fused network ops index parameters by the arch's shapes
@@ -1319,7 +1307,7 @@ def load_checkpoint(directory) -> tuple[TrsState, TrainConfig]:
         theta_t=theta_t,
         theta_s=theta_s,
         theta_f=theta_f,
-        epoch=payload["epoch"],
+        epoch=epoch,
         m_t=ConfidenceMemory.load_tsv(directory / "memory_t.tsv"),
         m_r=ConfidenceMemory.load_tsv(directory / "memory_r.tsv"),
         opt_trained=Adam((theta_s if trs else theta_t).params, config.learning_rate),

@@ -8,6 +8,7 @@ that contradicts the other files of its checkpoint.
 
 import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from trscore.errors import ConfigurationError, ParseError
 from trscore.memory import ConfidenceMemory
 from trscore.networks import NetworkArch
 from trscore.training import (
+    ComponentToggles,
     TrainConfig,
     init_state,
     initialize_student,
@@ -128,6 +130,9 @@ class TestStateJson:
             ("arch", lambda p: p["arch"].update(t=10.7)),
             ("arch", lambda p: p["arch"].update(mixer_layers=True)),
             ("arch", lambda p: p["arch"].update(d_k=-1)),
+            # settings that are now constants are unknown keys like any other
+            ("config.adam_beta1", lambda p: p["config"].update(adam_beta1=0.9)),
+            ("arch.token_hidden", lambda p: p["arch"].update(token_hidden=4)),
         ],
     )
     def test_missing_or_mistyped_key_names_key_and_file(self, tmp_path, key, edit):
@@ -135,7 +140,7 @@ class TestStateJson:
         _rewrite_state(directory, edit)
         with pytest.raises(ConfigurationError) as err:
             load_checkpoint(directory)
-        assert key.split(".")[0] in str(err.value)
+        assert all(part in str(err.value) for part in key.split("."))
         assert "state.json" in str(err.value)
 
     @pytest.mark.parametrize(
@@ -169,6 +174,48 @@ class TestStateJson:
         save_parameter_set(other.theta_t.params, directory / "params_t.bin")
         with pytest.raises(ConfigurationError, match="params_t.bin"):
             load_checkpoint(directory)
+
+
+_FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _settings(draw):
+    """A valid config and arch; a float key may hold an int, which loads as a
+    float."""
+    burn_in = draw(st.integers(1, 10**6))
+    nonnegative = st.floats(min_value=0.0, **_FINITE) | st.integers(0, 10**6)
+    config = TrainConfig(
+        alpha=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        burn_in_epochs=burn_in,
+        max_epochs=draw(st.integers(burn_in + 1, 10**7)),
+        learning_rate=draw(st.floats(min_value=0.0, exclude_min=True, **_FINITE)
+                           | st.integers(1, 10**6)),
+        seed=draw(st.integers(0, 2**64)),
+        batch_size=draw(st.integers(1, 10**6)),
+        component_toggles=ComponentToggles(*draw(st.tuples(*[st.booleans()] * 3))),
+        augment_noise_std=draw(nonnegative),
+        beta_peak=draw(nonnegative),
+    )
+    arch = NetworkArch(draw(st.integers(1, 6)), draw(st.integers(1, 6)),
+                       draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+    return config, arch
+
+
+class TestOneFormat:
+    @settings(max_examples=60, deadline=None)
+    @given(_settings())
+    def test_save_load_save_round_trip(self, tmp_path_factory, drawn):
+        config, arch = drawn
+        first, second = tmp_path_factory.mktemp("first"), tmp_path_factory.mktemp("second")
+        save_checkpoint(first, init_state(config, arch), config)
+        state, loaded = load_checkpoint(first)
+        assert loaded == config and state.theta_t.arch == arch
+        save_checkpoint(second, state, loaded)
+        floats = [getattr(config, f.name) for f in fields(TrainConfig) if f.type == "float"]
+        if all(isinstance(value, float) for value in floats):
+            for path in first.iterdir():
+                assert (second / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def _staged_checkpoint(tmp_path, stage: str):
@@ -213,31 +260,22 @@ class TestContradictoryStateJson:
         state, config = load_checkpoint(directory)
         assert state.stage == "trs" and state.epoch == 1 and config.seed == 4
 
-    # settings that are now constants, at the values older checkpoints wrote
-    # for them (the arch's follow from t=4, d=8)
-    _RETIRED = {
-        "config": dict(adam_beta1=0.9, adam_beta2=0.999, adam_epsilon=1e-8,
-                       beta_sharpness=5.0, beta_horizon=200.0),
-        "arch": dict(token_hidden=4, channel_hidden=8, d_k=2, attn_mlp_hidden=8),
-    }
-
-    def test_older_state_json_with_retired_settings_loads(self, tmp_path):
-        directory = _staged_checkpoint(tmp_path, "trs")
-        expected = load_checkpoint(directory)
-        _rewrite_state(directory, lambda p: [p[s].update(v) for s, v in self._RETIRED.items()])
-        state, config = load_checkpoint(directory)
-        assert config == expected[1] and state.theta_t.arch == expected[0].theta_t.arch
-
     @pytest.mark.parametrize(
-        "section, key, value",
-        [("config", "adam_beta1", 0.8), ("config", "beta_horizon", True),
-         ("arch", "d_k", 3), ("arch", "token_hidden", 8)],
+        "stage, epoch, loads",
+        [("burn_in", 0, True), ("burn_in", 2, True), ("burn_in", 3, False),
+         ("burn_in", 4, False), ("trs", 0, False), ("trs", 1, False), ("trs", 2, True),
+         ("trs", 5, True), ("trs", 6, False), ("trs", 99, False)],
     )
-    def test_retired_setting_at_another_value_rejected(self, tmp_path, section, key, value):
-        directory = _staged_checkpoint(tmp_path, "trs")
-        _rewrite_state(directory, lambda p: p[section].update({key: value}))
-        with pytest.raises(ConfigurationError, match=f"state.json: {section}: {key}"):
-            load_checkpoint(directory)
+    def test_epoch_must_lie_in_its_stage(self, tmp_path, stage, epoch, loads):
+        # burn-in spans epochs 0..2 and the TRS stage 2..5
+        directory = _staged_checkpoint(tmp_path, stage)
+        _rewrite_state(directory, lambda p: [p.update(epoch=epoch),
+                                             p["config"].update(burn_in_epochs=2, max_epochs=5)])
+        if loads:
+            assert load_checkpoint(directory)[0].epoch == epoch
+        else:
+            with pytest.raises(ConfigurationError, match=f"state.json: stage '{stage}' at epoch"):
+                load_checkpoint(directory)
 
 
 # ids that are legal in AQAF and hold a tab, a carriage return or a

@@ -1,10 +1,13 @@
 """Network-body tests: residual identities, equivariance, attention laws."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from trscore import autodiff as ad
 from trscore.autodiff import ParameterSet, Tensor
+from trscore.data import SyntheticSpec
 from trscore.errors import ConfigurationError, ContractError, DimensionError
 from trscore.networks import (
     FeatureSequence,
@@ -21,6 +24,7 @@ from trscore.networks import (
     teacher_layout,
 )
 from trscore.objectives import gaussian_nll
+from trscore.training import ComponentToggles, TrainConfig
 
 import unfused
 
@@ -233,11 +237,40 @@ class TestReferenceForward:
         assert ad.grad_check(f, Tensor(rand((2, 3, 6), 9))) < 1e-4
 
 
+# each settings record with the arguments of a valid instance
+_RECORDS = {
+    TrainConfig: {},
+    ComponentToggles: {},
+    NetworkArch: dict(t=4, d=8),
+    SyntheticSpec: dict(num_samples=20),
+}
+_WRONG_VALUES = {"int": [2.5, True], "float": [True, "0.1"], "bool": [1, "no"]}
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        pytest.param(record, f, id=f"{record.__name__}.{f.name}")
+        for record in _RECORDS
+        for f in fields(record)
+        if f.type in _WRONG_VALUES
+    ],
+)
+def test_settings_records_check_field_types(record, field):
+    valid = _RECORDS[record]
+    for value in _WRONG_VALUES[field.type]:
+        with pytest.raises(ConfigurationError, match=f"^{field.name}: expected {field.type}"):
+            record(**{**valid, field.name: value})
+    if field.type == "int":
+        value = getattr(record(**valid), field.name)
+        assert record(**{**valid, field.name: np.int64(value)}) == record(**valid)
+
+
 class TestNetworkArch:
     @pytest.mark.parametrize("value", [10.7, 4.0, True, "4", None])
     def test_from_dict_accepts_only_ints(self, value):
         with pytest.raises(ConfigurationError, match="mixer_layers"):
-            NetworkArch.from_dict({"t": 4, "d": 8, "mixer_layers": value})
+            NetworkArch(t=4, d=8, mixer_layers=value)
 
     @pytest.mark.parametrize(
         "fields",

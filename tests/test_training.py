@@ -661,6 +661,10 @@ class TestTrain:
             ("beta_peak", -0.1),
             ("beta_peak", math.nan),
             ("beta_peak", math.inf),
+            ("seed", 1.5),
+            ("max_epochs", 2.5),
+            ("batch_size", 2.5),
+            ("burn_in_epochs", True),
         ],
     )
     def test_each_invalid_field_rejected(self, field, value):

@@ -22,6 +22,11 @@ samples with every score set equal, whose Spearman is undefined (NaN). The
 script prints one line per file and exits 1 unless every file is
 bit-identical.
 
+Each checkout also checks that ``state.json`` has one format: every ``train``
+checkpoint is loaded and saved again into a second directory, and the grid
+fails, with one line naming each file, unless every re-saved file equals the
+original.
+
 The shapes differ in the batch arithmetic they exercise: full batches of 4
 at the benchmark's feature size; fewer unlabeled than labeled samples, so
 the unlabeled pass wraps around, with a last batch of one; and a batch size
@@ -64,8 +69,13 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def emit(workdir: Path) -> dict[str, str]:
-    """Digest of every output file of the grid, keyed shape/case/file."""
+def _contents(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def emit(workdir: Path, resave_dir: Path) -> dict[str, str]:
+    """Digest of every output file of the grid, keyed shape/case/file. Exits
+    1 unless every ``train`` checkpoint survives a load and a save unchanged."""
     from dataclasses import replace
 
     from trscore import cli, data, evaluation, training
@@ -74,7 +84,14 @@ def emit(workdir: Path) -> dict[str, str]:
         _, predictions = evaluation.evaluate(student, held_out.samples)
         evaluation.write_predictions_csv(predictions, out / "predictions.csv")
 
-    digests = {}
+    def round_trip(checkpoint: Path, resaved: Path) -> list[str]:
+        # the files, a missing one included, that a load and a save change
+        training.save_checkpoint(resaved, *training.load_checkpoint(checkpoint))
+        before, after = _contents(checkpoint), _contents(resaved)
+        return sorted(name for name in before.keys() | after.keys()
+                      if before.get(name) != after.get(name))
+
+    digests, changed = {}, []
     for shape, (spec, settings) in SHAPES.items():
         dataset = data.generate_synthetic(data.SyntheticSpec(**spec))
         (workdir / shape).mkdir()
@@ -91,6 +108,8 @@ def emit(workdir: Path) -> dict[str, str]:
                 replace(config, component_toggles=toggles), labeled, unlabeled,
                 checkpoint_dir=out,
             )
+            changed += [f"{shape}/{case}/{name}"
+                        for name in round_trip(out, resave_dir / shape / case)]
             training.write_metrics_csv(rows, out / "metrics.csv")
             score(student, held_out, out)
         validation = held_out.samples[:VALIDATION]
@@ -112,6 +131,10 @@ def emit(workdir: Path) -> dict[str, str]:
                     "-o", str(cli_out / "predictions.csv")]
             if cli.main(argv) != 0:
                 sys.exit(f"trscore {' '.join(argv)} failed")
+    for name in changed:
+        print(f"re-saved checkpoint file differs: {name}", file=sys.stderr)
+    if changed:
+        sys.exit(1)
     for path in sorted(workdir.rglob("*")):
         if path.is_file():
             digests[path.relative_to(workdir).as_posix()] = _sha256(path)
@@ -139,8 +162,8 @@ def main() -> int:
     args = parser.parse_args()
     if args.emit:
         sys.path.insert(0, str(args.src.resolve()))
-        with tempfile.TemporaryDirectory() as tmp:
-            print(json.dumps(emit(Path(tmp))))
+        with tempfile.TemporaryDirectory() as grid, tempfile.TemporaryDirectory() as resaved:
+            print(json.dumps(emit(Path(grid), Path(resaved))))
         return 0
     if args.baseline is None:
         parser.error("--baseline is required")
