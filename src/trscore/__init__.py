@@ -1,6 +1,6 @@
 """Semi-supervised teacher-reference-student score regression."""
 
-from .autodiff import Parameter, ParameterSet, Tensor, grad_check, no_grad
+from .autodiff import ParameterSet, Tensor, grad_check, no_grad
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_features, save_features
 from .evaluation import evaluate, spearman
 from .memory import ConfidenceMemory, MemoryEntry, fuse_pseudo_label

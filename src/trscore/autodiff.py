@@ -23,11 +23,11 @@ values and gradients are bit-identical to them. Only ``add``, ``mul`` and
 ``sum``, which combine a step's loss terms, remain as operations here; the
 unfused building blocks live in the tests as the fused nodes' oracles.
 
-A ``ParameterSet`` is a layout, the ``[(name, shape)]`` list, over one
-contiguous float64 vector (``ParameterSet.data``) of which every parameter's
-tensor is a reshaped view, so whole-set updates (Adam, EMA, copies,
-checkpoint data, a forked worker's exchange) are single vector expressions,
-and one ``version`` per set counts the optimizer steps that moved it.
+A ``ParameterSet`` maps each name of its layout, the ``[(name, shape)]``
+list, to a tensor that is a reshaped view of one contiguous float64 vector
+(``ParameterSet.data``), so whole-set updates (Adam, EMA, copies, checkpoint
+data, a forked worker's exchange) are single vector expressions. Its
+``version`` is its optimizer's step count.
 """
 
 from __future__ import annotations
@@ -359,35 +359,15 @@ def grad_check(
 # -- named parameters ---------------------------------------------------------
 
 
-class Parameter:
-    """A named trainable tensor: a view into its set's arena, or whatever
-    tensor a caller swaps in to probe the gradient through it."""
-
-    __slots__ = ("name", "tensor")
-
-    def __init__(self, name: str, tensor: Tensor):
-        self.name, self.tensor = name, tensor
-
-    @property
-    def array(self) -> Array:
-        return self.tensor.array
-
-    @property
-    def grad(self) -> Array | None:
-        return self.tensor.grad
-
-    def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.tensor.shape})"
-
-
 class ParameterSet:
-    """Uniquely named parameters laid out in order over one flat arena.
+    """Uniquely named parameter tensors laid out in order over one flat arena.
 
     ``layout`` is the ``[(name, shape)]`` list and ``data`` the contiguous
     float64 vector, adopted, not copied, that holds every value in layout
-    order; each parameter's tensor is a reshaped view into it, so a write
-    through either is a write to both. ``version`` counts the optimizer
-    steps that moved the set.
+    order. ``ps[name]`` is the tensor that views that name's slice of it, so
+    a write through either is a write to both; ``ps[name] = probe`` swaps in
+    a tensor to probe the gradient through, and an unknown name raises
+    ``ContractError``. ``version`` is the optimizer's step count.
     """
 
     def __init__(self, layout: Iterable[tuple[str, Sequence[int]]], data: Array):
@@ -398,29 +378,33 @@ class ParameterSet:
                 f"arena needs {bounds[-1]} float64 values, got {data.dtype} {data.shape}"
             )
         self.data, self.version = data, 0
-        self._params: dict[str, Parameter] = {}
+        self._tensors: dict[str, Tensor] = {}
         for (name, shape), lo, hi in zip(self.layout, bounds, bounds[1:]):
-            if not name or name in self._params:
+            if not name or name in self._tensors:
                 raise ContractError(f"empty or duplicate parameter name {name!r}")
             tensor = Tensor(0.0, requires_grad=True)
             tensor._array = data[lo:hi].reshape(shape)  # a view into the arena
-            self._params[name] = Parameter(name, tensor)
+            self._tensors[name] = tensor
 
-    def __getitem__(self, name: str) -> Parameter:
-        return self._params[name]
+    def __getitem__(self, name: str) -> Tensor:
+        try:
+            return self._tensors[name]
+        except KeyError:
+            raise ContractError(f"no parameter named {name!r}") from None
+
+    def __setitem__(self, name: str, tensor: Tensor) -> None:
+        self[name]  # an unknown name raises
+        self._tensors[name] = tensor
 
     def __iter__(self):
-        return iter(self._params.values())
-
-    def __len__(self) -> int:
-        return len(self._params)
+        return iter(self._tensors.values())
 
     def items(self):
-        return self._params.items()
+        return self._tensors.items()
 
     def zero_grad(self) -> None:
-        for p in self._params.values():
-            p.tensor.zero_grad()
+        for tensor in self._tensors.values():
+            tensor.zero_grad()
 
     def copy(self) -> "ParameterSet":
         return ParameterSet(self.layout, self.data.copy())

@@ -50,22 +50,23 @@ _BLOCK_BYTES = 1 << 18
 class Dataset:
     """Feature sequences, each labeled exactly when it carries a score.
 
-    Ids are unique, every sample has the same feature shape, and every score
-    is finite.
+    Each sample checks itself; the ids are unique and every sample has the
+    first one's feature shape, or ``ConfigurationError`` names the sample.
     """
 
     samples: list[FeatureSequence]
 
     def __post_init__(self):
-        ids = [s.sample_id for s in self.samples]
-        if len(set(ids)) != len(ids):
-            raise ConfigurationError("sample ids must be unique")
+        seen: set[str] = set()
         for s in self.samples:
-            if s.score is not None and not math.isfinite(s.score):
-                raise ConfigurationError(f"score of {s.sample_id!r} is {s.score}")
-        shapes = {s.features.shape for s in self.samples}
-        if len(shapes) > 1:
-            raise ConfigurationError(f"inconsistent feature shapes: {sorted(shapes)}")
+            if s.sample_id in seen:
+                raise ConfigurationError(f"duplicate sample id {s.sample_id!r}")
+            seen.add(s.sample_id)
+            if s.features.shape != self.samples[0].features.shape:
+                raise ConfigurationError(
+                    f"sample {s.sample_id!r} has shape {s.features.shape}, "
+                    f"expected {self.samples[0].features.shape}"
+                )
 
     @property
     def labeled_samples(self) -> list[FeatureSequence]:
@@ -97,10 +98,8 @@ class SyntheticSpec:
             )
         if round(self.num_samples * self.label_fraction) < 1:
             raise ConfigurationError("label_fraction yields zero labeled samples")
-        if not 0.0 <= self.noise_std < math.inf:
-            raise ConfigurationError(
-                f"noise_std must be finite and nonnegative, got {self.noise_std}"
-            )
+        if self.noise_std < 0.0:
+            raise ConfigurationError(f"noise_std must be nonnegative, got {self.noise_std}")
 
 
 def generate_synthetic(spec: SyntheticSpec, split: str = "train") -> Dataset:

@@ -24,20 +24,22 @@ where the unfused head took 7. A fused node computes the same numpy
 expressions, in the same order and on operands of the same layout, as the
 composition of unfused operations it replaces, so values and gradients are
 bit-identical to it; the tests keep those compositions as oracles. Fused
-nodes read ``ps[name].tensor`` when they are called, so a caller may swap a
-parameter's tensor to probe its gradient.
+nodes read ``ps[name]`` when they are called, so a caller may swap in
+another tensor for a parameter to probe its gradient.
 
 The settings records (``NetworkArch`` here, ``TrainConfig``, ``ComponentToggles``
 and ``SyntheticSpec``) share one field-type rule, ``check_field_types``: an
-``int`` field takes an integer (a numpy integer too) and a ``float`` field a
-real number, neither a bool, and a ``bool`` field takes a bool.
+``int`` field takes an integer and a ``float`` field a finite real number,
+neither a bool, each stored as the builtin type (so a numpy number too); any
+other field takes an instance of its declared type, such as a bool.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 import math
 import numbers
+from typing import get_type_hints
 
 import numpy as np
 
@@ -50,37 +52,62 @@ LOG_SIGMA_BOUND = 10.0
 
 @dataclass
 class FeatureSequence:
-    """T x D snippet-feature matrix with an id and an optional score label."""
+    """T x D snippet-feature matrix with an id and an optional score label,
+    checked as the settings records are: a ``str`` id, None or a finite
+    float (``finite_float``) as the score, float64 features with T, D >= 1;
+    an error names the sample."""
 
     features: Tensor
     sample_id: str
     score: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.sample_id, str):
+            raise ConfigurationError(f"sample id must be a str, got {self.sample_id!r}")
+        where = f"sample {self.sample_id!r}"
+        if self.score is not None:
+            self.score = finite_float(self.score, f"{where}: score")
         if not isinstance(self.features, Tensor):
-            self.features = Tensor(self.features)
+            try:
+                self.features = Tensor(self.features)
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"{where}: features are not float64: {exc}") from None
         if self.features.ndim != 2:
             raise DimensionError(
-                f"features must be 2-D (T x D), got shape {self.features.shape}"
+                f"{where}: features must be 2-D (T x D), got shape {self.features.shape}"
             )
         t, d = self.features.shape
         if t < 1 or d < 1:
-            raise DimensionError(f"features need T >= 1 and D >= 1, got {t} x {d}")
-        if self.score is not None:
-            self.score = float(self.score)
+            raise DimensionError(f"{where}: features need T >= 1 and D >= 1, got {t} x {d}")
 
 
-_FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
+def finite_float(value, what: str) -> float:
+    """``value``, a real number other than a bool that is finite as a float,
+    as a ``float``; else ``ConfigurationError`` naming ``what``."""
+    # float first: it is the common case, and the ABC check is slow
+    if isinstance(value, (float, numbers.Real)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int too large for a float
+            pass
+    raise ConfigurationError(f"{what}: expected a finite float, got {value!r}")
 
 
 def check_field_types(record) -> None:
-    """Raise ``ConfigurationError`` naming the first field of the dataclass
-    ``record`` that breaks the field-type rule (see the module docstring)."""
-    for f in fields(record):
-        kind, value = getattr(f.type, "__name__", f.type), getattr(record, f.name)
-        if kind in _FIELD_KINDS and (isinstance(value, bool) != (kind == "bool")
-                                     or not isinstance(value, _FIELD_KINDS[kind])):
-            raise ConfigurationError(f"{f.name}: expected {kind}, got {value!r}")
+    """Hold each field of the dataclass ``record`` to the field-type rule
+    (see the module docstring); raise ``ConfigurationError`` naming the first
+    field that breaks it."""
+    for name, kind in get_type_hints(type(record)).items():
+        value = getattr(record, name)
+        if kind is float:
+            object.__setattr__(record, name, finite_float(value, name))  # records may be frozen
+        elif not isinstance(value, numbers.Integral if kind is int else kind) or (
+            isinstance(value, bool) != (kind is bool)
+        ):
+            raise ConfigurationError(f"{name}: expected {kind.__name__}, got {value!r}")
+        elif kind is int:
+            object.__setattr__(record, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -283,7 +310,7 @@ def _prenorm_mlp(x, scale, shift, w_in, w_out, across_tokens: bool):
 def _mixer_sublayer(ps: ParameterSet, prefix: str, kind: str, x: Tensor) -> Tensor:
     """One pre-norm residual Mixer MLP (``kind`` token or channel) as one node."""
     params = tuple(
-        ps[f"{prefix}.{name}"].tensor
+        ps[f"{prefix}.{name}"]
         for name in (f"norm_{kind}.scale", f"norm_{kind}.shift", f"{kind}_in", f"{kind}_out")
     )
     out, mlp_backward = _prenorm_mlp(
@@ -331,7 +358,7 @@ def regression_head(params: Network, encoded: Tensor) -> ScorePrediction:
             f"regression head needs >= 2 dimensions, got shape {encoded.shape}"
         )
     ps = params.params
-    weight, bias = ps["head.weight"].tensor, ps["head.bias"].tensor
+    weight, bias = ps["head.weight"], ps["head.bias"]
     *lead, t, d = encoded.shape
     pooled = np.add.reduce(encoded.array, axis=-2) / t
     if not lead:
@@ -393,13 +420,13 @@ def _attention_block(
     ps = params.params
     prefix = f"attn.{i}"
     scale, shift, w_query, w_key, w_value, w_out = (
-        ps[f"{prefix}.{name}"].tensor
+        ps[f"{prefix}.{name}"]
         for name in (
             "norm_in.scale", "norm_in.shift", "w_query", "w_key", "w_value", "w_out"
         )
     )
     mlp_params = tuple(
-        ps[f"{prefix}.{name}"].tensor
+        ps[f"{prefix}.{name}"]
         for name in ("norm_mlp.scale", "norm_mlp.shift", "mlp_in", "mlp_out")
     )
     q_in, xhat_q, inv_q = ad._layer_norm_forward(x.array, scale.array, shift.array)

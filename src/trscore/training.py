@@ -56,7 +56,7 @@ import numpy as np
 from . import autodiff as ad
 from . import rng as streams
 from .autodiff import ParameterSet, Tensor
-from .data import _Cursor
+from .data import Dataset, _Cursor
 from .errors import (
     ConfigurationError,
     ContractError,
@@ -71,6 +71,7 @@ from .networks import (
     Network,
     NetworkArch,
     check_field_types,
+    finite_float,
     init_reference_params,
     init_teacher_params,
     mixer_forward,
@@ -127,29 +128,19 @@ class TrainConfig:
         if not 0.0 < self.alpha < 1.0:
             raise ConfigurationError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.burn_in_epochs < 1:
-            raise ConfigurationError(
-                f"burn_in_epochs must be positive, got {self.burn_in_epochs}"
-            )
+            raise ConfigurationError(f"burn_in_epochs must be positive, got {self.burn_in_epochs}")
         if self.max_epochs <= self.burn_in_epochs:
             raise ConfigurationError(
                 f"max_epochs ({self.max_epochs}) must exceed burn_in_epochs "
                 f"({self.burn_in_epochs})"
             )
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ConfigurationError(
-                f"learning_rate must be positive and finite, got {self.learning_rate}"
-            )
+        if self.learning_rate <= 0.0:
+            raise ConfigurationError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be positive, got {self.batch_size}")
-        if not 0.0 <= self.augment_noise_std < math.inf:
-            raise ConfigurationError(
-                "augment_noise_std must be nonnegative and finite, "
-                f"got {self.augment_noise_std}"
-            )
-        if not 0.0 <= self.beta_peak < math.inf:
-            raise ConfigurationError(
-                f"beta_peak must be nonnegative and finite, got {self.beta_peak}"
-            )
+        for key in ("augment_noise_std", "beta_peak"):
+            if getattr(self, key) < 0.0:
+                raise ConfigurationError(f"{key} must be nonnegative, got {getattr(self, key)}")
 
     def to_dict(self) -> dict:
         """Flat key -> value map; the toggles sit beside the other fields."""
@@ -159,9 +150,13 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
-        """Inverse of ``to_dict``; missing keys take their defaults."""
+        """Inverse of ``to_dict``; missing keys take their defaults, and the
+        records check the values' types. An unknown key raises."""
         flat = cls().to_dict()
-        flat.update((key, coerce_config_value(key, value)) for key, value in raw.items())
+        for key in raw:
+            if key not in flat:
+                raise ConfigurationError(f"unknown config key {key!r}")
+        flat.update(raw)
         toggles = ComponentToggles(
             **{f.name: flat.pop(f.name) for f in fields(ComponentToggles)}
         )
@@ -176,43 +171,35 @@ _BOOL_WORDS = {
 }
 
 
-def coerce_config_value(key: str, value) -> bool | int | float:
-    """Convert one flat config value to the type of that key's default.
-
-    Config-file text, JSON values and parsed flags all go through their text
-    form, so ``1.5`` for an integer key is rejected just like ``"1.5"``.
+def coerce_config_value(key: str, text: str) -> bool | int | float:
+    """Parse the text of one flat config value as the type of that key's
+    default, so ``1.5`` for an integer key is rejected. Only config-file text
+    is parsed here; typed values go to ``TrainConfig.from_dict`` as they are.
     """
     kind = _FLAT_KINDS.get(key)
     if kind is None:
         raise ConfigurationError(f"unknown config key {key!r}")
-    text = str(value).strip()
     try:
-        parsed = _BOOL_WORDS[text.lower()] if kind is bool else kind(text)
+        parsed = _BOOL_WORDS[text.strip().lower()] if kind is bool else kind(text)
     except (KeyError, ValueError):
-        raise ConfigurationError(
-            f"{key}: expected {kind.__name__}, got {value!r}"
-        ) from None
-    if kind is float and not np.isfinite(parsed):
-        raise ConfigurationError(f"{key}: expected a finite float, got {value!r}")
-    return parsed
+        raise ConfigurationError(f"{key}: expected {kind.__name__}, got {text!r}") from None
+    return finite_float(parsed, key) if kind is float else parsed
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # Kingma & Ba, arXiv:1412.6980
 
 
 class Adam:
-    """Adam with bias correction over one parameter set.
-
-    The moments are flat vectors parallel to the set's arena, so a step is a
-    handful of vector expressions over every parameter at once. They write
-    into two work vectors of the instance's own, so a step allocates nothing
-    of the arena's size.
+    """Adam with bias correction over one parameter set, whose ``version``
+    is the step count. The moments are flat vectors parallel to the set's
+    arena, so a step is a handful of vector expressions over every parameter
+    at once. They write into two work vectors of the instance's own, so a
+    step allocates nothing of the arena's size.
     """
 
     def __init__(self, params: ParameterSet, learning_rate: float):
         self.params = params
         self.learning_rate = learning_rate
-        self._step = 0
         size = params.data.size
         self._m, self._v = np.zeros(size), np.zeros(size)
         self._grad, self._work = np.empty(size), np.empty(size)
@@ -221,20 +208,21 @@ class Adam:
         self.params.zero_grad()
 
     def step(self) -> None:
-        """Move every parameter, or none when no gradient arrived at all.
+        """Move every parameter and advance the version, or change nothing
+        when no gradient arrived at all.
 
         Raises ``ContractError``, moving nothing, when only some parameters
         received a gradient since ``zero_grad``.
         """
-        grads = [p.tensor.grad for p in self.params]
-        missing = [p.name for p, g in zip(self.params, grads) if g is None]
-        if missing and len(missing) < len(grads):
-            raise ContractError(f"no gradient since zero_grad for {missing}")
-        self._step += 1
+        grads = [p.grad for p in self.params]
+        missing = [name for (name, _), g in zip(self.params.layout, grads) if g is None]
         if missing:
+            if len(missing) < len(grads):
+                raise ContractError(f"no gradient since zero_grad for {missing}")
             return
-        correct1 = 1.0 - ADAM_BETA1 ** self._step
-        correct2 = 1.0 - ADAM_BETA2 ** self._step
+        step = self.params.version + 1
+        correct1 = 1.0 - ADAM_BETA1 ** step
+        correct2 = 1.0 - ADAM_BETA2 ** step
         m, v, g, work = self._m, self._v, self._grad, self._work
         np.concatenate(grads, out=g)
         # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) (g g)
@@ -700,24 +688,18 @@ def _check_training_sets(
     unlabeled: Sequence[FeatureSequence],
     val: Sequence[FeatureSequence] = (),
 ) -> tuple[int, int]:
-    """The (T, D) of every sample; every labeled and validation score is
-    finite, and the validation set may repeat training ids."""
+    """The (T, D) of every sample. The training samples form a ``Dataset``;
+    every labeled and validation sample has a score, and the validation set
+    may repeat training ids."""
     if not labeled:
         raise ConfigurationError("training requires at least one labeled sample")
-    seen: set[str] = set()
-    for sample in list(labeled) + list(unlabeled):
-        if sample.sample_id in seen:
-            raise ConfigurationError(f"duplicate sample id {sample.sample_id!r}")
-        seen.add(sample.sample_id)
+    Dataset(list(labeled) + list(unlabeled))
     for what, samples in (("labeled", labeled), ("validation", val)):
         for sample in samples:
-            if sample.score is None or not math.isfinite(sample.score):
-                raise ConfigurationError(
-                    f"{what} sample {sample.sample_id!r} has score {sample.score}, "
-                    "expected a finite number"
-                )
+            if sample.score is None:
+                raise ConfigurationError(f"{what} sample {sample.sample_id!r} has no score")
     t, d = labeled[0].features.shape
-    for sample in list(labeled) + list(unlabeled) + list(val):
+    for sample in val:
         if sample.features.shape != (t, d):
             raise ConfigurationError(
                 f"sample {sample.sample_id!r} has shape {sample.features.shape}, "
@@ -1053,7 +1035,7 @@ def _work(
         exchange.arena[:] = opt.params.data
         exchange.m[:] = opt._m
         exchange.v[:] = opt._v
-        outbox.send(("done", sums["l_reg_s"], sums["l_unsup"], opt._step, opt.params.version))
+        outbox.send(("done", sums["l_reg_s"], sums["l_unsup"], opt.params.version))
 
 
 def _reference_pass(labels: _PseudoLabelHalf, opt: Adam) -> np.ndarray:
@@ -1097,8 +1079,8 @@ def _run_forked(
     per labeled position) and each batch's reference term, which this
     process writes before it releases the batches that read them. This
     process sends how many of the epoch's batches are released so far; the
-    worker replies once per epoch with its loss sums, its Adam step count and
-    the trained set's version.
+    worker replies once per epoch with its loss sums and the trained set's
+    version, which is its Adam step count.
     """
     pools = _Pools.of(labeled_set, unlabeled_set)
     n, m, burn_in = len(labeled_set), len(unlabeled_set), config.burn_in_epochs
@@ -1139,7 +1121,7 @@ def _run_forked(
                 metrics[-1] = validated(metrics[-1])
             if epoch + 1 < config.max_epochs:
                 labels, relative = reference_half(epoch + 1)
-            sums["l_reg_s"], sums["l_unsup"], steps, version = worker.reply()
+            sums["l_reg_s"], sums["l_unsup"], version = worker.reply()
             trained = state.theta_t if epoch < burn_in else state.theta_s
             trained.params.data[:] = exchange.arena
             trained.params.version = version
@@ -1149,7 +1131,6 @@ def _run_forked(
         metrics[-1] = validated(metrics[-1])
         state.opt_trained._m[:] = exchange.m
         state.opt_trained._v[:] = exchange.v
-        state.opt_trained._step = steps
     return metrics
 
 
@@ -1160,7 +1141,7 @@ _BIN_VERSION = 1
 
 def save_parameter_set(params: ParameterSet, path) -> None:
     """Name table (name, shape per parameter) followed by raw float64 data."""
-    chunks = [struct.pack("<II", _BIN_VERSION, len(params))]
+    chunks = [struct.pack("<II", _BIN_VERSION, len(params.layout))]
     for name, shape in params.layout:
         encoded = name.encode("utf-8")
         chunks.append(struct.pack("<H", len(encoded)))
@@ -1225,6 +1206,7 @@ def save_checkpoint(directory, state: TrsState, config: TrainConfig) -> None:
 
 
 _STATE_KEYS = {"epoch": int, "stage": str, "config": dict, "arch": dict}
+_ARCH_KEYS = [f.name for f in fields(NetworkArch)]
 
 
 def _read_state_json(path: Path) -> dict:
@@ -1263,7 +1245,8 @@ def _read_state_json(path: Path) -> dict:
 
 def load_checkpoint(directory) -> tuple[TrsState, TrainConfig]:
     """Restore a saved run state. ``state.json`` has one format, the one
-    ``save_checkpoint`` writes, so a key it does not write is an error.
+    ``save_checkpoint`` writes, so a key it does not write is an error, and
+    so is a missing one.
 
     Optimizer moments are not part of the checkpoint layout, so resumed
     optimizers start fresh. A malformed file, or a ``state.json`` that
@@ -1273,6 +1256,10 @@ def load_checkpoint(directory) -> tuple[TrsState, TrainConfig]:
     directory = Path(directory)
     state_path = directory / "state.json"
     payload = _read_state_json(state_path)
+    for section, keys in (("config", _FLAT_KINDS), ("arch", _ARCH_KEYS)):
+        for key in keys:
+            if key not in payload[section]:
+                raise ConfigurationError(f"{state_path}: {section}: key {key!r} is missing")
     try:
         config = TrainConfig.from_dict(payload["config"])
     except ConfigurationError as exc:

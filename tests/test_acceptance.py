@@ -62,16 +62,15 @@ def verdict(number: int, summary: str):
 def _param_grad_errors(container, forward_scalar):
     """grad_check against every parameter of a network via tensor swapping."""
     errors = []
-    for _, p in container.params.items():
-        def f(w, _p=p):
-            saved = _p.tensor
-            _p.tensor = w
+    for name, p in container.params.items():
+        def f(w, _name=name, _saved=p):
+            container.params[_name] = w
             try:
                 return forward_scalar()
             finally:
-                _p.tensor = saved
+                container.params[_name] = _saved
 
-        errors.append(ad.grad_check(f, p.tensor))
+        errors.append(ad.grad_check(f, p))
     return errors
 
 
@@ -145,15 +144,14 @@ class TestCriterion1GradientFidelity:
             for name in ("head.weight", "head.bias"):
                 p = params.params[name]
 
-                def f(w, _p=p):
-                    saved = _p.tensor
-                    _p.tensor = w
+                def f(w, _name=name, _saved=p):
+                    params.params[_name] = w
                     try:
                         return head_input(enc0)
                     finally:
-                        _p.tensor = saved
+                        params.params[_name] = _saved
 
-                head_errs.append(ad.grad_check(f, p.tensor))
+                head_errs.append(ad.grad_check(f, p))
             worst["regression head"] = max(worst.get("regression head", 0.0), *head_errs)
 
             # losses against raw (mu, log sigma) outputs

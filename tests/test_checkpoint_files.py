@@ -8,7 +8,6 @@ that contradicts the other files of its checkpoint.
 
 import json
 import struct
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -133,6 +132,13 @@ class TestStateJson:
             # settings that are now constants are unknown keys like any other
             ("config.adam_beta1", lambda p: p["config"].update(adam_beta1=0.9)),
             ("arch.token_hidden", lambda p: p["arch"].update(token_hidden=4)),
+            # typed values are checked as they are, not parsed from their text
+            ("config.seed", lambda p: p["config"].update(seed="7")),
+            ("config.reference_network", lambda p: p["config"].update(reference_network=1)),
+            ("config.learning_rate", lambda p: p["config"].update(learning_rate=10**400)),
+            # every key is written, so none may be missing
+            ("config.seed", lambda p: p["config"].pop("seed")),
+            ("arch.mixer_layers", lambda p: p["arch"].pop("mixer_layers")),
         ],
     )
     def test_missing_or_mistyped_key_names_key_and_file(self, tmp_path, key, edit):
@@ -181,8 +187,8 @@ _FINITE = dict(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def _settings(draw):
-    """A valid config and arch; a float key may hold an int, which loads as a
-    float."""
+    """A valid config and arch; a float key may hold an int, which the
+    config stores as a float."""
     burn_in = draw(st.integers(1, 10**6))
     nonnegative = st.floats(min_value=0.0, **_FINITE) | st.integers(0, 10**6)
     config = TrainConfig(
@@ -212,10 +218,16 @@ class TestOneFormat:
         state, loaded = load_checkpoint(first)
         assert loaded == config and state.theta_t.arch == arch
         save_checkpoint(second, state, loaded)
-        floats = [getattr(config, f.name) for f in fields(TrainConfig) if f.type == "float"]
-        if all(isinstance(value, float) for value in floats):
-            for path in first.iterdir():
-                assert (second / path.name).read_bytes() == path.read_bytes(), path.name
+        for path in first.iterdir():
+            assert (second / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_numpy_integers_save_as_ints(self, tmp_path):
+        config = TrainConfig(burn_in_epochs=1, max_epochs=2, seed=np.int64(3))
+        arch = NetworkArch(np.int64(4), 8)
+        save_checkpoint(tmp_path, init_state(config, arch), config)
+        state, loaded = load_checkpoint(tmp_path)
+        assert loaded == config and state.theta_t.arch == arch
+        assert type(loaded.seed) is int and type(state.theta_t.arch.t) is int
 
 
 def _staged_checkpoint(tmp_path, stage: str):

@@ -22,7 +22,7 @@ from trscore.data import (
     load_features,
     save_features,
 )
-from trscore.errors import ConfigurationError, ParseError
+from trscore.errors import ConfigurationError, DimensionError, ParseError
 from trscore.evaluation import spearman
 from trscore.networks import FeatureSequence
 
@@ -107,8 +107,8 @@ class TestDatasetValidation:
         return FeatureSequence(Tensor(np.zeros((2, 2))), sample_id, score)
 
     def test_duplicate_ids(self):
-        with pytest.raises(ConfigurationError):
-            Dataset([self._seq("a", 1.0), self._seq("a", 2.0)])
+        with pytest.raises(ConfigurationError, match="duplicate sample id 'a'"):
+            Dataset([self._seq("a", 1.0), self._seq("b"), self._seq("a", 2.0)])
 
     @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
     def test_non_finite_score(self, score):
@@ -117,13 +117,45 @@ class TestDatasetValidation:
 
     def test_inconsistent_shapes(self):
         odd = FeatureSequence(Tensor(np.zeros((3, 2))), "b", None)
-        with pytest.raises(ConfigurationError):
-            Dataset([self._seq("a", 1.0), odd])
+        with pytest.raises(ConfigurationError, match=r"sample 'b' has shape \(3, 2\)"):
+            Dataset([self._seq("a", 1.0), odd, self._seq("c")])
 
     def test_labeled_means_scored(self):
         ds = Dataset([self._seq("a", 1.0), self._seq("b"), self._seq("c", 0.0)])
         assert _ids(ds.labeled_samples) == ["a", "c"]
         assert _ids(ds.unlabeled_samples) == ["b"]
+
+
+class TestSampleValidation:
+    """A sample checks its own id, score and features, naming itself."""
+
+    @pytest.mark.parametrize(
+        "score",
+        ["abc", "1.5", True, 10**400, 1j, [1.0]],
+        ids=["text", "numeric text", "bool", "huge int", "complex", "list"],
+    )
+    def test_score_must_be_a_finite_real(self, score):
+        with pytest.raises(ConfigurationError, match="sample 'a': score"):
+            FeatureSequence(np.zeros((2, 2)), "a", score)
+
+    @pytest.mark.parametrize("score", [2, np.int64(-3), np.float32(0.5), np.float64(1.25)])
+    def test_score_is_stored_as_a_float(self, score):
+        sample = FeatureSequence(np.zeros((2, 2)), "a", score)
+        assert type(sample.score) is float and sample.score == score
+
+    @pytest.mark.parametrize("sample_id", [5, None, b"a"])
+    def test_id_must_be_a_str(self, sample_id):
+        with pytest.raises(ConfigurationError, match="sample id must be a str"):
+            FeatureSequence(np.zeros((2, 2)), sample_id, 1.0)
+
+    @pytest.mark.parametrize("features", [[["a", "b"]], [[1.0, 2.0], [3.0]], {"x": 1}])
+    def test_unreadable_features_name_the_sample(self, features):
+        with pytest.raises(ConfigurationError, match="sample 'a': features"):
+            FeatureSequence(features, "a", 1.0)
+
+    def test_wrong_rank_names_the_sample(self):
+        with pytest.raises(DimensionError, match="sample 'a': features must be 2-D"):
+            FeatureSequence(np.zeros(3), "a")
 
 
 def random_dataset(seed):

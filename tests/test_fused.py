@@ -19,11 +19,13 @@ from trscore.autodiff import ParameterSet, Tensor
 from trscore.errors import ContractError
 from trscore.networks import (
     LOG_SIGMA_BOUND,
+    Network,
     NetworkArch,
     ScorePrediction,
     init_reference_params,
     init_teacher_params,
     mixer_forward,
+    reference_forward,
     regression_head,
     teacher_forward,
     _attention_block,
@@ -41,50 +43,50 @@ def oracle_mixer_forward(params, x):
     ps = params.params
     for i in range(params.arch.mixer_layers):
         normed = unfused.layer_norm(
-            x, ps[f"mixer.{i}.norm_token.scale"].tensor,
-            ps[f"mixer.{i}.norm_token.shift"].tensor,
+            x, ps[f"mixer.{i}.norm_token.scale"],
+            ps[f"mixer.{i}.norm_token.shift"],
         )
         tok = unfused.transpose_last_two(normed)
-        tok = unfused.matmul(tok, ps[f"mixer.{i}.token_in"].tensor)
+        tok = unfused.matmul(tok, ps[f"mixer.{i}.token_in"])
         tok = unfused.gelu(tok)
-        tok = unfused.matmul(tok, ps[f"mixer.{i}.token_out"].tensor)
+        tok = unfused.matmul(tok, ps[f"mixer.{i}.token_out"])
         x = ad.add(x, unfused.transpose_last_two(tok))
 
         normed = unfused.layer_norm(
-            x, ps[f"mixer.{i}.norm_channel.scale"].tensor,
-            ps[f"mixer.{i}.norm_channel.shift"].tensor,
+            x, ps[f"mixer.{i}.norm_channel.scale"],
+            ps[f"mixer.{i}.norm_channel.shift"],
         )
-        ch = unfused.matmul(normed, ps[f"mixer.{i}.channel_in"].tensor)
+        ch = unfused.matmul(normed, ps[f"mixer.{i}.channel_in"])
         ch = unfused.gelu(ch)
-        ch = unfused.matmul(ch, ps[f"mixer.{i}.channel_out"].tensor)
+        ch = unfused.matmul(ch, ps[f"mixer.{i}.channel_out"])
         x = ad.add(x, ch)
     return x
 
 
 def oracle_attention_block(params, i, x, exemplar):
     ps = params.params
-    scale = ps[f"attn.{i}.norm_in.scale"].tensor
-    shift = ps[f"attn.{i}.norm_in.shift"].tensor
+    scale = ps[f"attn.{i}.norm_in.scale"]
+    shift = ps[f"attn.{i}.norm_in.shift"]
     q_in = unfused.layer_norm(x, scale, shift)
     kv_in = unfused.layer_norm(exemplar, scale, shift)
-    q = unfused.matmul(q_in, ps[f"attn.{i}.w_query"].tensor)
-    k = unfused.matmul(kv_in, ps[f"attn.{i}.w_key"].tensor)
-    v = unfused.matmul(kv_in, ps[f"attn.{i}.w_value"].tensor)
+    q = unfused.matmul(q_in, ps[f"attn.{i}.w_query"])
+    k = unfused.matmul(kv_in, ps[f"attn.{i}.w_key"])
+    v = unfused.matmul(kv_in, ps[f"attn.{i}.w_value"])
     logits = ad.mul(
         unfused.matmul(q, unfused.transpose_last_two(k)),
         Tensor(1.0 / math.sqrt(params.arch.d_k)),
     )
     weights = unfused.softmax_last_dim(logits)
-    attended = unfused.matmul(unfused.matmul(weights, v), ps[f"attn.{i}.w_out"].tensor)
+    attended = unfused.matmul(unfused.matmul(weights, v), ps[f"attn.{i}.w_out"])
     x = ad.add(x, attended)
 
     normed = unfused.layer_norm(
-        x, ps[f"attn.{i}.norm_mlp.scale"].tensor,
-        ps[f"attn.{i}.norm_mlp.shift"].tensor,
+        x, ps[f"attn.{i}.norm_mlp.scale"],
+        ps[f"attn.{i}.norm_mlp.shift"],
     )
-    h = unfused.matmul(normed, ps[f"attn.{i}.mlp_in"].tensor)
+    h = unfused.matmul(normed, ps[f"attn.{i}.mlp_in"])
     h = unfused.gelu(h)
-    h = unfused.matmul(h, ps[f"attn.{i}.mlp_out"].tensor)
+    h = unfused.matmul(h, ps[f"attn.{i}.mlp_out"])
     return ad.add(x, h), weights
 
 
@@ -94,7 +96,7 @@ def oracle_regression_head(params, encoded):
     pooled = unfused.mean(encoded, axis=-2)
     if single:
         pooled = unfused.reshape(pooled, (1, pooled.shape[-1]))
-    raw = ad.add(unfused.matmul(pooled, ps["head.weight"].tensor), ps["head.bias"].tensor)
+    raw = ad.add(unfused.matmul(pooled, ps["head.weight"]), ps["head.bias"])
     mu = unfused.select_index(raw, 0)
     log_sigma = unfused.clip(unfused.select_index(raw, 1), -LOG_SIGMA_BOUND, LOG_SIGMA_BOUND)
     sigma = unfused.exp(log_sigma)
@@ -125,15 +127,15 @@ class OracleAdam:
         self.beta2 = beta2
         self.epsilon = epsilon
         self._step = 0
-        self._m = {name: np.zeros(p.tensor.numel) for name, p in params.items()}
-        self._v = {name: np.zeros(p.tensor.numel) for name, p in params.items()}
+        self._m = {name: np.zeros(p.numel) for name, p in params.items()}
+        self._v = {name: np.zeros(p.numel) for name, p in params.items()}
 
     def step(self) -> None:
         self._step += 1
         correct1 = 1.0 - self.beta1 ** self._step
         correct2 = 1.0 - self.beta2 ** self._step
         for name, p in self.params.items():
-            g = p.tensor.grad
+            g = p.grad
             if g is None:
                 continue
             m = self._m[name]
@@ -155,7 +157,7 @@ def oracle_ema_update(theta_t, theta_s, alpha):
         (alpha * p.array + (1.0 - alpha) * theta_s[name].array).reshape(-1)
         for name, p in theta_t.items()
     ]
-    layout = [(name, p.tensor.shape) for name, p in theta_t.items()]
+    layout = [(name, p.shape) for name, p in theta_t.items()]
     return ParameterSet(layout, np.concatenate(blended))
 
 
@@ -306,8 +308,8 @@ class TestFusedHead:
         net = init_teacher_params(NetworkArch(t=ARCH_T, d=ARCH_D), np.random.default_rng(2))
         leaf = Tensor(np.ones((3, ARCH_T, ARCH_D)), requires_grad=True)
         pred = regression_head(net, leaf)
-        leaves = {id(leaf), id(net.params["head.weight"].tensor),
-                  id(net.params["head.bias"].tensor)}
+        leaves = {id(leaf), id(net.params["head.weight"]),
+                  id(net.params["head.bias"])}
         nodes, stack = set(), [pred.mu, pred.sigma]
         while stack:
             node = stack.pop()
@@ -424,6 +426,48 @@ class TestArena:
         with pytest.raises(ContractError, match="empty"):
             ParameterSet([("a", (1,)), ("", (1,))], np.zeros(2))
 
+    def test_names_map_to_views_in_layout_order(self):
+        ps = ParameterSet([("w", (2, 2)), ("b", (1,))], np.zeros(5))
+        ps["w"].array[1, 0] = 3.0
+        ps["b"].array[0] = 4.0
+        np.testing.assert_array_equal(ps.data, [0, 0, 3, 0, 4])
+        assert [id(t) for t in ps] == [id(ps["w"]), id(ps["b"])]
+        assert [(name, id(t)) for name, t in ps.items()] == [
+            ("w", id(ps["w"])), ("b", id(ps["b"]))
+        ]
+
+    def test_unknown_name_raises(self):
+        ps = ParameterSet([("w", (1,))], np.zeros(1))
+        with pytest.raises(ContractError, match="'v'"):
+            ps["v"]
+        with pytest.raises(ContractError, match="'v'"):
+            ps["v"] = Tensor([1.0])
+        assert [name for name, _ in ps.items()] == ["w"]
+
+    @pytest.mark.parametrize(
+        "init, forward",
+        [
+            (init_teacher_params, teacher_forward),
+            (init_reference_params, lambda net, x: reference_forward(net, x, x)),
+        ],
+        ids=["teacher", "reference"],
+    )
+    def test_fused_nodes_read_swapped_in_tensors(self, init, forward):
+        net = init(NetworkArch(t=ARCH_T, d=ARCH_D), np.random.default_rng(3))
+        halved = Network(net.arch, ParameterSet(net.params.layout, net.params.data * 0.5))
+        x = Tensor(np.random.default_rng(4).normal(size=(2, ARCH_T, ARCH_D)))
+        forward(net, x)  # a first call, before the swap
+        probes = {
+            name: Tensor(p.array * 0.5, requires_grad=True) for name, p in net.params.items()
+        }
+        for name, probe in probes.items():
+            net.params[name] = probe
+        assert [id(t) for t in net.params] == [id(p) for p in probes.values()]
+        pred = forward(net, x)
+        assert _same_bits(pred.mu.array, forward(halved, x).mu.array)
+        ad.sum(pred.mu).backward()
+        assert all(probe.grad is not None for probe in probes.values())
+
 
 def _loss_step(net, x, targets):
     net.params.zero_grad()
@@ -451,19 +495,30 @@ class TestArenaAdam:
         ps = ParameterSet([("a", (2,)), ("b", (1,))], np.array([1.0, 2.0, 3.0]))
         a = ps["a"]
         opt = Adam(ps, 0.1)
-        ad.sum(ad.mul(a.tensor, a.tensor)).backward()  # "b" gets no gradient
+        ad.sum(ad.mul(a, a)).backward()  # "b" gets no gradient
         before = ps.data.copy()
         with pytest.raises(ContractError, match="'b'"):
             opt.step()
         assert np.array_equal(ps.data, before)
         assert ps.version == 0
-        assert opt._step == 0
 
     def test_no_gradient_at_all_moves_nothing(self):
-        ps = ParameterSet([("a", (1,))], np.array([1.0]))
-        opt = Adam(ps, 0.1)
+        gen = np.random.default_rng(8)
+        net = init_teacher_params(NetworkArch(t=ARCH_T, d=ARCH_D), gen)
+        oracle_net = net.copy()
+        opt = Adam(net.params, 3e-3)
+        before = net.params.data.copy()
+        opt.step()  # nothing was differentiated
+        assert net.params.version == 0 and np.array_equal(net.params.data, before)
+        assert not opt._m.any() and not opt._v.any()
+        # so the next real step is a first step, bias correction included
+        x, targets = gen.normal(size=(4, ARCH_T, ARCH_D)), gen.normal(size=4)
+        _loss_step(net, x, targets)
+        _loss_step(oracle_net, x, targets)
         opt.step()
-        assert ps["a"].array[0] == 1.0 and ps.version == 0
+        OracleAdam(oracle_net.params, 3e-3).step()
+        assert np.array_equal(net.params.data, oracle_net.params.data)
+        assert net.params.version == 1
 
 
 class TestArenaEma:

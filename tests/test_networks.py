@@ -38,8 +38,8 @@ def rand(shape, seed=0):
 
 
 def zeroed(params, substrings):
-    for p in params.params:
-        if any(s in p.name for s in substrings):
+    for name, p in params.params.items():
+        if any(s in name for s in substrings):
             p.array[...] = 0.0
 
 
@@ -74,7 +74,7 @@ class TestMixer:
                 values = values[:, perm]
             elif name.startswith("head."):
                 pass
-            layout.append((name, p.tensor.shape))
+            layout.append((name, p.shape))
             values_of.append(values.reshape(-1))
         permuted = ParameterSet(layout, np.concatenate(values_of))
         from trscore.networks import TeacherParams
@@ -244,7 +244,13 @@ _RECORDS = {
     NetworkArch: dict(t=4, d=8),
     SyntheticSpec: dict(num_samples=20),
 }
-_WRONG_VALUES = {"int": [2.5, True], "float": [True, "0.1"], "bool": [1, "no"]}
+_WRONG_VALUES = {
+    "int": [2.5, True],
+    "float": [True, "0.1", 10**400, float("inf")],
+    "bool": [1, "no"],
+    "ComponentToggles": ["x", None],
+}
+_NUMPY = {"int": np.int64, "float": np.float64}
 
 
 @pytest.mark.parametrize(
@@ -258,12 +264,15 @@ _WRONG_VALUES = {"int": [2.5, True], "float": [True, "0.1"], "bool": [1, "no"]}
 )
 def test_settings_records_check_field_types(record, field):
     valid = _RECORDS[record]
+    expected = f"^{field.name}: expected (a finite )?{field.type}"
     for value in _WRONG_VALUES[field.type]:
-        with pytest.raises(ConfigurationError, match=f"^{field.name}: expected {field.type}"):
+        with pytest.raises(ConfigurationError, match=expected):
             record(**{**valid, field.name: value})
-    if field.type == "int":
+    if field.type in _NUMPY:
+        # a numpy number is accepted and stored as the builtin one
         value = getattr(record(**valid), field.name)
-        assert record(**{**valid, field.name: np.int64(value)}) == record(**valid)
+        built = record(**{**valid, field.name: _NUMPY[field.type](value)})
+        assert built == record(**valid) and type(getattr(built, field.name)) is type(value)
 
 
 class TestNetworkArch:

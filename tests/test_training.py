@@ -84,7 +84,7 @@ class TestEmaUpdate:
         a, b = self._sets()
         out = ema_update(a, b, 0.5)
         assert out.layout == a.layout
-        assert out["w"].tensor.shape == a["w"].tensor.shape
+        assert out["w"].shape == a["w"].shape
 
     @pytest.mark.parametrize(
         "other",
@@ -334,7 +334,7 @@ class TestStateFacts:
         assert state.stage == "trs"
         assert state.trained is state.theta_s
         assert state.opt_trained.params is state.theta_s.params
-        assert state.opt_trained._step == 0
+        assert state.opt_trained.params.version == 0
         with pytest.raises(AttributeError):
             state.stage = "burn_in"
 
@@ -681,6 +681,11 @@ class TestTrain:
         if defect == "no labeled":
             labeled = []
         elif defect in bad_score:
+            if bad_score[defect] is not None:
+                # the sample rejects its non-finite score itself
+                with pytest.raises(ConfigurationError, match="sample 'x': score"):
+                    FeatureSequence(labeled[-1].features, "x", bad_score[defect])
+                return
             bad = FeatureSequence(labeled[-1].features, "x", bad_score[defect])
             labeled = labeled[:-1] + [bad]
         else:
@@ -695,6 +700,11 @@ class TestTrain:
         labeled, unlabeled = toy_sets()
         features = np.zeros((5, 8)) if defect == "shape" else labeled[0].features
         score = {"no score": None, "NaN score": math.nan, "inf score": math.inf}.get(defect, 1.0)
+        if defect in ("NaN score", "inf score"):
+            # the sample rejects its non-finite score itself
+            with pytest.raises(ConfigurationError, match="'v'"):
+                FeatureSequence(features, "v", score)
+            return
         bad = FeatureSequence(features, "v", score)
         monkeypatch.setattr(training, "burn_in_epoch", lambda *a: pytest.fail("an epoch ran"))
         with pytest.raises(ConfigurationError, match="'v'"):

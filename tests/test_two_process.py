@@ -115,7 +115,6 @@ def _assert_same_state(ours, theirs):
         ), memory
     for opt in ("opt_trained", "opt_reference"):
         mine, other = getattr(ours, opt), getattr(theirs, opt)
-        assert mine._step == other._step, opt
         assert np.array_equal(mine._m, other._m) and np.array_equal(mine._v, other._v), opt
 
 
