@@ -30,7 +30,7 @@ import numpy as np
 from . import rng as streams
 from .autodiff import Tensor
 from .errors import ConfigurationError, ParseError
-from .networks import FeatureSequence, check_field_types
+from .networks import MAX_ID_BYTES, FeatureSequence, check_field_types
 
 AQAF_MAGIC = b"AQAF"
 AQAF_VERSION = 1
@@ -203,7 +203,7 @@ def save_features(dataset: Dataset, path) -> None:
             out.write(struct.pack("<4sII", AQAF_MAGIC, AQAF_VERSION, len(dataset.samples)))
             for s in dataset.samples:
                 encoded = s.sample_id.encode("utf-8")
-                if len(encoded) > 0xFFFF:
+                if len(encoded) > MAX_ID_BYTES:
                     raise ConfigurationError(f"sample id too long: {s.sample_id!r}")
                 out.write(struct.pack("<H", len(encoded)))
                 out.write(encoded)
@@ -277,7 +277,11 @@ def iter_features(path) -> Iterator[FeatureSequence]:
             # or a signalling NaN; the element-wise test behind it decides
             if not math.isfinite(np.vdot(flat, flat)) and not np.isfinite(flat).all():
                 raise cur.error(f"features of {sample_id!r} are not all finite", features_offset)
-            yield FeatureSequence(Tensor(flat.reshape(t, d)), sample_id, score)
+            try:
+                sample = FeatureSequence(Tensor(flat.reshape(t, d)), sample_id, score)
+            except ConfigurationError as exc:  # an id that a memory file cannot hold
+                raise cur.error(str(exc), id_offset) from None
+            yield sample
         if cur.offset != cur.size:
             raise cur.error("trailing bytes after last sample")
 

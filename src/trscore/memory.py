@@ -68,8 +68,8 @@ class ConfidenceMemory:
 
         Floats use 17 significant digits so the round-trip is exact. Lines
         end in ``\\n`` and the id is everything before the last three tabs,
-        so an id may hold any character but ``\\n``; one that holds ``\\n``
-        raises ``ConfigurationError``.
+        so an id may hold any character but ``\\n``; one that holds ``\\n``, or
+        that is not UTF-8 encodable, raises ``ConfigurationError``.
         """
         lines = []
         for sample_id, e in self.entries.items():
@@ -77,10 +77,14 @@ class ConfidenceMemory:
                 raise ConfigurationError(
                     f"{path}: sample id {sample_id!r} contains a newline"
                 )
-            lines.append(
-                f"{sample_id}\t{e.score:.17g}\t{e.sigma:.17g}\t{e.epoch_written}\n"
-            )
-        Path(path).write_bytes("".join(lines).encode("utf-8"))
+            line = f"{sample_id}\t{e.score:.17g}\t{e.sigma:.17g}\t{e.epoch_written}\n"
+            try:
+                lines.append(line.encode("utf-8"))
+            except UnicodeEncodeError:
+                raise ConfigurationError(
+                    f"{path}: sample id {sample_id!r} is not UTF-8 encodable"
+                ) from None
+        Path(path).write_bytes(b"".join(lines))
 
     @classmethod
     def load_tsv(cls, path) -> "ConfidenceMemory":

@@ -48,12 +48,14 @@ from .autodiff import ParameterSet, Tensor
 from .errors import ConfigurationError, ContractError, DimensionError
 
 LOG_SIGMA_BOUND = 10.0
+MAX_ID_BYTES = 0xFFFF  # AQAF stores an id's length in two bytes
 
 
 @dataclass
 class FeatureSequence:
     """T x D snippet-feature matrix with an id and an optional score label,
-    checked as the settings records are: a ``str`` id, None or a finite
+    checked as the settings records are: a ``str`` id that AQAF and a memory
+    file can hold (UTF-8, no newline, at most 65,535 bytes), None or a finite
     float (``finite_float``) as the score, float64 features with T, D >= 1;
     an error names the sample."""
 
@@ -65,6 +67,17 @@ class FeatureSequence:
         if not isinstance(self.sample_id, str):
             raise ConfigurationError(f"sample id must be a str, got {self.sample_id!r}")
         where = f"sample {self.sample_id!r}"
+        try:
+            size = len(self.sample_id.encode("utf-8"))
+        except UnicodeEncodeError:
+            raise ConfigurationError(f"{where}: id is not UTF-8 encodable") from None
+        if size > MAX_ID_BYTES:
+            raise ConfigurationError(
+                f"sample {self.sample_id[:40]!r}...: id too long, {size} UTF-8 bytes "
+                f"(at most {MAX_ID_BYTES})"
+            )
+        if "\n" in self.sample_id:
+            raise ConfigurationError(f"{where}: id contains a newline")
         if self.score is not None:
             self.score = finite_float(self.score, f"{where}: score")
         if not isinstance(self.features, Tensor):

@@ -20,22 +20,28 @@ small). The epoch's draws (``_plan``) come from the seed once, and each step
 has two halves. The trained network's half (``_trained_terms``) is its
 direct term and its unsupervised term on the strong views. The
 pseudo-label half (``_PseudoLabelHalf``) is the rest: the reference
-network's term and step, and the pseudo-labels, whose teacher side, head and
-memory included, runs per batch. Nothing of the trained network's half
-reaches the other half within an epoch: the reference network learns from
-labeled pairs only, and the teacher changes only through the EMA at the
-epoch's end.
+network's term and step, the pseudo-labels, whose teacher side, head and
+memory included, runs per batch, and the epoch's weak and strong views,
+which depend on (seed, epoch, sample id) alone. Nothing of the trained
+network's half reaches the other half within an epoch: the reference
+network learns from labeled pairs only, and the teacher changes only
+through the EMA at the epoch's end.
 
 ``burn_in_epoch``, ``trs_epoch`` and ``train_supervised`` run both halves
 in this process, step by step. ``train`` forks a worker that owns the
 trained network and its optimizer and runs its half, while this process
 runs the pseudo-label half, the EMA and the validation, one epoch ahead
-where it can. ``train_supervised`` forks a validator that scores each
-epoch's student while this process steps the next epoch. Where no process
-can be forked, either call runs wholly in this process. Both ways give the
-same bits: the forked process runs the same code on exact float64 copies of
-the same values, passed through shared memory. No forked process outlives
-the call that made it, whether the call returns or raises.
+where it can. So this process makes every view: it writes each TRS epoch's
+strong views to the worker one epoch ahead, into slot ``epoch % 2`` of
+shared memory, then sends "views ready", and then releases the epoch's
+batches 1 ... nb with their pseudo-labels; the worker runs a batch's
+forwards before it waits for that batch's release (``_run_forked``).
+``train_supervised`` forks a validator that scores each epoch's student
+while this process steps the next epoch. Where no process can be forked,
+either call runs wholly in this process. Both ways give the same bits: the
+forked process runs the same code on exact float64 copies of the same
+values, passed through shared memory. No forked process outlives the call
+that made it, whether the call returns or raises.
 """
 
 from __future__ import annotations
@@ -434,43 +440,49 @@ def _trained_terms(
     pools: _Pools,
     plan: _Plan,
     b: int,
-    s_bar: np.ndarray | None,
+    x_strong: np.ndarray | None,
+    pseudo_labels: Callable[[], np.ndarray | None],
     beta: float,
-    config: TrainConfig,
 ) -> list[tuple[str, Tensor, float]]:
     """The trained network's half of batch ``b``: (name, loss summed over the
     batch, weight) of the direct term on the labeled batch and, given the
-    pseudo-labels ``s_bar`` of the paired unlabeled batch, of the
-    unsupervised term on its strong views."""
+    strong views ``x_strong`` of the paired unlabeled batch (made by
+    ``_PseudoLabelHalf``), of the unsupervised term on them. Both forwards
+    run before ``pseudo_labels()`` is called for the batch's s_bar (None
+    without unlabeled data), so that a caller may wait for it there."""
     lo, hi = plan.bounds[b]
     idx = plan.order[lo:hi]
     direct = gaussian_nll(pools.s_lab[idx], teacher_forward(net, ad._adopt(pools.x_lab[idx])))
     terms = [("l_reg_s", ad.sum(direct), 1.0 / idx.size)]
-    if s_bar is not None:
-        batch = [pools.unlabeled[int(j)] for j in plan.slots[lo:hi]]
-        x_strong = _augmented_stack(batch, "strong", plan.epoch, config)
-        strong_pred = teacher_forward(net, ad._adopt(x_strong))
+    strong_pred = None if x_strong is None else teacher_forward(net, ad._adopt(x_strong))
+    s_bar = pseudo_labels()
+    if strong_pred is not None:
         terms.append(
-            ("l_unsup", ad.sum(unsupervised_loss(strong_pred, s_bar)), beta / len(batch))
+            ("l_unsup", ad.sum(unsupervised_loss(strong_pred, s_bar)), beta / len(x_strong))
         )
     return terms
 
 
 class _PseudoLabelHalf:
     """Everything of one epoch's steps that the trained network does not
-    touch: the reference network's term and step, and the pseudo-labels.
+    touch: the reference network's term and step, the pseudo-labels, and the
+    views of the unlabeled samples.
 
+    With unlabeled data, construction makes the epoch's weak views
+    (``x_weak``) and strong views (``x_strong``), one row per labeled
+    position, each from its sample's own stream (seed, strength, epoch,
+    sample id); the trained network reads its batch's rows of ``x_strong``.
     ``reference(b)`` returns batch ``b``'s relative term on its labeled pairs
     (none without the reference network) and, with unlabeled data, makes the
     reference side of the batch's pseudo-labels; both use the reference
     network before its step of batch ``b``, so call it for every batch in
     order, stepping in between. ``pseudo_labels(b)`` returns the batch's
-    pseudo-labels (s_bar), made after ``reference(b)`` on the weak views of
-    its unlabeled samples by the teacher as it is at that call. Each side
-    passes through its own confidence memory when that memory is on, and the
-    two sides are fused (``fuse_scores``); a sample repeated within a batch
-    has the same weak view, so its second write is a tie and the memory
-    keeps the first.
+    pseudo-labels (s_bar; None without unlabeled data), made after
+    ``reference(b)`` on the weak views of its unlabeled samples by the
+    teacher as it is at that call. Each side passes through its own
+    confidence memory when that memory is on, and the two sides are fused
+    (``fuse_scores``); a sample repeated within a batch has the same weak
+    view, so its second write is a tie and the memory keeps the first.
     """
 
     def __init__(self, state: TrsState, pools: _Pools, plan: _Plan, config: TrainConfig):
@@ -479,6 +491,7 @@ class _PseudoLabelHalf:
         if plan.slots is not None:
             self.paired = [pools.unlabeled[int(j)] for j in plan.slots]
             self.x_weak = _augmented_stack(self.paired, "weak", plan.epoch, config)
+            self.x_strong = _augmented_stack(self.paired, "strong", plan.epoch, config)
             self.r_side = np.empty(len(self.paired))
 
     def reference(self, b: int) -> list[tuple[str, Tensor, float]]:
@@ -505,7 +518,9 @@ class _PseudoLabelHalf:
             )
         return [("l_reg_r", ad.sum(relative), 1.0 / idx.size)]
 
-    def pseudo_labels(self, b: int) -> np.ndarray:
+    def pseudo_labels(self, b: int) -> np.ndarray | None:
+        if self.plan.slots is None:
+            return None
         lo, hi = self.plan.bounds[b]
         with ad.no_grad():
             pred = teacher_forward(self.state.theta_t, ad._adopt(self.x_weak[lo:hi]))
@@ -592,12 +607,15 @@ def _epoch(
     plan = _plan(config, len(labeled), len(unlabeled), state.epoch)
     labels = _PseudoLabelHalf(state, pools, plan, config)
     sums = dict.fromkeys(_TERMS, 0.0)
-    for b in range(len(plan.bounds)):
+    for b, (lo, hi) in enumerate(plan.bounds):
         state.opt_trained.zero_grad()
         state.opt_reference.zero_grad()
         relative = labels.reference(b)
-        s_bar = labels.pseudo_labels(b) if plan.slots is not None else None
-        trained = _trained_terms(state.trained, pools, plan, b, s_bar, beta, config)
+        x_strong = labels.x_strong[lo:hi] if plan.slots is not None else None
+        trained = _trained_terms(
+            state.trained, pools, plan, b, x_strong,
+            functools.partial(labels.pseudo_labels, b), beta,
+        )
         for name, value in _checked(plan.epoch, b, trained + relative).items():
             sums[name] += value
         _descend(trained, state.opt_trained)
@@ -882,20 +900,23 @@ class _Exchange:
     worker gets this alone, so that no cycle holds the parent's process
     object.
 
-    One float64 vector per keyword, of that size, all in one anonymous
-    shared mapping, and two one-way pipes for the rest. Every receive
-    blocks. Every message is a few numbers in one write below ``PIPE_BUF``,
-    except a worker's error, which is the pickled exception and may be
-    longer; the worker sends it as its last message, and the parent reads it
-    at its next receive.
+    One float64 array per keyword, of that shape (a size for a vector), all
+    in one anonymous shared mapping, and two one-way pipes for the rest.
+    Every receive blocks. Every message is a few numbers in one write below
+    ``PIPE_BUF``, except a worker's error, which is the pickled exception and
+    may be longer; the worker sends it as its last message, and the parent
+    reads it at its next receive. ``train``'s exchange also holds two epochs
+    of strong views, which the parent writes one epoch ahead into slot
+    ``epoch % 2`` (see ``_run_forked``).
     """
 
-    def __init__(self, context, **sizes: int):
+    def __init__(self, context, **shapes: int | tuple[int, ...]):
+        sizes = {name: int(np.prod(shape)) for name, shape in shapes.items()}
         flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes.values())), dtype=np.float64)
         offset = 0
-        for name, size in sizes.items():
-            setattr(self, name, flat[offset : offset + size])
-            offset += size
+        for name, shape in shapes.items():
+            setattr(self, name, flat[offset : offset + sizes[name]].reshape(shape))
+            offset += sizes[name]
         self.to_worker = context.Pipe(duplex=False)  # (receiving end, sending end)
         self.to_parent = context.Pipe(duplex=False)
 
@@ -1008,23 +1029,37 @@ def _beta(config: TrainConfig, epoch: int) -> float:
 def _work(
     exchange: _Exchange, inbox, outbox, state: TrsState, pools: _Pools, config: TrainConfig
 ) -> None:
-    """The worker process of ``train``: every step of the trained network,
-    each batch once the parent has released it (see ``_run_forked``)."""
+    """The worker process of ``train``: every step of the trained network
+    (see ``_run_forked`` for the messages). A TRS epoch starts once the
+    parent's "views ready" says that its strong views, which the parent
+    made, are in slot ``epoch % 2``; the batch releases 1 ... nb follow.
+    Each batch runs its forwards first (the direct one, then the strong one)
+    and only then waits for the release of the batch's s_bar and relative
+    term; the loss, the backward and the step follow."""
     n, m = len(pools.x_lab), len(pools.unlabeled)
     for epoch in range(config.max_epochs):
         trs = epoch >= config.burn_in_epochs
         if epoch == config.burn_in_epochs:
             initialize_student(state, config)
         plan = _plan(config, n, m if trs else 0, epoch)
+        views = None
+        if plan.slots is not None:
+            inbox.recv()  # "views ready"
+            views = exchange.x_strong[epoch % 2]
         sums = dict.fromkeys(_TERMS, 0.0)
-        ready = 0
-        for b, (lo, hi) in enumerate(plan.bounds):
+        ready = 0  # how many of the epoch's batches the parent has released
+
+        def released(b: int, lo: int, hi: int) -> np.ndarray | None:
+            nonlocal ready
             while ready <= b:
                 ready = inbox.recv()
+            return None if views is None else exchange.s_bar[lo:hi]
+
+        for b, (lo, hi) in enumerate(plan.bounds):
             state.opt_trained.zero_grad()
-            s_bar = exchange.s_bar[lo:hi] if plan.slots is not None else None
             terms = _trained_terms(
-                state.trained, pools, plan, b, s_bar, _beta(config, epoch), config
+                state.trained, pools, plan, b, None if views is None else views[lo:hi],
+                functools.partial(released, b, lo, hi), _beta(config, epoch),
             )
             values = _checked(epoch, b, terms, {"l_reg_r": exchange.relative[b]})
             for name, _, _ in terms:
@@ -1069,18 +1104,28 @@ def _run_forked(
     Per epoch this process finishes the pseudo-labels with that epoch's
     teacher and releases the epoch to the worker. While the worker steps it,
     this process validates the previous epoch's student and makes the
-    reference half of the next epoch. Then it copies the worker's arena into
-    the teacher during burn-in and into the student after it, and makes the
-    EMA. The teacher's side of the pseudo-labels and the EMA are all that the
-    worker waits for between two epochs.
+    pseudo-label half of the next epoch: its views, then its reference pass.
+    Then it copies the worker's arena into the teacher during burn-in and
+    into the student after it, and makes the EMA. The teacher's side of the
+    pseudo-labels and the EMA are all that the worker waits for between two
+    epochs, and it runs each batch's forwards before it waits for the
+    batch's release.
 
     The exchange holds the trained network's arena and Adam moments, which
-    the worker writes at each epoch's end, and the epoch's pseudo-labels (one
+    the worker writes at each epoch's end; the epoch's pseudo-labels (one
     per labeled position) and each batch's reference term, which this
-    process writes before it releases the batches that read them. This
-    process sends how many of the epoch's batches are released so far; the
-    worker replies once per epoch with its loss sums and the trained set's
-    version, which is its Adam step count.
+    process writes before it releases the batches that read them; and two
+    slots of strong views, one row per labeled position. This process makes
+    the strong views: it writes TRS epoch e's into slot e % 2 while the
+    worker steps epoch e - 1. By then it holds the worker's reply for epoch
+    e - 2, the last epoch that read that slot.
+
+    The messages to the worker, per TRS epoch e: "views ready" (0), sent
+    during epoch e - 1 once slot e % 2 is written, then the batch releases
+    1 ... nb, each the count of the epoch's batches whose s_bar is written.
+    A burn-in epoch has no views and one release, nb. The worker replies once
+    per epoch with its loss sums and the trained set's version, which is its
+    Adam step count.
     """
     pools = _Pools.of(labeled_set, unlabeled_set)
     n, m, burn_in = len(labeled_set), len(unlabeled_set), config.burn_in_epochs
@@ -1091,6 +1136,9 @@ def _run_forked(
         labels = _PseudoLabelHalf(
             state, pools, _plan(config, n, m if epoch >= burn_in else 0, epoch), config
         )
+        if labels.plan.slots is not None:
+            exchange.x_strong[epoch % 2] = labels.x_strong
+            worker.send(0)  # "views ready"
         return labels, _reference_pass(labels, state.opt_reference)
 
     def validated(row: EpochMetrics) -> EpochMetrics:
@@ -1101,6 +1149,7 @@ def _run_forked(
     exchange = _Exchange(
         context, arena=arena, m=arena, v=arena, s_bar=n,
         relative=len(_batch_bounds(n, config.batch_size)),
+        x_strong=(2, *pools.x_lab.shape),
     )
     metrics: list[EpochMetrics] = []
     with _Worker(context, "training", exchange, _work, (state, pools, config)) as worker:

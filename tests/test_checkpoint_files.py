@@ -310,6 +310,13 @@ class TestMemoryFile:
         mem.save_tsv(path)
         assert ConfidenceMemory.load_tsv(path).entries == mem.entries
 
+    def test_unencodable_id_rejected_on_save(self, tmp_path):
+        mem = ConfidenceMemory()
+        mem.maybe_write("\ud800", 1.0, 0.5, 0)
+        with pytest.raises(ConfigurationError, match="'\\\\ud800' is not UTF-8 encodable"):
+            mem.save_tsv(tmp_path / "memory_t.tsv")
+        assert not (tmp_path / "memory_t.tsv").exists()
+
     def test_newline_in_id_rejected_on_save(self, tmp_path):
         mem = ConfidenceMemory()
         mem.maybe_write("two\nlines", 1.0, 0.5, 0)

@@ -148,6 +148,19 @@ class TestSampleValidation:
         with pytest.raises(ConfigurationError, match="sample id must be a str"):
             FeatureSequence(np.zeros((2, 2)), sample_id, 1.0)
 
+    @pytest.mark.parametrize("sample_id, message", [
+        ("a\nb", "sample 'a\\\\nb': id contains a newline"),
+        ("\ud800", "sample '\\\\ud800': id is not UTF-8 encodable"),
+        ("é" * 32768, "id too long, 65536 UTF-8 bytes"),
+    ], ids=["newline", "lone surrogate", "65,536 bytes"])
+    def test_id_that_no_file_can_hold_is_rejected(self, sample_id, message):
+        # AQAF stores an id's UTF-8 length in two bytes; a memory file is lines
+        with pytest.raises(ConfigurationError, match=message):
+            FeatureSequence(np.zeros((2, 2)), sample_id, 1.0)
+
+    def test_id_of_65535_bytes_is_accepted(self):
+        assert FeatureSequence(np.zeros((2, 2)), "é" * 32767 + "a").sample_id.endswith("a")
+
     @pytest.mark.parametrize("features", [[["a", "b"]], [[1.0, 2.0], [3.0]], {"x": 1}])
     def test_unreadable_features_name_the_sample(self, features):
         with pytest.raises(ConfigurationError, match="sample 'a': features"):
@@ -397,6 +410,7 @@ class TestAqafErrors:
             (b"a", 0, (0, 1), 16, "dimensions must be positive"),
             (b"a", 0, (1, 0), 16, "dimensions must be positive"),
             (b"\xffa", 0, (1, 1), 14, "UTF-8"),
+            (b"a\nb", 0, (1, 1), 12, "id contains a newline"),
         ],
     )
     def test_malformed_sample_header(self, tmp_path, sample_id, flag, dims, offset, message):
@@ -415,10 +429,11 @@ class TestAqafErrors:
 
     @pytest.mark.parametrize("existing", [None, b"an earlier file"])
     def test_id_over_65535_bytes_rejected_on_save(self, tmp_path, existing):
-        # the overlong id comes last, after every other sample was written
-        samples = [FeatureSequence(Tensor(np.zeros((1, 1))), f"s{i}", None) for i in range(3)]
-        samples.append(FeatureSequence(Tensor(np.zeros((1, 1))), "é" * 32768, None))
+        # the overlong id comes last, after every other sample was written; a
+        # sample rejects it when made, so it is set afterwards
+        samples = [FeatureSequence(Tensor(np.zeros((1, 1))), f"s{i}", None) for i in range(4)]
         dataset = Dataset(samples)
+        samples[-1].sample_id = "é" * 32768
         path = tmp_path / "long.aqaf"
         if existing is not None:
             path.write_bytes(existing)

@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import signal
+import time
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -322,6 +323,58 @@ def test_forked_train_equals_one_process(
         equal_nan=True,
     )
     _assert_same_state(state, forked_state)
+
+
+def test_a_slow_parent_gives_the_one_process_bits(worker_pids, monkeypatch, tmp_path):
+    # the parent writes each TRS epoch's strong views one epoch ahead; made
+    # slow there, it lets the worker reach epoch e + 1 before they are written
+    labeled, unlabeled, config = _sets(SMALL)
+    assert (len(labeled), len(unlabeled), len(labeled) % config.batch_size) == (21, 9, 1)
+    real = training._augmented_stack
+
+    def slow(samples, strength, epoch, config):
+        time.sleep(0.005)
+        return real(samples, strength, epoch, config)
+
+    monkeypatch.setattr(training, "_augmented_stack", slow)
+
+    def alarm(signum, frame):
+        raise _Alarm("the worker and this process wait for each other")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.alarm(60)
+    try:
+        forked_state, forked_rows = _trained(config, labeled, unlabeled, monkeypatch, tmp_path)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(worker_pids) == 1
+    _in_one_process(monkeypatch)
+    state, rows = _trained(config, labeled, unlabeled, monkeypatch, tmp_path)
+    assert len(worker_pids) == 1  # no second worker
+    assert np.array_equal(
+        np.array([astuple(r) for r in rows]), np.array([astuple(r) for r in forked_rows]),
+        equal_nan=True,
+    )
+    _assert_same_state(state, forked_state)
+
+
+def test_the_worker_makes_no_views(worker_pids, monkeypatch):
+    labeled, unlabeled, config = _sets(SMALL)
+    real = training.augment
+    made = []
+
+    def here_only(*args):
+        if _in_worker():
+            raise AssertionError("the worker made a view")
+        made.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(training, "augment", here_only)
+    training.train(config, labeled, unlabeled)
+    assert len(worker_pids) == 1
+    trs_epochs = config.max_epochs - config.burn_in_epochs
+    assert made.count("strong") == made.count("weak") == trs_epochs * len(labeled)
 
 
 class _TwoArgs(Exception):
