@@ -8,11 +8,11 @@ AQAF layout (little-endian): magic "AQAF", u32 version=1, u32 sample count,
 then per sample: u16 id length + UTF-8 id, u8 has_score flag, f64 score when
 flagged, u32 T, u32 D, and T*D f64 features in row-major order.
 
-Every path holds at most one copy of a dataset: synthesis builds its features a
-block of rows at a time, ``save_features`` writes bounded blocks straight to
-the file, and ``iter_features`` parses the file as it reads it, so a
-malformed sample raises its ``ParseError`` only when the parser reaches it,
-after the samples before it were yielded.
+Every path holds at most one copy of a dataset: synthesis builds its samples
+as views of blocks of rows, ``save_features`` writes bounded blocks straight
+to the file, and ``iter_features`` parses the file as it reads it, each sample
+a view of its bytes, so a malformed sample raises its ``ParseError`` only
+when the parser reaches it, after the samples before it were yielded.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as streams
-from .autodiff import Tensor
-from .errors import ConfigurationError, ParseError
-from .networks import MAX_ID_BYTES, FeatureSequence, check_field_types
+from .errors import ConfigurationError, NonFiniteFeaturesError, ParseError
+from .networks import FeatureSequence, check_field_types
 
 AQAF_MAGIC = b"AQAF"
 AQAF_VERSION = 1
@@ -130,14 +129,14 @@ def generate_synthetic(spec: SyntheticSpec, split: str = "train") -> Dataset:
     # the noise is drawn block by block in row order, which consumes the stream
     # exactly as one N x T x D draw would, so the bits do not depend on the block
     rows = max(1, _BLOCK_BYTES // (8 * spec.t * spec.d))
-    features: list[Tensor] = []
+    features: list[np.ndarray] = []
     for lo in range(0, spec.num_samples, rows):
         hi = min(lo + rows, spec.num_samples)
         noise = draw.normal(0.0, spec.noise_std, size=(hi - lo, spec.t, spec.d))
         trajectory = (latent[lo:hi] * gains)[:, None, :] * modulation[None, :, :]
         block = trajectory @ projection
         block += noise
-        features.extend(Tensor(row) for row in block)
+        features.extend(block)
     signal = latent[:, :SIGNAL_DIMS]
     raw = signal @ w_linear + NONLINEAR_WEIGHT * np.tanh(signal @ w_tanh)
     scores = np.clip(SCORE_SCALE * raw, SCORE_RANGE[0], SCORE_RANGE[1])
@@ -146,10 +145,8 @@ def generate_synthetic(spec: SyntheticSpec, split: str = "train") -> Dataset:
     labeled_positions = set(draw.permutation(spec.num_samples)[:num_labeled].tolist())
 
     return Dataset([
-        FeatureSequence(
-            tensor, f"{split}-{i:05d}", float(scores[i]) if i in labeled_positions else None
-        )
-        for i, tensor in enumerate(features)
+        FeatureSequence(x, f"{split}-{i:05d}", scores[i] if i in labeled_positions else None)
+        for i, x in enumerate(features)
     ])
 
 
@@ -203,8 +200,6 @@ def save_features(dataset: Dataset, path) -> None:
             out.write(struct.pack("<4sII", AQAF_MAGIC, AQAF_VERSION, len(dataset.samples)))
             for s in dataset.samples:
                 encoded = s.sample_id.encode("utf-8")
-                if len(encoded) > MAX_ID_BYTES:
-                    raise ConfigurationError(f"sample id too long: {s.sample_id!r}")
                 out.write(struct.pack("<H", len(encoded)))
                 out.write(encoded)
                 if s.score is not None:
@@ -212,7 +207,7 @@ def save_features(dataset: Dataset, path) -> None:
                 else:
                     out.write(struct.pack("<B", 0))
                 out.write(struct.pack("<II", *s.features.shape))
-                out.write(np.ascontiguousarray(s.features.array, dtype="<f8"))
+                out.write(np.ascontiguousarray(s.features, dtype="<f8"))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -224,8 +219,8 @@ def iter_features(path) -> Iterator[FeatureSequence]:
 
     Malformed input raises ``ParseError`` with its offset when the parser
     reaches it; the samples before it have been yielded by then. The file is
-    read through a bounded buffer, and each sample's features are copied once,
-    from the bytes read into the sample's own array.
+    read through a bounded buffer, and each sample's features are a read-only
+    view of the bytes read for it.
     """
     with open(path, "rb", buffering=_BLOCK_BYTES) as stream:
         cur = _Cursor(stream, path)
@@ -271,14 +266,12 @@ def iter_features(path) -> Iterator[FeatureSequence]:
             features_offset = cur.offset
             raw = cur.take(8 * t * d, f"features of {sample_id!r}")
             flat = np.frombuffer(raw, dtype="<f8")
-            # one dot product is cheaper than an element-wise test; the sum of
-            # squares is finite unless a value is non-finite or above ~1e154.
-            # vdot, unlike matmul, raises no floating-point warning on overflow
-            # or a signalling NaN; the element-wise test behind it decides
-            if not math.isfinite(np.vdot(flat, flat)) and not np.isfinite(flat).all():
-                raise cur.error(f"features of {sample_id!r} are not all finite", features_offset)
             try:
-                sample = FeatureSequence(Tensor(flat.reshape(t, d)), sample_id, score)
+                sample = FeatureSequence(flat.reshape(t, d), sample_id, score)
+            except NonFiniteFeaturesError:
+                raise cur.error(
+                    f"features of {sample_id!r} are not all finite", features_offset
+                ) from None
             except ConfigurationError as exc:  # an id that a memory file cannot hold
                 raise cur.error(str(exc), id_offset) from None
             yield sample

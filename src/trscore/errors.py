@@ -26,6 +26,10 @@ class ConfigurationError(TrscoreError, ValueError):
     """A training or dataset configuration is invalid."""
 
 
+class NonFiniteFeaturesError(ConfigurationError):
+    """A sample's features hold a NaN or an infinity."""
+
+
 class MetricUndefinedError(TrscoreError, ValueError):
     """The requested metric is undefined for the given inputs."""
 

@@ -135,7 +135,7 @@ def evaluate(
                     raise DimensionError(
                         f"test sample {s.sample_id!r} is {s.features.shape}, not {shape}"
                     )
-            pred = _forward(student, np.stack([s.features.array for s in batch]))
+            pred = _forward(student, np.stack([s.features for s in batch]))
             mus.append(pred.mu_values)
             sigmas.append(pred.sigma_values)
             ids.extend(s.sample_id for s in batch)

@@ -18,7 +18,7 @@ from pathlib import Path
 from .errors import ConfigurationError, ContractError, FusionUnavailableError, ParseError
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemoryEntry:
     score: float
     sigma: float

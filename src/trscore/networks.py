@@ -45,21 +45,24 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterSet, Tensor
-from .errors import ConfigurationError, ContractError, DimensionError
+from .errors import ConfigurationError, ContractError, DimensionError, NonFiniteFeaturesError
 
 LOG_SIGMA_BOUND = 10.0
 MAX_ID_BYTES = 0xFFFF  # AQAF stores an id's length in two bytes
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FeatureSequence:
     """T x D snippet-feature matrix with an id and an optional score label,
     checked as the settings records are: a ``str`` id that AQAF and a memory
     file can hold (UTF-8, no newline, at most 65,535 bytes), None or a finite
-    float (``finite_float``) as the score, float64 features with T, D >= 1;
-    an error names the sample."""
+    float (``finite_float``) as the score, finite float64 features with T, D
+    >= 1 (else ``NonFiniteFeaturesError``); an error names the sample. It is
+    frozen and compared by identity. A float64 ``ndarray`` is adopted and made
+    read-only in place, so pass one that nothing writes afterwards; anything
+    else is converted into a new array."""
 
-    features: Tensor
+    features: np.ndarray
     sample_id: str
     score: float | None = None
 
@@ -67,6 +70,22 @@ class FeatureSequence:
         if not isinstance(self.sample_id, str):
             raise ConfigurationError(f"sample id must be a str, got {self.sample_id!r}")
         where = f"sample {self.sample_id!r}"
+        if self.score is not None:
+            object.__setattr__(self, "score", finite_float(self.score, f"{where}: score"))
+        features = self.features
+        if type(features) is not np.ndarray or features.dtype != np.float64:
+            try:
+                features = np.array(features, dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"{where}: features are not float64: {exc}") from None
+        if features.ndim != 2 or 0 in features.shape:
+            raise DimensionError(
+                f"{where}: features must be 2-D (T x D), T, D >= 1, got shape {features.shape}"
+            )
+        # one vdot, finite unless a value is non-finite or above ~1e154 and silent
+        # on overflow or a signalling NaN, is cheaper than the test that decides
+        if not math.isfinite(np.vdot(features, features)) and not np.isfinite(features).all():
+            raise NonFiniteFeaturesError(f"{where}: features are not all finite")
         try:
             size = len(self.sample_id.encode("utf-8"))
         except UnicodeEncodeError:
@@ -78,20 +97,8 @@ class FeatureSequence:
             )
         if "\n" in self.sample_id:
             raise ConfigurationError(f"{where}: id contains a newline")
-        if self.score is not None:
-            self.score = finite_float(self.score, f"{where}: score")
-        if not isinstance(self.features, Tensor):
-            try:
-                self.features = Tensor(self.features)
-            except (TypeError, ValueError) as exc:
-                raise ConfigurationError(f"{where}: features are not float64: {exc}") from None
-        if self.features.ndim != 2:
-            raise DimensionError(
-                f"{where}: features must be 2-D (T x D), got shape {self.features.shape}"
-            )
-        t, d = self.features.shape
-        if t < 1 or d < 1:
-            raise DimensionError(f"{where}: features need T >= 1 and D >= 1, got {t} x {d}")
+        features.setflags(write=False)
+        object.__setattr__(self, "features", features)
 
 
 def finite_float(value, what: str) -> float:
@@ -269,11 +276,7 @@ def init_reference_params(arch: NetworkArch, rng: np.random.Generator) -> Networ
 
 
 def _as_tensor(x) -> Tensor:
-    if isinstance(x, FeatureSequence):
-        return x.features
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _check_sequence_shape(x: Tensor, arch: NetworkArch, what: str) -> None:

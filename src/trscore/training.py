@@ -80,10 +80,8 @@ from .networks import (
     finite_float,
     init_reference_params,
     init_teacher_params,
-    mixer_forward,
     reference_forward,
     reference_layout,
-    regression_head,
     teacher_forward,
     teacher_layout,
 )
@@ -265,25 +263,27 @@ def ema_update(theta_t: ParameterSet, theta_s: ParameterSet, alpha: float) -> Pa
 
 
 def augment(
-    f: FeatureSequence,
+    features: np.ndarray,
     strength: str,
     rng: np.random.Generator,
     noise_std: float = 0.0,
-) -> FeatureSequence:
-    """Label-invariant feature augmentation.
+) -> np.ndarray:
+    """Label-invariant augmentation of a T x D feature array.
 
     Weak: reverse the snippet order with probability 1/2. Strong: the weak
-    transform plus zero-mean Gaussian noise (std ``noise_std``) on every
-    feature. Returns a new sequence; the input is untouched.
+    transform plus zero-mean Gaussian noise (std ``noise_std``, a finite
+    number >= 0) on every feature. The input is untouched; a weak view may be
+    a view of it.
     """
     if strength not in ("weak", "strong"):
         raise ContractError(f"strength must be 'weak' or 'strong', got {strength!r}")
-    arr = f.features.array
+    if not 0.0 <= noise_std < math.inf:
+        raise ContractError(f"noise_std must be a finite number >= 0, got {noise_std!r}")
     if rng.random() < 0.5:
-        arr = arr[::-1]
+        features = features[::-1]
     if strength == "strong":
-        arr = arr + rng.normal(0.0, noise_std, size=arr.shape)
-    return FeatureSequence(Tensor(arr), f.sample_id, f.score)
+        features = features + rng.normal(0.0, noise_std, size=features.shape)
+    return features
 
 
 @dataclass
@@ -333,7 +333,7 @@ def init_state(config: TrainConfig, arch: NetworkArch) -> TrsState:
 
 
 def _stack(samples: Sequence[FeatureSequence]) -> np.ndarray:
-    return np.stack([s.features.array for s in samples])
+    return np.stack([s.features for s in samples])
 
 
 def _labels(samples: Sequence[FeatureSequence]) -> np.ndarray:
@@ -349,7 +349,7 @@ def _augmented_stack(
     out = []
     for s in samples:
         gen = streams.derive(config.seed, purpose, epoch, streams.id_hash(s.sample_id))
-        out.append(augment(s, strength, gen, config.augment_noise_std).features.array)
+        out.append(augment(s.features, strength, gen, config.augment_noise_std))
     return np.stack(out)
 
 

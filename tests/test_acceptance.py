@@ -390,7 +390,7 @@ class TestCriterion8FormatRoundTrip:
             sample_id = f"clipé{seed}-{i}" if i % 4 == 0 else f"clip{seed}-{i}"
             score = float(gen.normal() * 10) if gen.random() < 0.6 else None
             samples.append(
-                FeatureSequence(Tensor(gen.normal(size=(t, d))), sample_id, score)
+                FeatureSequence(gen.normal(size=(t, d)), sample_id, score)
             )
         return Dataset(samples)
 
@@ -406,7 +406,7 @@ class TestCriterion8FormatRoundTrip:
                 ]
                 for a, b in zip(loaded.samples, ds.samples):
                     assert a.score == b.score
-                    np.testing.assert_array_equal(a.features.array, b.features.array)
+                    np.testing.assert_array_equal(a.features, b.features)
                 assert [s.sample_id for s in loaded.labeled_samples] == [
                     s.sample_id for s in ds.labeled_samples
                 ]

@@ -6,12 +6,14 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from trscore import cli, evaluation
+from test_data import full_disk_open
+from trscore import cli, data, evaluation
 from trscore.cli import main, parse_config_file
 from trscore.data import Dataset, load_features, save_features
 from trscore.errors import ConfigurationError
@@ -45,14 +47,16 @@ class TestSynth:
         ds = load_features(out)
         assert len(ds.samples) == 10
 
-    def test_failed_write_leaves_the_existing_file(self, tmp_path, capsys):
+    def test_failed_write_leaves_the_existing_file(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "d.aqaf"
         out.write_bytes(b"an earlier file")
-        code = run_cli(
-            ["synth", "--n", 10, "--t", 3, "--d", 4, "--split", "é" * 32768, "-o", out]
-        )
+        # the disk fills in the second record; a record takes 2 + 11 id bytes,
+        # 1 or 9 score bytes, 8 dimension bytes and 3 x 4 x 8 feature bytes
+        monkeypatch.setattr(data, "open", full_disk_open(12 + 126), raising=False)
+        code = run_cli(["synth", "--n", 10, "--t", 3, "--d", 4, "-o", out])
         assert code == 2
-        assert "too long" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "No space left" in err[0]
         assert out.read_bytes() == b"an earlier file"
         assert os.listdir(tmp_path) == ["d.aqaf"]
 
@@ -336,7 +340,7 @@ class TestEvalStream:
             path.write_bytes(bytes(blob))
         else:
             samples = load_features(path).samples
-            samples[-1].score = None
+            samples[-1] = replace(samples[-1], score=None)
             save_features(Dataset(samples), path)
         forwards = []
         scored = evaluation._forward

@@ -1,5 +1,7 @@
 """Synthetic-task and AQAF-format tests."""
 
+import dataclasses
+import errno
 import math
 import os
 import struct
@@ -11,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trscore.autodiff import Tensor
 from trscore import data as data_module
 from trscore.data import (
     AQAF_MAGIC,
@@ -22,7 +23,12 @@ from trscore.data import (
     load_features,
     save_features,
 )
-from trscore.errors import ConfigurationError, DimensionError, ParseError
+from trscore.errors import (
+    ConfigurationError,
+    DimensionError,
+    NonFiniteFeaturesError,
+    ParseError,
+)
 from trscore.evaluation import spearman
 from trscore.networks import FeatureSequence
 
@@ -53,7 +59,7 @@ class TestGenerateSynthetic:
         for sa, sb in zip(a.samples, b.samples):
             assert sa.sample_id == sb.sample_id
             assert sa.score == sb.score
-            np.testing.assert_array_equal(sa.features.array, sb.features.array)
+            np.testing.assert_array_equal(sa.features, sb.features)
 
     def test_full_label_fraction_means_no_unlabeled(self):
         spec = SyntheticSpec(num_samples=15, t=3, d=6, label_fraction=1.0, seed=1)
@@ -69,7 +75,7 @@ class TestGenerateSynthetic:
             {s.sample_id for s in test_ds.samples}
         )
         assert not np.array_equal(
-            train_ds.samples[0].features.array, test_ds.samples[0].features.array
+            train_ds.samples[0].features, test_ds.samples[0].features
         )
 
     def test_ols_probe_recovers_ranking_without_noise(self):
@@ -77,7 +83,7 @@ class TestGenerateSynthetic:
             num_samples=300, t=10, d=64, label_fraction=1.0, noise_std=0.0, seed=3
         )
         ds = generate_synthetic(spec)
-        pooled = np.stack([s.features.array.mean(axis=0) for s in ds.samples])
+        pooled = np.stack([s.features.mean(axis=0) for s in ds.samples])
         scores = np.array([s.score for s in ds.samples])
         design = np.hstack([pooled, np.ones((len(scores), 1))])
         coef, *_ = np.linalg.lstsq(design, scores, rcond=None)
@@ -94,7 +100,7 @@ class TestGenerateSynthetic:
             assert _ids(blocked.labeled_samples) == _ids(whole.labeled_samples)
             for a, b in zip(blocked.samples, whole.samples):
                 assert a.score == b.score
-                assert a.features.array.tobytes() == b.features.array.tobytes()
+                assert a.features.tobytes() == b.features.tobytes()
 
     def test_scores_within_declared_range(self):
         ds = generate_synthetic(SyntheticSpec(num_samples=200, t=2, d=4, label_fraction=1.0, seed=4))
@@ -104,7 +110,7 @@ class TestGenerateSynthetic:
 
 class TestDatasetValidation:
     def _seq(self, sample_id, score=None):
-        return FeatureSequence(Tensor(np.zeros((2, 2))), sample_id, score)
+        return FeatureSequence(np.zeros((2, 2)), sample_id, score)
 
     def test_duplicate_ids(self):
         with pytest.raises(ConfigurationError, match="duplicate sample id 'a'"):
@@ -116,7 +122,7 @@ class TestDatasetValidation:
             Dataset([self._seq("b", 1.0), self._seq("a", score)])
 
     def test_inconsistent_shapes(self):
-        odd = FeatureSequence(Tensor(np.zeros((3, 2))), "b", None)
+        odd = FeatureSequence(np.zeros((3, 2)), "b", None)
         with pytest.raises(ConfigurationError, match=r"sample 'b' has shape \(3, 2\)"):
             Dataset([self._seq("a", 1.0), odd, self._seq("c")])
 
@@ -170,6 +176,88 @@ class TestSampleValidation:
         with pytest.raises(DimensionError, match="sample 'a': features must be 2-D"):
             FeatureSequence(np.zeros(3), "a")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_features_name_the_sample(self, value):
+        features = np.zeros((2, 3))
+        features[1, 2] = value
+        with pytest.raises(NonFiniteFeaturesError, match="sample 'a': features are not all finite"):
+            FeatureSequence(features, "a", 1.0)
+
+
+class TestFrozenSample:
+    """A sample cannot change after it checked itself."""
+
+    @pytest.mark.parametrize("name, value", [
+        ("features", np.ones((2, 2))), ("sample_id", "b"), ("score", math.nan),
+    ])
+    def test_fields_cannot_be_assigned(self, name, value):
+        sample = FeatureSequence(np.zeros((2, 2)), "a", 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sample, name, value)
+        assert sample.sample_id == "a" and sample.score == 1.0
+
+    def test_features_cannot_be_written(self):
+        sample = FeatureSequence(np.zeros((2, 2)), "a")
+        with pytest.raises(ValueError, match="read-only"):
+            sample.features[0, 0] = math.nan
+        assert not sample.features.any()
+
+    def test_float64_array_is_adopted_read_only(self):
+        features = np.arange(6.0).reshape(2, 3)
+        sample = FeatureSequence(features, "a")
+        assert np.shares_memory(sample.features, features)
+        assert not sample.features.flags.writeable
+
+    @pytest.mark.parametrize(
+        "features", [[[0.0, 1.0], [2.0, 3.0]], np.arange(4).reshape(2, 2)], ids=["list", "int"]
+    )
+    def test_other_features_are_converted(self, features):
+        sample = FeatureSequence(features, "a")
+        assert type(sample.features) is np.ndarray and sample.features.dtype == np.float64
+        assert not sample.features.flags.writeable
+        assert not np.shares_memory(sample.features, features)
+        np.testing.assert_array_equal(sample.features, [[0.0, 1.0], [2.0, 3.0]])
+
+    def test_samples_compare_by_identity(self):
+        a = FeatureSequence(np.zeros((1, 1)), "a")
+        b = FeatureSequence(np.zeros((1, 1)), "a")
+        assert a == a and a != b and len({a, b}) == 2
+
+    def test_synthetic_and_parsed_samples_are_read_only(self, tmp_path):
+        dataset = generate_synthetic(SyntheticSpec(num_samples=20, t=3, d=4, seed=1))
+        path = tmp_path / "ro.aqaf"
+        save_features(dataset, path)
+        for sample in dataset.samples + list(iter_features(path)):
+            assert not sample.features.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                sample.features[0, 0] = 1.0
+
+
+class _FullDisk:
+    """A binary file whose writes fail with ``ENOSPC`` once ``room`` bytes
+    were written."""
+
+    def __init__(self, file, room):
+        self.file, self.room = file, room
+
+    def write(self, data):
+        size = memoryview(data).nbytes
+        if size > self.room:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= size
+        return self.file.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+
+def full_disk_open(room):
+    """An ``open`` for ``trscore.data`` whose files hold ``room`` bytes."""
+    return lambda *args, **kwargs: _FullDisk(open(*args, **kwargs), room)
+
 
 def random_dataset(seed):
     gen = np.random.default_rng(seed)
@@ -180,7 +268,7 @@ def random_dataset(seed):
     for i in range(n):
         sample_id = f"v{i}-α{seed}" if i % 3 == 0 else f"v{i}"
         score = float(gen.normal()) if gen.random() < 0.6 else None
-        samples.append(FeatureSequence(Tensor(gen.normal(size=(t, d))), sample_id, score))
+        samples.append(FeatureSequence(gen.normal(size=(t, d)), sample_id, score))
     return Dataset(samples)
 
 
@@ -196,7 +284,7 @@ class TestAqafRoundTrip:
             assert _ids(loaded.unlabeled_samples) == _ids(ds.unlabeled_samples)
             for a, b in zip(loaded.samples, ds.samples):
                 assert a.score == b.score
-                np.testing.assert_array_equal(a.features.array, b.features.array)
+                np.testing.assert_array_equal(a.features, b.features)
 
     def test_save_load_save_is_byte_stable(self, tmp_path):
         ds = random_dataset(99)
@@ -283,7 +371,7 @@ def parse_outcome(parse):
 
 def streamed_outcome(path):
     return parse_outcome(
-        lambda: [(s.sample_id, s.score, s.features.array) for s in iter_features(path)]
+        lambda: [(s.sample_id, s.score, s.features) for s in iter_features(path)]
     )
 
 
@@ -317,14 +405,14 @@ class TestAqafErrors:
             except ParseError:
                 return
         for s in loaded.samples:
-            assert np.isfinite(s.features.array).all()
+            assert np.isfinite(s.features).all()
             assert s.score is None or np.isfinite(s.score)
 
     def test_every_truncation_matches_the_reference(self, tmp_path):
         samples = [
-            FeatureSequence(Tensor(np.arange(6.0).reshape(2, 3)), "a", 1.5),
-            FeatureSequence(Tensor(-np.arange(6.0).reshape(2, 3)), "bé", None),
-            FeatureSequence(Tensor(np.ones((2, 3))), "c", -2.0),
+            FeatureSequence(np.arange(6.0).reshape(2, 3), "a", 1.5),
+            FeatureSequence(-np.arange(6.0).reshape(2, 3), "bé", None),
+            FeatureSequence(np.ones((2, 3)), "c", -2.0),
         ]
         path = tmp_path / "whole.aqaf"
         save_features(Dataset(samples), path)
@@ -428,22 +516,21 @@ class TestAqafErrors:
         assert err.value.offset == offset
 
     @pytest.mark.parametrize("existing", [None, b"an earlier file"])
-    def test_id_over_65535_bytes_rejected_on_save(self, tmp_path, existing):
-        # the overlong id comes last, after every other sample was written; a
-        # sample rejects it when made, so it is set afterwards
-        samples = [FeatureSequence(Tensor(np.zeros((1, 1))), f"s{i}", None) for i in range(4)]
-        dataset = Dataset(samples)
-        samples[-1].sample_id = "é" * 32768
-        path = tmp_path / "long.aqaf"
+    def test_failed_write_leaves_no_file_behind(self, tmp_path, monkeypatch, existing):
+        # each record takes 2 + 2 id bytes, 1 flag byte, 8 dimension bytes and
+        # 8 feature bytes; the disk fills in the second one
+        samples = [FeatureSequence(np.zeros((1, 1)), f"s{i}", None) for i in range(4)]
+        path = tmp_path / "full.aqaf"
         if existing is not None:
             path.write_bytes(existing)
-        with pytest.raises(ConfigurationError, match="too long"):
-            save_features(dataset, path)
+        monkeypatch.setattr(data_module, "open", full_disk_open(12 + 21), raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_features(Dataset(samples), path)
         if existing is None:
             assert not path.exists()
         else:
             assert path.read_bytes() == existing
-        assert sorted(os.listdir(tmp_path)) == ([] if existing is None else ["long.aqaf"])
+        assert sorted(os.listdir(tmp_path)) == ([] if existing is None else ["full.aqaf"])
 
     def test_duplicate_id_in_file(self, tmp_path):
         chunks = [struct.pack("<4sII", AQAF_MAGIC, 1, 2)]
@@ -486,7 +573,7 @@ class TestGoldenFixture:
         first = ds.samples[0]
         assert first.sample_id == "dive1"
         assert first.score == 7.5
-        np.testing.assert_array_equal(first.features.array, features_a)
+        np.testing.assert_array_equal(first.features, features_a)
         assert ds.samples[1].score is None
 
 
@@ -521,7 +608,7 @@ class TestNonFiniteValues:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             loaded = load_features(path)
-        assert loaded.samples[0].features.array[1, 0] == 0.0
+        assert loaded.samples[0].features[1, 0] == 0.0
 
     def test_signalling_nan_feature_rejected_without_warning(self, tmp_path):
         blob = self._blob(has_score=False)
@@ -533,6 +620,13 @@ class TestNonFiniteValues:
             with pytest.raises(ParseError) as err:
                 load_features(path)
         assert err.value.offset == 24
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_features_are_never_saved(self, tmp_path, value):
+        path = tmp_path / "never.aqaf"
+        with pytest.raises(NonFiniteFeaturesError, match="sample 'a'"):
+            save_features(Dataset([FeatureSequence(np.array([[1.0, value]]), "a", 1.0)]), path)
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("has_score, block", [(True, 32), (False, 24)])
     @pytest.mark.parametrize("position", [0, 5])

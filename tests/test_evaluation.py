@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from trscore import evaluation
-from trscore.autodiff import Tensor, no_grad
+from trscore.autodiff import no_grad
 from trscore.data import SyntheticSpec, generate_synthetic
 from trscore.errors import (
     ContractError,
@@ -112,7 +112,7 @@ class TestEvaluate:
 
     def test_unlabeled_sample_rejected(self):
         params = init_teacher_params(NetworkArch(4, 8), np.random.default_rng(0))
-        bad = [FeatureSequence(Tensor(np.zeros((4, 8))), "u", None)]
+        bad = [FeatureSequence(np.zeros((4, 8)), "u", None)]
         with pytest.raises(ContractError):
             evaluate(params, bad)
 
@@ -205,7 +205,7 @@ def per_chunk_reference(params, samples):
     with no_grad():
         for start in range(0, len(samples), 256):
             chunk = samples[start:start + 256]
-            pred = teacher_forward(params, np.stack([s.features.array for s in chunk]))
+            pred = teacher_forward(params, np.stack([s.features for s in chunk]))
             mus.extend(pred.mu_values.tolist())
             sigmas.extend(pred.sigma_values.tolist())
     truths = [s.score for s in samples]
@@ -277,7 +277,7 @@ class TestTwoThreadEncoding:
     def test_an_error_in_either_half_keeps_its_type_and_text(self, monkeypatch, failing):
         params = init_teacher_params(NetworkArch(4, 8), np.random.default_rng(0))
         samples = labeled_samples(300, seed=2)
-        first_half = samples[0].features.array.tobytes()
+        first_half = samples[0].features.tobytes()
         encode = evaluation.mixer_forward
         errors = {"first": ("bad first half", 7), "second": ("bad second half", 9)}
 
@@ -312,7 +312,7 @@ class TestTwoThreadEncoding:
     def test_callers_errstate_holds_in_either_half(self, row):
         params = init_teacher_params(NetworkArch(4, 8), np.random.default_rng(0))
         samples = labeled_samples(256, seed=4)
-        huge = samples[row].features.array.copy()
+        huge = samples[row].features.copy()
         huge[0, 0] = 1e300
         samples[row] = FeatureSequence(huge, samples[row].sample_id, samples[row].score)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):

@@ -1,5 +1,8 @@
 """Confidence-memory protocol tests."""
 
+import dataclasses
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,14 @@ from trscore.memory import ConfidenceMemory, MemoryEntry, fuse_pseudo_label
 
 
 class TestMaybeWrite:
+    @pytest.mark.parametrize("name", ["score", "sigma", "epoch_written"])
+    def test_entry_is_frozen(self, name):
+        mem = ConfidenceMemory()
+        mem.maybe_write("a", 80.0, 0.9, epoch=0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(mem.read("a"), name, 0.1)
+        assert astuple(mem.read("a")) == (80.0, 0.9, 0)
+
     def test_first_insert_written(self):
         mem = ConfidenceMemory()
         assert mem.maybe_write("a", 80.0, 0.9, epoch=0) is True

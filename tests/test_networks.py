@@ -163,11 +163,11 @@ class TestTeacherForward:
         assert np.isfinite(pred.mu_value)
         assert pred.sigma_value > 0.0
 
-    def test_accepts_feature_sequence(self):
+    def test_accepts_sample_features(self):
         arch = small_arch()
         params = init_teacher_params(arch, np.random.default_rng(1))
-        seq = FeatureSequence(Tensor(rand((arch.t, arch.d), 5)), "a", 1.0)
-        assert np.isfinite(teacher_forward(params, seq).mu_value)
+        seq = FeatureSequence(rand((arch.t, arch.d), 5), "a", 1.0)
+        assert np.isfinite(teacher_forward(params, seq.features).mu_value)
 
 
 class TestReferenceForward:

@@ -7,7 +7,12 @@ import pytest
 
 from trscore.autodiff import ParameterSet, Tensor
 from trscore.data import SyntheticSpec, generate_synthetic
-from trscore.errors import ConfigurationError, ContractError, DivergenceError
+from trscore.errors import (
+    ConfigurationError,
+    ContractError,
+    DivergenceError,
+    NonFiniteFeaturesError,
+)
 from trscore.networks import FeatureSequence, NetworkArch, teacher_forward
 from trscore.training import (
     ComponentToggles,
@@ -108,9 +113,6 @@ class TestEmaUpdate:
 
 
 class TestAugment:
-    def _seq(self, arr):
-        return FeatureSequence(Tensor(arr), "x", None)
-
     def _rng_with_first_draw(self, predicate):
         for seed in range(1000):
             if predicate(np.random.default_rng(seed).random()):
@@ -120,44 +122,48 @@ class TestAugment:
     def test_identity_when_no_flip_and_zero_noise(self):
         arr = np.random.default_rng(0).normal(size=(5, 3))
         rng = self._rng_with_first_draw(lambda u: u >= 0.5)  # no flip
-        out = augment(self._seq(arr), "strong", rng, noise_std=0.0)
-        np.testing.assert_array_equal(out.features.array, arr)
+        out = augment(arr, "strong", rng, noise_std=0.0)
+        np.testing.assert_array_equal(out, arr)
 
     def test_weak_flip_is_temporal_reversal(self):
         arr = np.arange(12.0).reshape(4, 3)
         rng = self._rng_with_first_draw(lambda u: u < 0.5)  # flip
-        out = augment(self._seq(arr), "weak", rng, noise_std=0.7)
-        np.testing.assert_array_equal(out.features.array, arr[::-1])
+        out = augment(arr, "weak", rng, noise_std=0.7)
+        np.testing.assert_array_equal(out, arr[::-1])
 
     def test_reversal_twice_is_identity(self):
         arr = np.random.default_rng(1).normal(size=(6, 2))
         once = self._rng_with_first_draw(lambda u: u < 0.5)
         twice = self._rng_with_first_draw(lambda u: u < 0.5)
-        mid = augment(self._seq(arr), "weak", once)
+        mid = augment(arr, "weak", once)
         back = augment(mid, "weak", twice)
-        np.testing.assert_array_equal(back.features.array, arr)
+        np.testing.assert_array_equal(back, arr)
 
     def test_strong_noise_statistics(self):
         arr = np.zeros((100, 120))  # 12000 elements
-        out = augment(self._seq(arr), "strong", np.random.default_rng(5), noise_std=0.1)
-        flip_removed = out.features.array  # flipping zeros changes nothing
-        sample_std = flip_removed.std()
-        assert 0.08 <= sample_std <= 0.12
+        out = augment(arr, "strong", np.random.default_rng(5), noise_std=0.1)
+        assert 0.08 <= out.std() <= 0.12  # flipping zeros changes nothing
 
     def test_weak_never_adds_noise(self):
         arr = np.ones((4, 4))
-        out = augment(self._seq(arr), "weak", np.random.default_rng(3), noise_std=5.0)
-        assert set(np.unique(out.features.array)) == {1.0}
+        out = augment(arr, "weak", np.random.default_rng(3), noise_std=5.0)
+        assert set(np.unique(out)) == {1.0}
 
     def test_unknown_strength(self):
         with pytest.raises(ContractError):
-            augment(self._seq(np.zeros((2, 2))), "medium", np.random.default_rng(0))
+            augment(np.zeros((2, 2)), "medium", np.random.default_rng(0))
+
+    @pytest.mark.parametrize("noise_std", [-0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("strength", ["weak", "strong"])
+    def test_noise_std_must_be_finite_and_nonnegative(self, strength, noise_std):
+        with pytest.raises(ContractError, match="noise_std"):
+            augment(np.zeros((2, 2)), strength, np.random.default_rng(0), noise_std)
 
     def test_input_untouched(self):
         arr = np.arange(6.0).reshape(3, 2)
-        seq = self._seq(arr)
-        augment(seq, "strong", np.random.default_rng(11), noise_std=1.0)
-        np.testing.assert_array_equal(seq.features.array, arr)
+        seq = FeatureSequence(arr.copy(), "x")
+        augment(seq.features, "strong", np.random.default_rng(11), noise_std=1.0)
+        np.testing.assert_array_equal(seq.features, arr)
 
 
 class TestBurnIn:
@@ -692,6 +698,17 @@ class TestTrain:
             unlabeled = unlabeled + [FeatureSequence(np.zeros((5, 8)), "x", None)]
         with pytest.raises(ConfigurationError, match="labeled sample|shape"):
             train(quick_config(), labeled, unlabeled)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_features_rejected_naming_the_sample(self, monkeypatch, value):
+        from trscore import training
+
+        labeled, unlabeled = toy_sets()
+        features = np.array(unlabeled[0].features)
+        features[2, 5] = value
+        monkeypatch.setattr(training, "burn_in_epoch", lambda *a: pytest.fail("an epoch ran"))
+        with pytest.raises(NonFiniteFeaturesError, match="sample 'x': features"):
+            train(quick_config(), labeled, unlabeled + [FeatureSequence(features, "x")])
 
     @pytest.mark.parametrize("defect", ["no score", "NaN score", "inf score", "shape"])
     def test_malformed_validation_set_rejected_before_epoch_0(self, monkeypatch, defect):
