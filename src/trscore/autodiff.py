@@ -4,8 +4,8 @@ Tape style: each operation wraps its result in a new Tensor that records its
 differentiable inputs and a backward closure. ``Tensor.backward()`` walks the
 recorded graph once in reverse topological order, accumulating gradients.
 Graphs are rebuilt on every forward pass; tensors are immutable once created
-(operation outputs are write-locked), so a finished tape can never be
-corrupted by later code.
+(operation outputs and constants are read-only), so a finished tape can never
+be corrupted through a tensor by later code.
 
 Storage is a C-contiguous float64 numpy array; ``Tensor.data`` and
 ``Tensor.grad`` expose the flat row-major buffers.
@@ -68,12 +68,23 @@ class no_grad:
 
 
 class Tensor:
-    """Dense n-dimensional float64 value with an optional gradient."""
+    """Dense n-dimensional float64 value with an optional gradient.
+
+    ``Tensor(values)`` is a constant: a read-only view of ``values`` as
+    C-contiguous float64, which copies no such array and leaves its flags as
+    they were, so pass one that nothing writes while the tape is in use.
+    ``Tensor(values, requires_grad=True)`` owns a writable copy.
+    """
 
     __slots__ = ("_array", "requires_grad", "_grad", "_parents", "_backward")
 
     def __init__(self, values, requires_grad: bool = False):
-        self._array = np.array(values, dtype=np.float64, order="C")
+        if requires_grad:
+            self._array = np.array(values, dtype=np.float64, order="C")
+        else:
+            # a view, so that locking it leaves the caller's array as it was
+            self._array = np.asarray(values, dtype=np.float64, order="C").view()
+            self._array.setflags(write=False)
         self.requires_grad = bool(requires_grad)
         self._grad: Array | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -86,6 +97,7 @@ class Tensor:
         parents: Sequence["Tensor"],
         backward: Callable[[Array], None],
     ) -> "Tensor":
+        """An operation's output over ``parents``; ``values`` is locked in place."""
         out = cls.__new__(cls)
         # asarray with order="C" copies only non-contiguous views and, unlike
         # ascontiguousarray, preserves 0-d shapes
@@ -94,14 +106,9 @@ class Tensor:
         out._array = arr
         out._grad = None
         live = tuple(p for p in parents if p.requires_grad) if _grad_enabled.get() else ()
-        if live:
-            out.requires_grad = True
-            out._parents = live
-            out._backward = backward
-        else:
-            out.requires_grad = False
-            out._parents = ()
-            out._backward = None
+        out.requires_grad = bool(live)
+        out._parents = live
+        out._backward = backward if live else None
         return out
 
     # -- structure ---------------------------------------------------------
@@ -188,13 +195,9 @@ class Tensor:
                 node._backward(node._grad)
 
 
-def _adopt(values: Array) -> Tensor:
-    """A constant tensor over ``values`` without the copy ``Tensor()`` makes.
-
-    The array is write-locked in place, so pass one that nothing writes
-    afterwards: a fresh array, or a view of another tensor's value.
-    """
-    return Tensor._from_op(values, (), None)
+def as_tensor(x) -> Tensor:
+    """``x`` itself if it is a tensor, else the constant ``Tensor(x)``."""
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _transposed(a: Array) -> Array:
@@ -332,10 +335,7 @@ def grad_check(
     if not isinstance(out, Tensor) or out.numel != 1:
         raise ContractError("grad_check requires f to return a scalar tensor")
     out.backward()
-    if probe.grad is None:
-        analytic = np.zeros(probe.numel)
-    else:
-        analytic = probe.grad.copy()
+    analytic = np.zeros(probe.numel) if probe.grad is None else probe.grad
 
     base = x.array.reshape(-1).copy()
     shape = x.shape

@@ -37,11 +37,17 @@ from .training import (
 def parse_config_file(path) -> dict:
     """Flat key=value lines; blank lines and #-comments are ignored.
 
-    Each value is converted to its key's type; an unknown key or a bad value
-    raises ``ConfigurationError`` naming ``path:line``.
+    Each value is converted to its key's type; an unknown key, a bad value or
+    a byte that is not UTF-8 raises ``ConfigurationError`` naming ``path:line``.
     """
+    blob = Path(path).read_bytes()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:  # "x" stands in for the bad byte's line
+        lineno = len((blob[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ConfigurationError(f"{path}:{lineno}: not UTF-8: {exc.reason}") from None
     raw = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

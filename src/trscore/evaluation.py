@@ -28,6 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import autodiff as ad
+from .autodiff import Tensor
 from .errors import ContractError, DimensionError, MetricUndefinedError
 from .networks import (
     FeatureSequence,
@@ -83,19 +84,19 @@ def _forward(student: Network, x: np.ndarray) -> ScorePrediction:
     """``teacher_forward`` over the chunk ``x``; from ``_SPLIT_ROWS`` samples
     on, its encoder runs in two halves on two threads, with the same bits."""
     if len(x) < _SPLIT_ROWS:
-        return teacher_forward(student, ad._adopt(x))
+        return teacher_forward(student, Tensor(x))
     half = len(x) // 2
     context = contextvars.copy_context()
     with ThreadPoolExecutor(1) as pool:
-        first = pool.submit(context.run, mixer_forward, student, ad._adopt(x[:half]))
+        first = pool.submit(context.run, mixer_forward, student, Tensor(x[:half]))
         try:
-            second = mixer_forward(student, ad._adopt(x[half:]))
+            second = mixer_forward(student, Tensor(x[half:]))
         finally:
             # read even when the second half failed: an error of the first
             # half is the one raised
             first_rows = first.result().array
     encoded = np.concatenate([first_rows, second.array])
-    return regression_head(student, ad._adopt(encoded))
+    return regression_head(student, Tensor(encoded))
 
 
 def evaluate(
@@ -117,8 +118,8 @@ def evaluate(
     of one ``teacher_forward`` per chunk (see the module docstring). The
     helper thread runs in a copy of the caller's context, so a caller's
     ``np.errstate``, and the ``no_grad`` that this call enters, hold there
-    too; it ends before the call returns or raises. An error in either half is raised here with its own type; when
-    both halves fail, the first half's error is raised.
+    too; it ends before the call returns or raises. An error in either half
+    keeps its type here; when both halves fail, the first half's is raised.
     """
     shape = (student.arch.t, student.arch.d)
     ids: list[str] = []

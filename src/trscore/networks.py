@@ -13,7 +13,8 @@ function a network is passed to picks its body. ``TeacherParams`` and
 ``ReferenceParams`` stay as its aliases for code that names networks by role.
 
 Forward functions accept a single ``T x D`` sequence or a stacked
-``B x T x D`` batch and return predictions of matching rank.
+``B x T x D`` batch, each held as the constant ``Tensor(x)`` unless it is a
+tensor, and return predictions of matching rank.
 
 Each Mixer sublayer (token mixing, channel mixing) and each cross-attention
 block is recorded as one fused tape node with a hand-derived backward: about
@@ -155,18 +156,17 @@ class NetworkArch:
 class ScorePrediction:
     """Predicted score mu with Gaussian standard deviation sigma (> 0).
 
-    ``mu`` and ``sigma`` stay in the autodiff graph; scalar accessors detach.
-    For batched predictions both have shape ``(B,)``.
+    ``mu`` and ``sigma`` stay in the autodiff graph (a value that is not a
+    tensor is held as ``Tensor(value)``); the accessors detach, ``mu_values``
+    and ``sigma_values`` as read-only flat views. For batched predictions
+    both have shape ``(B,)``.
     """
 
     mu: Tensor
     sigma: Tensor
 
     def __post_init__(self):
-        if not isinstance(self.mu, Tensor):
-            self.mu = Tensor(self.mu)
-        if not isinstance(self.sigma, Tensor):
-            self.sigma = Tensor(self.sigma)
+        self.mu, self.sigma = ad.as_tensor(self.mu), ad.as_tensor(self.sigma)
         if self.mu.shape != self.sigma.shape:
             raise DimensionError(
                 f"mu/sigma shapes disagree: {self.mu.shape} vs {self.sigma.shape}"
@@ -184,11 +184,11 @@ class ScorePrediction:
 
     @property
     def mu_values(self) -> np.ndarray:
-        return self.mu.array.reshape(-1).copy()
+        return self.mu.data
 
     @property
     def sigma_values(self) -> np.ndarray:
-        return self.sigma.array.reshape(-1).copy()
+        return self.sigma.data
 
 
 @dataclass
@@ -275,10 +275,6 @@ def init_reference_params(arch: NetworkArch, rng: np.random.Generator) -> Networ
     return Network(arch, _init_params(reference_layout(arch), rng))
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _check_sequence_shape(x: Tensor, arch: NetworkArch, what: str) -> None:
     if x.ndim not in (2, 3) or x.shape[-2:] != (arch.t, arch.d):
         raise DimensionError(
@@ -351,7 +347,7 @@ def mixer_forward(params: Network, features) -> Tensor:
     feature axis with a residual connection. GELU sits between the paired
     projections. Each of the two sublayers is one fused tape node.
     """
-    x = _as_tensor(features)
+    x = ad.as_tensor(features)
     _check_sequence_shape(x, params.arch, "mixer input")
     ps = params.params
     for i in range(params.arch.mixer_layers):
@@ -494,14 +490,14 @@ def _attention_block(
         (x, exemplar, scale, shift, w_query, w_key, w_value, w_out, *mlp_params),
         backward,
     )
-    return node, Tensor._from_op(weights, (), None)
+    return node, Tensor(weights)
 
 
 def _cross_attend(params: Network, v_query, v_exemplar) -> tuple[Tensor, list[Tensor]]:
     """The query after every attention block over the exemplar, and each
     block's weights; inputs of the wrong shape raise ``DimensionError``."""
-    x = _as_tensor(v_query)
-    ex = _as_tensor(v_exemplar)
+    x = ad.as_tensor(v_query)
+    ex = ad.as_tensor(v_exemplar)
     _check_sequence_shape(x, params.arch, "reference query")
     _check_sequence_shape(ex, params.arch, "reference exemplar")
     if x.shape != ex.shape:

@@ -53,19 +53,14 @@ def recovered_score(s_l, mu) -> np.ndarray:
     return np.asarray(s_l, dtype=np.float64) + np.asarray(mu, dtype=np.float64)
 
 
-def _as_target(target) -> Tensor:
-    if isinstance(target, Tensor):
-        return target
-    return Tensor(np.asarray(target, dtype=np.float64))
-
-
 def gaussian_nll(target, pred: ScorePrediction) -> Tensor:
     """log(sigma) + (target - mu)^2 / (2 sigma^2), elementwise.
 
-    ``target`` is a constant (scalar or an array matching a batched
-    prediction); the result stays in the autodiff graph of ``pred``.
+    ``target`` is a tensor or a constant (scalar or an array matching a
+    batched prediction, held as ``Tensor(target)``); the result stays in the
+    autodiff graph of ``pred``.
     """
-    target_t, mu_t, sigma_t = _as_target(target), pred.mu, pred.sigma
+    target_t, mu_t, sigma_t = ad.as_tensor(target), pred.mu, pred.sigma
     sigma = sigma_t.array
     if np.any(sigma <= 0.0):
         raise ContractError("prediction sigma must be strictly positive")

@@ -452,9 +452,9 @@ def _trained_terms(
     without unlabeled data), so that a caller may wait for it there."""
     lo, hi = plan.bounds[b]
     idx = plan.order[lo:hi]
-    direct = gaussian_nll(pools.s_lab[idx], teacher_forward(net, ad._adopt(pools.x_lab[idx])))
+    direct = gaussian_nll(pools.s_lab[idx], teacher_forward(net, Tensor(pools.x_lab[idx])))
     terms = [("l_reg_s", ad.sum(direct), 1.0 / idx.size)]
-    strong_pred = None if x_strong is None else teacher_forward(net, ad._adopt(x_strong))
+    strong_pred = None if x_strong is None else teacher_forward(net, Tensor(x_strong))
     s_bar = pseudo_labels()
     if strong_pred is not None:
         terms.append(
@@ -503,14 +503,14 @@ class _PseudoLabelHalf:
         idx = plan.order[lo:hi]
         pair = plan.partner[idx]
         relative_pred = reference_forward(
-            theta_f, ad._adopt(x_lab[idx]), ad._adopt(x_lab[pair])
+            theta_f, Tensor(x_lab[idx]), Tensor(x_lab[pair])
         )
         relative = gaussian_nll(relative_target(s_lab[idx], s_lab[pair]), relative_pred)
         if plan.slots is not None:
             pair = plan.slot_partner[lo:hi]
             with ad.no_grad():
                 pred = reference_forward(
-                    theta_f, ad._adopt(self.x_weak[lo:hi]), ad._adopt(x_lab[pair])
+                    theta_f, Tensor(self.x_weak[lo:hi]), Tensor(x_lab[pair])
                 )
             self.r_side[lo:hi] = _memory_side(
                 self.state.m_r, self.toggles.reference_memory, self.paired[lo:hi],
@@ -523,7 +523,7 @@ class _PseudoLabelHalf:
             return None
         lo, hi = self.plan.bounds[b]
         with ad.no_grad():
-            pred = teacher_forward(self.state.theta_t, ad._adopt(self.x_weak[lo:hi]))
+            pred = teacher_forward(self.state.theta_t, Tensor(self.x_weak[lo:hi]))
         t_side = _memory_side(
             self.state.m_t, self.toggles.teacher_memory, self.paired[lo:hi],
             pred.mu_values, pred.sigma_values, self.plan.epoch,

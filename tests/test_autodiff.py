@@ -51,6 +51,36 @@ class TestTensorStructure:
         assert np.all(np.isfinite(x.grad))
 
 
+class TestConstants:
+    def test_a_constant_views_a_float64_c_contiguous_array(self):
+        x = rand((3, 4))
+        t = Tensor(x)
+        assert np.shares_memory(t.array, x)
+        assert not t.array.flags.writeable and x.flags.writeable
+        with pytest.raises(ValueError):
+            t.array[0, 0] = 1.0
+        probe = Tensor(x, requires_grad=True)
+        assert not np.shares_memory(probe.array, x) and probe.array.flags.writeable
+
+    @pytest.mark.parametrize(
+        "values",
+        [[[1.0, 2.0], [3.0, 4.0]], np.arange(4).reshape(2, 2), rand((2, 2)).T],
+        ids=["list", "int array", "transposed view"],
+    )
+    def test_anything_else_is_converted_into_a_new_array(self, values):
+        t = Tensor(values)
+        assert t.array.dtype == np.float64 and t.array.flags.c_contiguous
+        assert not t.array.flags.writeable
+        assert not np.shares_memory(t.array, values)
+        np.testing.assert_array_equal(t.array, np.asarray(values, dtype=np.float64))
+
+    def test_as_tensor_passes_a_tensor_through(self):
+        t = Tensor([1.0, 2.0], requires_grad=True)
+        assert ad.as_tensor(t) is t
+        x = rand(3)
+        assert np.shares_memory(ad.as_tensor(x).array, x)
+
+
 class TestMatmul:
     def test_identity(self):
         m = Tensor([[1.0, 2.0], [3.0, 4.0]])

@@ -495,6 +495,22 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert f"bad.cfg:2: {key}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "blob, line",
+        [(b"\xffalpha=0.5\n", 1), (b"alpha=0.5\n\xff\xfe=1\n", 2), (b"# c\r\n\nseed=1\xc3\n", 3)],
+    )
+    def test_bytes_not_utf8_exit_2_naming_their_line(self, tiny_data, tmp_path, capsys, blob, line):
+        train_file, test_file = tiny_data
+        config_file = tmp_path / "bad.cfg"
+        config_file.write_bytes(blob)
+        with pytest.raises(ConfigurationError, match=f"bad.cfg:{line}: not UTF-8"):
+            parse_config_file(config_file)
+        for command in (["train", "--out-dir", tmp_path / "out"], ["ablate", "--test", test_file]):
+            assert run_cli(command + ["--data", train_file, "--config", config_file]) == 2
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1 and f"bad.cfg:{line}: not UTF-8" in err
+            assert "Traceback" not in err
+
     def test_malformed_line(self, tmp_path):
         config_file = tmp_path / "bad.cfg"
         config_file.write_text("just words\n")

@@ -355,6 +355,8 @@ def reference_parse(blob: bytes, source):
         features = np.frombuffer(take(8 * t * d, f"features of {sample_id!r}"), "<f8")
         if not np.isfinite(features).all():
             raise fail(f"features of {sample_id!r} are not all finite", features_offset)
+        if "\n" in sample_id:
+            raise fail(f"sample {sample_id!r}: id contains a newline", id_offset)
         samples.append((sample_id, score, features.reshape(t, d)))
     if pos != len(blob):
         raise fail("trailing bytes after last sample")
@@ -407,6 +409,17 @@ class TestAqafErrors:
         for s in loaded.samples:
             assert np.isfinite(s.features).all()
             assert s.score is None or np.isfinite(s.score)
+
+    def test_a_newline_written_into_an_id_matches_the_reference(self, tmp_path):
+        blob = bytearray(self._valid_bytes())
+        assert blob[14:16] == b"v0"
+        blob[14] = 0x0A  # the first byte of the first sample's id
+        path = tmp_path / "newline.aqaf"
+        path.write_bytes(bytes(blob))
+        outcome = streamed_outcome(path)
+        assert outcome[0] == "ParseError" and "id contains a newline" in outcome[1]
+        assert outcome[2] == 12
+        assert outcome == parse_outcome(lambda: reference_parse(bytes(blob), path))
 
     def test_every_truncation_matches_the_reference(self, tmp_path):
         samples = [

@@ -60,6 +60,46 @@ def test_every_raise_uses_a_package_error_type():
     assert strays == []
 
 
+# the modules whose fused nodes extend the tape with autodiff's private parts
+TAPE_MODULES = {"autodiff.py", "networks.py", "objectives.py"}
+
+
+def _private_autodiff_uses(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, text) of each use of a private member of ``autodiff``, through
+    an alias of the module or a ``from`` import, and of ``Tensor._from_op``."""
+    aliases, uses = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            for alias in node.names:
+                if module.endswith("autodiff") and alias.name.startswith("_"):
+                    uses.append((node.lineno, f"from {module} import {alias.name}"))
+                elif alias.name.endswith("autodiff"):
+                    aliases.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or not node.attr.startswith("_"):
+            continue
+        if node.attr == "_from_op" or (
+            isinstance(node.value, ast.Name) and node.value.id in aliases
+        ):
+            uses.append((node.lineno, ast.unparse(node)))
+    return uses
+
+
+def test_only_the_tape_modules_use_private_autodiff_members():
+    # every other module puts an array on the tape as ``Tensor(x)`` and reads
+    # it back through the public surface, so the tape's rules live in one place
+    probe = ast.parse("from . import autodiff as ad\nad._adopt(x)\nTensor._from_op(x, (), None)")
+    assert _private_autodiff_uses(probe) == [(2, "ad._adopt"), (3, "Tensor._from_op")]
+    strays = [
+        f"{path.name}:{line}: {text}"
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name not in TAPE_MODULES
+        for line, text in _private_autodiff_uses(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert strays == []
+
+
 def test_every_error_type_survives_pickling():
     # a process pool sends a worker's error back pickled
     for name, kind in ERROR_TYPES.items():

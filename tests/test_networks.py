@@ -169,6 +169,23 @@ class TestTeacherForward:
         seq = FeatureSequence(rand((arch.t, arch.d), 5), "a", 1.0)
         assert np.isfinite(teacher_forward(params, seq.features).mu_value)
 
+    def test_leaves_a_writable_input_writable_and_unchanged(self):
+        arch = small_arch()
+        params = init_teacher_params(arch, np.random.default_rng(1))
+        x = rand((3, arch.t, arch.d), 6)
+        before = x.copy()
+        teacher_forward(params, x)
+        assert x.flags.writeable
+        np.testing.assert_array_equal(x, before)
+
+    def test_values_are_read_only_views(self):
+        arch = small_arch()
+        params = init_teacher_params(arch, np.random.default_rng(1))
+        pred = teacher_forward(params, rand((3, arch.t, arch.d), 7))
+        for values, tensor in ((pred.mu_values, pred.mu), (pred.sigma_values, pred.sigma)):
+            assert values.shape == (3,) and np.shares_memory(values, tensor.array)
+            assert not values.flags.writeable
+
 
 class TestReferenceForward:
     def test_zero_query_projection_gives_uniform_attention(self):

@@ -33,6 +33,12 @@ class TestGaussianNll:
         got = gaussian_nll(np.array([1.0, 4.0]), p).array
         np.testing.assert_allclose(got, [0.0, math.log(2.0) + 4.0 / 8.0], atol=1e-12)
 
+    def test_leaves_a_writable_target_writable_and_unchanged(self):
+        target = np.array([1.0, 4.0])
+        gaussian_nll(target, ScorePrediction(Tensor([1.0, 2.0]), Tensor([1.0, 2.0])))
+        assert target.flags.writeable
+        np.testing.assert_array_equal(target, [1.0, 4.0])
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.floats(-50, 50),
