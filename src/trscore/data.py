@@ -136,7 +136,8 @@ def generate_synthetic(spec: SyntheticSpec, split: str = "train") -> Dataset:
         trajectory = (latent[lo:hi] * gains)[:, None, :] * modulation[None, :, :]
         block = trajectory @ projection
         block += noise
-        features.extend(block)
+        # each sample owns its row, so that a kept subset does not pin the block
+        features.extend(x.copy() for x in block)
     signal = latent[:, :SIGNAL_DIMS]
     raw = signal @ w_linear + NONLINEAR_WEIGHT * np.tanh(signal @ w_tanh)
     scores = np.clip(SCORE_SCALE * raw, SCORE_RANGE[0], SCORE_RANGE[1])

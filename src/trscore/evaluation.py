@@ -1,47 +1,46 @@
 """Rank-correlation metric and student-only test evaluation.
 
-``evaluate`` scores a test set in chunks of ``_EVAL_CHUNK`` samples on two
-threads. The encoder (``mixer_forward``) of a chunk of at least
-``_SPLIT_ROWS`` samples runs on the chunk's two halves at once: the first
-half on a helper thread, the second on the calling thread. numpy's matmuls
-and ufuncs and scipy's ``erf`` release the interpreter lock, so the halves
-use two cores. The calling thread then runs ``regression_head`` once over
-the whole chunk. The predictions are bit-identical to one
-``teacher_forward`` per chunk: each encoder row depends on its own sample
-alone, whatever the rows that share the pass, while the head's 2-D product
-rounds by the row count and so still sees the full chunk. A smaller chunk,
-such as the per-epoch validation set of ``train``, is one
-``teacher_forward`` on the calling thread. The helper thread lives in a pool
-made for its chunk and ends before ``evaluate`` returns or raises.
+``evaluate`` scores a test set in chunks of ``_EVAL_CHUNK`` samples, each
+with one ``teacher_forward`` over the chunk's rows, so the bits do not
+depend on the process that scores a chunk. When the stream holds more than
+``_FORK_AFTER`` chunks and a process can be forked
+(``workers._fork_context``), a forked scorer scores chunks while this
+process parses and checks the next ones. This process stacks each checked
+chunk straight into a free one of ``_SLOTS`` slots of shared memory (its
+rows in, its mu and sigma out) and sends the slot number; it scores a chunk
+itself only when every slot is busy, and places each result by its chunk
+index. The two processes share no interpreter lock, so parsing and scoring
+use two cores. A shorter stream, such as the per-epoch validation set of
+``train``, a daemonic caller, such as the validator of
+``train_supervised``, and a platform without ``fork`` score every chunk in
+this process. The scorer runs the package's one fork protocol
+(``workers``), so its error comes back here with its type, text and
+attributes, and it ends before ``evaluate`` returns or raises.
 """
 
 from __future__ import annotations
 
-import contextvars
 import re
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import ContractError, DimensionError, MetricUndefinedError
-from .networks import (
-    FeatureSequence,
-    Network,
-    ScorePrediction,
-    mixer_forward,
-    regression_head,
-    teacher_forward,
-)
+from .networks import FeatureSequence, Network, teacher_forward
+from .workers import _Exchange, _fork_context, _Worker
 
 _EVAL_CHUNK = 256
-# a chunk of at least this many samples is encoded in two halves on two threads
-_SPLIT_ROWS = 128
+# chunks handed to the forked scorer at once at most, each in its own slot
+_SLOTS = 3
+# a stream of at most this many chunks is scored in this process: on so few
+# the fork's fixed cost, about 20 ms at 600 samples, most of it copy-on-write
+# faults in both processes, is more than the overlap saves
+_FORK_AFTER = 3
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:
@@ -80,23 +79,86 @@ class PredictionRow:
     sigma: float
 
 
-def _forward(student: Network, x: np.ndarray) -> ScorePrediction:
-    """``teacher_forward`` over the chunk ``x``; from ``_SPLIT_ROWS`` samples
-    on, its encoder runs in two halves on two threads, with the same bits."""
-    if len(x) < _SPLIT_ROWS:
-        return teacher_forward(student, Tensor(x))
-    half = len(x) // 2
-    context = contextvars.copy_context()
-    with ThreadPoolExecutor(1) as pool:
-        first = pool.submit(context.run, mixer_forward, student, Tensor(x[:half]))
+Prediction = tuple[np.ndarray, np.ndarray]  # a chunk's mu and sigma
+
+
+def _score_here(student: Network, batch: list[FeatureSequence]) -> Prediction:
+    pred = teacher_forward(student, np.stack([s.features for s in batch]))
+    return pred.mu_values, pred.sigma_values
+
+
+def _score(exchange: _Exchange, inbox, outbox, student: Network) -> None:
+    """The forked scorer: each message is a slot and its row count, and each
+    reply says that the slot's mu and sigma are written, from one
+    ``teacher_forward`` over the slot's rows."""
+    while True:
+        slot, rows = inbox.recv()
+        pred = teacher_forward(student, exchange.x[slot, :rows])
+        exchange.mu[slot, :rows] = pred.mu_values
+        exchange.sigma[slot, :rows] = pred.sigma_values
+        outbox.send(("done",))
+
+
+def _predictions(student: Network, chunks: Iterator[list[FeatureSequence]]) -> list[Prediction]:
+    """Every chunk's prediction, in chunk order (see the module docstring).
+
+    An error surfaces in chunk order: before a chunk's check error or an error
+    of the stream is raised, every earlier chunk is scored, and the first of
+    their errors is raised instead.
+    """
+    context = _fork_context()
+    held: list[list[FeatureSequence]] = []
+    try:
+        for batch in islice(chunks, _FORK_AFTER + 1 if context is not None else 0):
+            held.append(batch)
+    except Exception:
+        for batch in held:
+            _score_here(student, batch)
+        raise
+    if len(held) <= _FORK_AFTER:
+        return [_score_here(student, batch) for batch in chain(held, chunks)]
+
+    exchange = _Exchange(
+        context,
+        x=(_SLOTS, _EVAL_CHUNK, *held[0][0].features.shape),
+        mu=(_SLOTS, _EVAL_CHUNK),
+        sigma=(_SLOTS, _EVAL_CHUNK),
+    )
+    batches = chain(held, chunks)
+    del held  # ``batches`` lets go of each drawn chunk once past it
+    predicted: dict[int, Prediction] = {}
+    free = list(range(_SLOTS))
+    in_flight: deque[tuple[int, int, int]] = deque()  # (slot, chunk, rows), in sending order
+
+    def collect(wait: bool) -> None:
+        """Take the scorer's replies: every one due with ``wait``, else those
+        already sent."""
+        while in_flight and (wait or exchange.to_parent[0].poll()):
+            slot, index, rows = in_flight.popleft()
+            try:
+                scorer.reply()
+            except Exception:
+                in_flight.clear()  # the scorer ends at its error
+                raise
+            predicted[index] = (exchange.mu[slot, :rows].copy(), exchange.sigma[slot, :rows].copy())
+            free.append(slot)
+
+    with _Worker(context, "scoring", exchange, _score, (student,)) as scorer:
         try:
-            second = mixer_forward(student, Tensor(x[half:]))
-        finally:
-            # read even when the second half failed: an error of the first
-            # half is the one raised
-            first_rows = first.result().array
-    encoded = np.concatenate([first_rows, second.array])
-    return regression_head(student, Tensor(encoded))
+            for index, batch in enumerate(batches):
+                collect(wait=False)
+                if not free:
+                    predicted[index] = _score_here(student, batch)
+                    continue
+                slot = free.pop()
+                np.stack([s.features for s in batch], out=exchange.x[slot, : len(batch)])
+                in_flight.append((slot, index, len(batch)))
+                scorer.send((slot, len(batch)))
+        except Exception:
+            collect(wait=True)  # the chunks handed over come first
+            raise
+        collect(wait=True)
+    return [predicted[index] for index in range(len(predicted))]
 
 
 def evaluate(
@@ -107,27 +169,27 @@ def evaluate(
     Returns Spearman's correlation against the ground truth and one
     prediction row per sample. Parameters are read, never mutated.
     ``test_set`` may be any iterable, a stream of parsed samples included; it
-    is consumed ``_EVAL_CHUNK`` samples at a time, so only one chunk's
-    features are held at once. A sample without a score raises
+    is consumed ``_EVAL_CHUNK`` samples at a time, and drawn at most
+    ``_SLOTS`` + 1 chunks ahead of the scored ones, so the features held at
+    once do not grow with the stream. A sample without a score raises
     ``ContractError`` and one whose shape is not the network's (T, D) raises
     ``DimensionError``, each when its chunk is reached; so does an error the
-    iterable itself raises.
+    iterable itself raises. Errors surface in chunk order.
 
-    A chunk of at least ``_SPLIT_ROWS`` samples is encoded in two halves on
-    two threads, and the head runs over the whole chunk, so every bit is that
-    of one ``teacher_forward`` per chunk (see the module docstring). The
-    helper thread runs in a copy of the caller's context, so a caller's
-    ``np.errstate``, and the ``no_grad`` that this call enters, hold there
-    too; it ends before the call returns or raises. An error in either half
-    keeps its type here; when both halves fail, the first half's is raised.
+    Each chunk is one ``teacher_forward``, in this process or in a forked
+    scorer (see the module docstring), so the bits do not depend on where it
+    runs. The scorer is forked inside this call's ``no_grad`` and the
+    caller's ``np.errstate``, which hold there too. An error it raises is
+    raised here with the same type, text and attributes; one that pickle
+    cannot rebuild, or a scorer that ends without a reply, raises
+    ``WorkerError``. No scorer outlives the call.
     """
     shape = (student.arch.t, student.arch.d)
     ids: list[str] = []
     truths: list[float] = []
-    mus: list[np.ndarray] = []
-    sigmas: list[np.ndarray] = []
-    samples = iter(test_set)
-    with ad.no_grad():
+
+    def chunks() -> Iterator[list[FeatureSequence]]:
+        samples = iter(test_set)
         while batch := list(islice(samples, _EVAL_CHUNK)):
             for s in batch:
                 if s.score is None:
@@ -136,13 +198,14 @@ def evaluate(
                     raise DimensionError(
                         f"test sample {s.sample_id!r} is {s.features.shape}, not {shape}"
                     )
-            pred = _forward(student, np.stack([s.features for s in batch]))
-            mus.append(pred.mu_values)
-            sigmas.append(pred.sigma_values)
             ids.extend(s.sample_id for s in batch)
             truths.extend(s.score for s in batch)
-    mu = np.concatenate(mus) if mus else np.empty(0)
-    sigma = np.concatenate(sigmas) if sigmas else np.empty(0)
+            yield batch
+
+    with ad.no_grad():
+        predicted = _predictions(student, chunks())
+    mu = np.concatenate([mu for mu, _ in predicted]) if predicted else np.empty(0)
+    sigma = np.concatenate([sigma for _, sigma in predicted]) if predicted else np.empty(0)
     truth = np.array(truths, dtype=np.float64)
     rho = spearman(truth, mu)
     rows = [

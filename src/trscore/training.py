@@ -49,9 +49,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import mmap
-import multiprocessing
-import pickle
 import struct
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
@@ -69,7 +66,6 @@ from .errors import (
     DivergenceError,
     MetricUndefinedError,
     ParseError,
-    WorkerError,
 )
 from .memory import ConfidenceMemory, fuse_scores
 from .networks import (
@@ -93,6 +89,7 @@ from .objectives import (
     relative_target,
     unsupervised_loss,
 )
+from .workers import _Exchange, _fork_context, _Worker
 
 BURN_IN = "burn_in"
 TRS = "trs"
@@ -882,131 +879,6 @@ def train_supervised(
 
 
 # -- the forked workers -------------------------------------------------------
-
-
-def _fork_context():
-    """The ``fork`` start method's context, or None where a run stays in
-    one process: the method is unavailable, or this process is a daemonic
-    worker, which may not have children."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    if multiprocessing.current_process().daemon:
-        return None
-    return multiprocessing.get_context("fork")
-
-
-class _Exchange:
-    """What a parent and its forked worker share, made before the fork; the
-    worker gets this alone, so that no cycle holds the parent's process
-    object.
-
-    One float64 array per keyword, of that shape (a size for a vector), all
-    in one anonymous shared mapping, and two one-way pipes for the rest.
-    Every receive blocks. Every message is a few numbers in one write below
-    ``PIPE_BUF``, except a worker's error, which is the pickled exception and
-    may be longer; the worker sends it as its last message, and the parent
-    reads it at its next receive. ``train``'s exchange also holds two epochs
-    of strong views, which the parent writes one epoch ahead into slot
-    ``epoch % 2`` (see ``_run_forked``).
-    """
-
-    def __init__(self, context, **shapes: int | tuple[int, ...]):
-        sizes = {name: int(np.prod(shape)) for name, shape in shapes.items()}
-        flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes.values())), dtype=np.float64)
-        offset = 0
-        for name, shape in shapes.items():
-            setattr(self, name, flat[offset : offset + sizes[name]].reshape(shape))
-            offset += sizes[name]
-        self.to_worker = context.Pipe(duplex=False)  # (receiving end, sending end)
-        self.to_parent = context.Pipe(duplex=False)
-
-    def keep(self, worker: bool) -> None:
-        """Close the other side's pipe ends, so that a receive fails once the
-        other side is gone."""
-        self.to_worker[worker].close()
-        self.to_parent[not worker].close()
-
-
-def _serve(exchange: _Exchange, body: Callable, args: tuple) -> None:
-    """A forked worker's life: ``body(exchange, inbox, outbox, *args)``
-    answers the parent's messages until the parent closes its end. An error
-    that it raises is sent instead, pickled, so that the parent raises the
-    same exception; one that pickle cannot rebuild is sent as its type name
-    and text."""
-    exchange.keep(worker=True)
-    outbox = exchange.to_parent[1]
-    try:
-        body(exchange, exchange.to_worker[0], outbox, *args)
-    except (EOFError, KeyboardInterrupt):
-        pass  # the parent is gone, or was interrupted and ends the run itself
-    except Exception as exc:
-        try:
-            pickle.loads(pickle.dumps(exc))  # what the parent's receive does
-            reply = ("error", exc)
-        except Exception:
-            reply = ("unpicklable", f"{type(exc).__name__}: {exc}")
-        outbox.send(reply)
-
-
-class _Worker:
-    """The parent's handle on a forked worker that runs ``body`` (see
-    ``_serve``); ``role`` names it in ``WorkerError``. As a context manager it
-    stops the worker on leaving, killing it first when an exception leaves."""
-
-    def __init__(self, context, role: str, exchange: _Exchange, body: Callable, args: tuple):
-        self.role, self.exchange = role, exchange
-        self.process = context.Process(
-            target=_serve, args=(exchange, body, args), name=f"trscore-{role}", daemon=True
-        )
-        self.process.start()
-        exchange.keep(worker=False)
-
-    def __enter__(self) -> "_Worker":
-        return self
-
-    def __exit__(self, kind, exc, traceback) -> bool:
-        self.stop(kill=kind is not None)
-        return False
-
-    def send(self, message) -> None:
-        try:
-            self.exchange.to_worker[1].send(message)
-        except BrokenPipeError:
-            pass  # the worker is gone: ``reply`` says so
-
-    def reply(self) -> tuple:
-        """The numbers of the worker's "done" reply; its error, or
-        ``WorkerError`` when it ended without a reply, is raised here."""
-        try:
-            reply = self.exchange.to_parent[0].recv()
-        except EOFError:
-            reply = ("lost",)
-        if reply[0] != "done":
-            raise self.error(reply)
-        return reply[1:]
-
-    def error(self, reply: tuple) -> Exception:
-        """The error a reply other than "done" stands for: the one the worker
-        raised, or ``WorkerError`` when it ended without a reply or raised
-        an error that pickle cannot rebuild."""
-        if reply[0] == "error":
-            return reply[1]
-        if reply[0] == "unpicklable":
-            return WorkerError(f"the {self.role} worker raised {reply[1]}")
-        self.process.join()
-        return WorkerError(
-            f"the {self.role} worker ended with exit code {self.process.exitcode} "
-            "before it finished its epoch"
-        )
-
-    def stop(self, kill: bool) -> None:
-        """End the worker (at once with ``kill``), and wait for it."""
-        if kill:
-            self.process.kill()
-        for end in (self.exchange.to_worker[1], self.exchange.to_parent[0]):
-            end.close()
-        self.process.join()
-        self.process.close()
 
 
 def _validate(exchange: _Exchange, inbox, outbox, net: Network, val) -> None:

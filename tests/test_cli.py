@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from test_data import full_disk_open
-from trscore import cli, data, evaluation
+from trscore import cli, data, evaluation, workers
 from trscore.cli import main, parse_config_file
 from trscore.data import Dataset, load_features, save_features
 from trscore.errors import ConfigurationError
@@ -102,6 +102,18 @@ class TestTrainEval:
         assert code == 0
         assert "spearman:" in capsys.readouterr().out
         assert len(pred_csv.read_text().splitlines()) == 21
+
+    def test_final_total_loss_is_the_last_rows_total(self, tiny_data, tmp_path, capsys):
+        train_file, _ = tiny_data
+        out_dir = tmp_path / "run"
+        capsys.readouterr()
+        assert run_cli(["train", "--data", train_file, "--out-dir", out_dir,
+                        "--epochs", 4, "--burn-in", 2, "--lr", 1e-3, "--seed", 1]) == 0
+        out = capsys.readouterr().out
+        rows = [line.split(",") for line in (out_dir / "metrics.csv").read_text().splitlines()]
+        totals = [float(row[rows[0].index("total")]) for row in rows[1:]]
+        assert f"trained 4 epochs; final total loss {totals[-1]:.6f}\n" in out
+        assert f"{totals[-1]:.6f}" != f"{totals[-2]:.6f}"  # the line tells them apart
 
     def test_epochs_not_above_burn_in_rejected(self, tiny_data, tmp_path, capsys):
         train_file, _ = tiny_data
@@ -321,16 +333,17 @@ def _labeled_file(path, n, t, d):
 class TestEvalStream:
     """``trscore eval`` scores its file chunk by chunk as it parses it."""
 
+    @pytest.mark.parametrize("n", [300, 1100])
     @pytest.mark.parametrize("defect, message", [
-        ("truncated", "truncated while reading features of 'bulk-00299'"),
-        ("non-finite", "features of 'bulk-00299' are not all finite"),
+        ("truncated", "truncated while reading features of 'bulk-{last}'"),
+        ("non-finite", "features of 'bulk-{last}' are not all finite"),
         ("unlabeled", "contains unlabeled samples"),
     ])
     def test_bad_last_sample_exits_2_without_predictions(
-        self, tmp_path, capsys, monkeypatch, defect, message
+        self, tmp_path, capsys, monkeypatch, defect, message, n
     ):
         checkpoint = _train_checkpoint(tmp_path, 4, 8)
-        path = _labeled_file(tmp_path / "bulk.aqaf", 300, 4, 8)
+        path = _labeled_file(tmp_path / "bulk.aqaf", n, 4, 8)
         blob = bytearray(path.read_bytes())
         features_offset = len(blob) - 8 * 4 * 8  # of the last sample
         if defect == "truncated":
@@ -342,27 +355,33 @@ class TestEvalStream:
             samples = load_features(path).samples
             samples[-1] = replace(samples[-1], score=None)
             save_features(Dataset(samples), path)
-        forwards = []
-        scored = evaluation._forward
-        monkeypatch.setattr(
-            evaluation, "_forward", lambda *a: forwards.append(1) or scored(*a)
-        )
+        # chunks scored in this process, and replies of the forked scorer
+        scored = []
+        forward, reply = evaluation.teacher_forward, workers._Worker.reply
+        monkeypatch.setattr(evaluation, "teacher_forward",
+                            lambda *a: scored.append("here") or forward(*a))
+        monkeypatch.setattr(workers._Worker, "reply",
+                            lambda self: scored.append("scorer") or reply(self))
         capsys.readouterr()
         predictions = tmp_path / "pred.csv"
         code = run_cli(["eval", "--data", path, "--checkpoint", checkpoint, "-o", predictions])
         assert code == 2
         err = capsys.readouterr().err
-        assert message in err and "Traceback" not in err
+        assert message.format(last=f"{n - 1:05d}") in err and "Traceback" not in err
         if defect != "unlabeled":
             assert f"byte offset {features_offset}" in err
-        assert forwards  # the first chunk was scored before the fault was reached
+        # every chunk before the faulty last one was scored before the fault
+        # was raised, the first ones by the forked scorer in the longer file
+        assert len(scored) == (n - 1) // 256
+        assert ("scorer" in scored) == (n > 768)
         assert not predictions.exists()
 
     def test_peak_memory_does_not_grow_with_the_file(self, tmp_path):
         # numpy reports its buffers to tracemalloc; 5,500 more samples of
-        # 10 x 64 add 28 MB of features, which the peak must not hold. How the
-        # two threads' temporaries of a chunk overlap moves the peak by up to
-        # about 3 MB, well inside the bound
+        # 10 x 64 add 28 MB of features, which the peak must not hold. The
+        # forked scorer's slots are a shared mapping, which tracemalloc does
+        # not see; how many chunks this process scores itself while the slots
+        # are busy moves the peak by a few MB, well inside the bound
         checkpoint = _train_checkpoint(tmp_path, 10, 64)
 
         def traced_eval(n):

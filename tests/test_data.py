@@ -102,6 +102,14 @@ class TestGenerateSynthetic:
                 assert a.score == b.score
                 assert a.features.tobytes() == b.features.tobytes()
 
+    def test_a_kept_sample_views_no_block(self, monkeypatch):
+        # a view would keep its whole synthesis block alive with the sample
+        spec = SyntheticSpec(num_samples=50, t=3, d=5, label_fraction=0.2, seed=6)
+        monkeypatch.setattr(data_module, "_BLOCK_BYTES", 7 * 8 * spec.t * spec.d)
+        for s in generate_synthetic(spec).labeled_samples:
+            assert s.features.base is None and s.features.flags.owndata
+            assert s.features.nbytes == 8 * spec.t * spec.d
+
     def test_scores_within_declared_range(self):
         ds = generate_synthetic(SyntheticSpec(num_samples=200, t=2, d=4, label_fraction=1.0, seed=4))
         lo, hi = data_module.SCORE_RANGE

@@ -1,6 +1,8 @@
 """Spearman-metric and evaluation-path tests."""
 
-import threading
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from trscore import evaluation
+from trscore import evaluation, workers
 from trscore.autodiff import no_grad
 from trscore.data import SyntheticSpec, generate_synthetic
 from trscore.errors import (
@@ -153,29 +155,28 @@ class TestEvaluate:
         with pytest.raises(MetricUndefinedError, match="NaN"):
             evaluate(params, labeled_samples(5))
 
-    def test_streams_its_input_one_chunk_at_a_time(self, monkeypatch):
+    def test_streams_its_input_a_few_chunks_ahead(self, worker_pids, monkeypatch):
         params = init_teacher_params(NetworkArch(4, 8), np.random.default_rng(2))
-        samples = labeled_samples(600, seed=4)
-        drawn, forwards = [], []
+        samples = labeled_samples(2100, seed=4)
+        drawn, ahead = [], []
+        scored = {"here": 0, "scorer": 0}
 
         def stream():
             for s in samples:
                 drawn.append(s)
+                # chunks drawn beyond the scored ones, this one included
+                ahead.append(-(-len(drawn) // 256) - scored["here"] - scored["scorer"])
                 yield s
 
-        scored = evaluation._forward
-
-        def forward(net, x):
-            # never more than one chunk has been drawn beyond those scored
-            forwards.append(len(drawn))
-            assert len(drawn) <= 256 * len(forwards)
-            return scored(net, x)
-
-        monkeypatch.setattr(evaluation, "_forward", forward)
-        streamed = evaluate(params, stream())
-        monkeypatch.undo()
-        assert forwards == [256, 512, 600]
-        assert streamed == evaluate(params, samples)
+        count_chunks(monkeypatch, scored, delay=0.02)
+        rho, rows = evaluate(params, stream())
+        assert len(worker_pids) == 1
+        assert scored["here"] + scored["scorer"] == 9 and scored["scorer"] > 0
+        # never more than ``_SLOTS`` + 1 chunks drawn beyond those scored
+        assert max(ahead) == evaluation._SLOTS + 1
+        expected_rho, expected_rows = per_chunk_reference(params, samples)
+        assert rho.hex() == expected_rho.hex()
+        assert bits(rows) == bits(expected_rows)
 
     def test_never_mutates_parameters(self):
         params = init_teacher_params(NetworkArch(4, 8), np.random.default_rng(4))
@@ -220,13 +221,56 @@ def bits(rows):
     return [(r.sample_id, r.truth.hex(), r.mu.hex(), r.sigma.hex()) for r in rows]
 
 
-class TestTwoThreadEncoding:
-    """``evaluate`` encodes the halves of a chunk of at least 128 samples on
-    two threads and gives the bits of one ``teacher_forward`` per chunk."""
+PARENT = os.getpid()
+
+
+def in_scorer() -> bool:
+    return os.getpid() != PARENT
+
+
+def count_chunks(monkeypatch, scored, delay=0.0):
+    """Count in ``scored`` the chunks scored in this process ("here") and the
+    replies of the forked scorer ("scorer"); the scorer sleeps ``delay``
+    seconds before each chunk, so that this process scores some too."""
+    forward = evaluation.teacher_forward
+    reply = workers._Worker.reply
+
+    def counted_forward(net, x):
+        if in_scorer():
+            time.sleep(delay)
+        else:
+            scored["here"] += 1
+        return forward(net, x)
+
+    def counted_reply(self):
+        done = reply(self)
+        scored["scorer"] += 1
+        return done
+
+    monkeypatch.setattr(evaluation, "teacher_forward", counted_forward)
+    monkeypatch.setattr(workers._Worker, "reply", counted_reply)
+
+
+def in_scorer_raise(monkeypatch, error):
+    """The forked scorer raises ``error`` at its first chunk."""
+    forward = evaluation.teacher_forward
+
+    def failing(net, x):
+        if in_scorer():
+            raise error
+        return forward(net, x)
+
+    monkeypatch.setattr(evaluation, "teacher_forward", failing)
+
+
+class TestForkedScorer:
+    """A stream of more than three chunks is scored by a forked scorer and
+    this process together, with the bits of one ``teacher_forward`` per
+    chunk; no scorer outlives the call."""
 
     @pytest.mark.parametrize("t,d", [(10, 64), (7, 5)])
-    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 255, 256, 257, 600])
-    def test_equals_one_teacher_forward_per_chunk(self, n, t, d):
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 768, 769, 1025, 1800])
+    def test_equals_one_teacher_forward_per_chunk(self, n, t, d, worker_pids):
         params = init_teacher_params(NetworkArch(t, d), np.random.default_rng(n))
         samples = labeled_samples(n, t=t, d=d, seed=n)
         if n < 2:
@@ -234,89 +278,138 @@ class TestTwoThreadEncoding:
                 evaluate(params, samples)
             return
         rho, rows = evaluate(params, samples)
+        assert len(worker_pids) == (1 if n > 768 else 0)
         expected_rho, expected_rows = per_chunk_reference(params, samples)
         assert rho.hex() == expected_rho.hex()
         assert bits(rows) == bits(expected_rows)
 
-    def test_halves_run_on_two_threads_from_the_split_size(self, monkeypatch):
+    @pytest.mark.parametrize("t,d", [(10, 64), (7, 5)])
+    def test_equals_it_when_both_processes_score_chunks(self, t, d, worker_pids, monkeypatch):
+        params = init_teacher_params(NetworkArch(t, d), np.random.default_rng(0))
+        samples = labeled_samples(2000, t=t, d=d, seed=1)
+        scored = {"here": 0, "scorer": 0}
+        count_chunks(monkeypatch, scored, delay=0.05)
+        rho, rows = evaluate(params, samples)
+        assert len(worker_pids) == 1
+        assert scored["here"] > 0 and scored["scorer"] >= evaluation._SLOTS
+        assert scored["here"] + scored["scorer"] == 8
+        expected_rho, expected_rows = per_chunk_reference(params, samples)
+        assert rho.hex() == expected_rho.hex()
+        assert bits(rows) == bits(expected_rows)
+
+    def test_where_the_chunks_are_scored(self, worker_pids, monkeypatch):
         params = init_teacher_params(NetworkArch(4, 8), np.random.default_rng(0))
-        caller = threading.get_ident()
-        passes = []
+        scored = {"here": 0, "scorer": 0}
+        count_chunks(monkeypatch, scored)
+        # three chunks or fewer: each a ``teacher_forward`` in this process
+        evaluate(params, labeled_samples(768, seed=1))
+        assert scored == {"here": 3, "scorer": 0} and worker_pids == []
+        # more: the first three go to the slots, free when the scorer starts
+        scored.update(here=0, scorer=0)
+        evaluate(params, labeled_samples(1100, seed=1))
+        assert scored["scorer"] >= 3 and scored["here"] + scored["scorer"] == 5
+        assert len(worker_pids) == 1
 
-        def recording(forward):
-            def record(net, x):
-                passes.append((x.shape[0], threading.get_ident() == caller))
-                return forward(net, x)
-            return record
-
-        for name in ("mixer_forward", "teacher_forward"):
-            monkeypatch.setattr(evaluation, name, recording(getattr(evaluation, name)))
-        # chunks of 256 and 129 split into halves, the first on the helper
-        evaluate(params, labeled_samples(385, seed=1))
-        assert sorted(passes) == [(64, False), (65, True), (128, False), (128, True)]
-        passes.clear()
-        evaluate(params, labeled_samples(127, seed=1))
-        assert passes == [(127, True)]
-
-    def test_neither_half_records_a_graph(self, monkeypatch):
-        # ``no_grad`` holds per thread, so the helper must inherit the caller's
+    def test_the_scorer_records_no_graph(self, worker_pids, monkeypatch):
+        # ``no_grad`` is per context; the scorer is forked inside the call's
         params = init_teacher_params(NetworkArch(4, 8), np.random.default_rng(0))
-        encode = evaluation.mixer_forward
-        recorded = []
+        forward = evaluation.teacher_forward
 
-        def recording(net, x):
-            out = encode(net, x)
-            recorded.append(out.requires_grad)
-            return out
+        def reporting(net, x):
+            pred = forward(net, x)
+            if in_scorer():
+                raise ContractError(f"requires_grad={pred.mu.requires_grad}")
+            return pred
 
-        monkeypatch.setattr(evaluation, "mixer_forward", recording)
-        evaluate(params, labeled_samples(256, seed=1))
-        assert recorded == [False, False]
+        monkeypatch.setattr(evaluation, "teacher_forward", reporting)
+        with pytest.raises(ContractError, match="^requires_grad=False$"):
+            evaluate(params, labeled_samples(1025, seed=1))
+        assert len(worker_pids) == 1
 
-    @pytest.mark.parametrize("failing", ["first", "second", "both"])
-    def test_an_error_in_either_half_keeps_its_type_and_text(self, monkeypatch, failing):
+    @pytest.mark.parametrize("row", [0, 255, 300, 700])
+    def test_callers_errstate_holds_in_the_scorer(self, row, worker_pids):
+        # rows in the first three chunks, which always go to the scorer
         params = init_teacher_params(NetworkArch(4, 8), np.random.default_rng(0))
-        samples = labeled_samples(300, seed=2)
-        first_half = samples[0].features.tobytes()
-        encode = evaluation.mixer_forward
-        errors = {"first": ("bad first half", 7), "second": ("bad second half", 9)}
-
-        def failing_half(net, x):
-            half = "first" if x.array[0].tobytes() == first_half else "second"
-            if failing in (half, "both"):
-                raise ParseError(*errors[half])
-            return encode(net, x)
-
-        monkeypatch.setattr(evaluation, "mixer_forward", failing_half)
-        before = threading.active_count()
-        with pytest.raises(ParseError) as caught:
-            evaluate(params, samples)
-        assert threading.active_count() == before
-        # when both halves fail, the first half's error is the one raised
-        message, offset = errors["second" if failing == "second" else "first"]
-        assert str(caught.value) == f"{message} (byte offset {offset})"
-        assert caught.value.offset == offset
-
-    def test_no_thread_outlives_the_call(self):
-        params = init_teacher_params(NetworkArch(4, 8), np.random.default_rng(0))
-        samples = labeled_samples(600, seed=3)
-        before = threading.active_count()
-        evaluate(params, samples)
-        assert threading.active_count() == before
-        bad = samples[:300] + [FeatureSequence(np.zeros((5, 8)), "odd", 1.0)]
-        with pytest.raises(DimensionError):
-            evaluate(params, bad)
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("row", [0, 127, 128, 255])
-    def test_callers_errstate_holds_in_either_half(self, row):
-        params = init_teacher_params(NetworkArch(4, 8), np.random.default_rng(0))
-        samples = labeled_samples(256, seed=4)
+        samples = labeled_samples(1025, seed=4)
         huge = samples[row].features.copy()
         huge[0, 0] = 1e300
         samples[row] = FeatureSequence(huge, samples[row].sample_id, samples[row].score)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
             evaluate(params, samples)
+        assert len(worker_pids) == 1
+
+    def test_a_scorer_error_keeps_its_type_text_and_attributes(self, worker_pids, monkeypatch):
+        params = init_teacher_params(NetworkArch(4, 8), np.random.default_rng(0))
+        in_scorer_raise(monkeypatch, ParseError("bad chunk", 7))
+        with pytest.raises(ParseError) as caught:
+            evaluate(params, labeled_samples(1025, seed=2))
+        assert str(caught.value) == "bad chunk (byte offset 7)"
+        assert caught.value.offset == 7
+        assert len(worker_pids) == 1
+
+    def test_errors_surface_in_chunk_order(self, worker_pids, monkeypatch):
+        params = init_teacher_params(NetworkArch(4, 8), np.random.default_rng(0))
+        samples = labeled_samples(1600, seed=3)
+        samples[1500] = FeatureSequence(np.zeros((5, 8)), "odd", 1.0)
+        # the scorer fails at chunk 0, handed over before chunk 5 is checked
+        in_scorer_raise(monkeypatch, ParseError("bad chunk", 7))
+        with pytest.raises(ParseError, match="bad chunk"):
+            evaluate(params, samples)
+        # a chunk scored here before a stream drawn ahead fails (chunk 2)
+        monkeypatch.setattr(evaluation, "teacher_forward", teacher_forward)
+        huge = samples[0].features.copy()
+        huge[0, 0] = 1e300
+        samples[0] = FeatureSequence(huge, samples[0].sample_id, samples[0].score)
+        samples[600] = FeatureSequence(np.zeros((5, 8)), "odd", 1.0)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            evaluate(params, samples)
+        assert len(worker_pids) == 1
+
+    @pytest.mark.parametrize("fault", [
+        None, "dimension", "stream", "scorer", "interrupt",
+    ])
+    def test_no_process_outlives_the_call(self, fault, worker_pids, monkeypatch):
+        params = init_teacher_params(NetworkArch(4, 8), np.random.default_rng(0))
+        samples = labeled_samples(2000, seed=3)
+
+        def stream():
+            for i, s in enumerate(samples):
+                if i == 1500 and fault == "stream":
+                    raise ParseError("truncated", 99)
+                if i == 1500 and fault == "interrupt":
+                    raise KeyboardInterrupt
+                yield s
+
+        if fault == "dimension":
+            samples[1500] = FeatureSequence(np.zeros((5, 8)), "odd", 1.0)
+        if fault == "scorer":
+            in_scorer_raise(monkeypatch, ParseError("bad chunk", 7))
+        expected = {None: None, "dimension": DimensionError, "stream": ParseError,
+                    "scorer": ParseError, "interrupt": KeyboardInterrupt}[fault]
+        if expected is None:
+            evaluate(params, stream())
+        else:
+            with pytest.raises(expected):
+                evaluate(params, stream())
+        assert len(worker_pids) == 1  # gone: the fixture checks it
+
+    def test_a_daemonic_caller_scores_in_its_own_process(self, worker_pids):
+        params = init_teacher_params(NetworkArch(4, 8), np.random.default_rng(0))
+        samples = labeled_samples(1025, seed=5)
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+
+        def daemon_body():
+            rho, rows = evaluate(params, samples)
+            send.send((len(worker_pids), rho.hex(), bits(rows)))
+
+        daemon = context.Process(target=daemon_body, daemon=True)
+        daemon.start()
+        started, rho, rows = receive.recv()
+        daemon.join()
+        assert started == 0
+        expected_rho, expected_rows = per_chunk_reference(params, samples)
+        assert rho == expected_rho.hex() and rows == bits(expected_rows)
 
 
 class TestPredictionsCsv:

@@ -53,6 +53,15 @@ def quick_config(**kwargs):
     return TrainConfig(**base)
 
 
+class TestTrainConfigDefaults:
+    def test_the_specified_defaults(self):
+        config = TrainConfig()
+        assert (config.alpha, config.burn_in_epochs, config.max_epochs) == (0.99, 30, 150)
+        assert (config.learning_rate, config.batch_size) == (2e-4, 4)
+        assert (config.augment_noise_std, config.beta_peak) == (0.4, 0.2)
+        assert config.component_toggles == ComponentToggles(True, True, True)
+
+
 class TestEmaUpdate:
     def _sets(self):
         a = ParameterSet([("w", (1, 2))], np.array([2.0, -1.0]))

@@ -76,26 +76,6 @@ def _lockstep(config, labeled, unlabeled):
     return state, rows
 
 
-@pytest.fixture
-def worker_pids(monkeypatch):
-    """The pid of every worker that ``train`` or ``train_supervised`` starts;
-    each must be gone when the test ends."""
-    pids = []
-    start = training._Worker.__init__
-
-    def recorded(self, *args):
-        start(self, *args)
-        pids.append(self.process.pid)
-
-    monkeypatch.setattr(training._Worker, "__init__", recorded)
-    yield pids
-    # before ``active_children``, which would reap a worker left unjoined
-    for pid in pids:
-        with pytest.raises(ProcessLookupError):
-            os.kill(pid, 0)
-    assert multiprocessing.active_children() == []
-
-
 def _trained(config, labeled, unlabeled, monkeypatch, tmp_path):
     """``train``'s rows and its final state, taken where it is checkpointed."""
     seen = {}

@@ -9,9 +9,10 @@ hashes (SHA-256) what the run leaves behind: the metrics CSV and, for
 ``train``, the checkpoint files ``params_{t,s,f}.bin``, ``memory_{t,r}.tsv``
 and ``state.json``; for ``train_supervised``, the student's parameter file;
 for both, the predictions CSV of ``evaluate`` with the trained student on a
-held-out split of ``HELD_OUT`` samples, whose 256-sample chunks (256, 256,
-88) cross both the chunk edge and the size from which a chunk is encoded on
-two threads. One ``trscore eval`` run on the first shape's ``full``
+held-out split of ``HELD_OUT`` samples, whose 256-sample chunks (four of
+256, then 76) cross the chunk edge and are more than ``evaluate`` scores in
+this process alone, so that a forked scorer scores chunks while this process
+parses the next ones. One ``trscore eval`` run on the first shape's ``full``
 checkpoint adds the CLI's predictions CSV. The AQAF bytes that
 ``save_features`` writes are hashed too: each shape's training split, and the
 held-out file that ``trscore eval`` reads. A case is one of the five
@@ -45,8 +46,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-HELD_OUT = 600
-VALIDATION = 150  # one validation chunk, encoded on two threads
+HELD_OUT = 1100
+VALIDATION = 150  # one validation chunk, scored in the validating process
 
 # name -> (synthetic spec, training settings)
 SHAPES = {

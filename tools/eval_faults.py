@@ -1,5 +1,5 @@
-"""Time fresh-interpreter ``trscore eval`` runs of two checkouts, in seconds
-and minor page faults.
+"""Time fresh-interpreter ``trscore eval`` runs of two checkouts, in seconds,
+minor page faults and the CPU seconds of child processes.
 
 Usage, from the repository root:
 
@@ -10,11 +10,13 @@ The set-up, run with the checkout under test, writes an 8,000-sample labeled
 epochs) on the 400-sample training split, the shapes of the benchmark's
 ``eval_bulk``. Then, ``N`` times (default 10), each checkout runs
 ``trscore eval`` on them once in a fresh interpreter, the two alternating
-which runs first. A run measures wall time (``time.perf_counter``) and minor
-page faults (``resource.getrusage(RUSAGE_SELF).ru_minflt``) around the one
-``cli.main`` call, after the imports, and hashes the predictions CSV it
-wrote. The script prints every run, then each checkout's median seconds and
-faults, and exits 1 unless every run wrote the same predictions.
+which runs first. A run measures wall time (``time.perf_counter``), minor
+page faults (``resource.getrusage(RUSAGE_SELF).ru_minflt``, this process
+only) and the user plus system CPU seconds of the child processes it reaped
+(``os.times``, such as a forked scorer) around the one ``cli.main`` call,
+after the imports, and hashes the predictions CSV it wrote. The script
+prints every run, then each checkout's median seconds, faults and child CPU
+seconds, and exits 1 unless every run wrote the same predictions.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import resource
 import statistics
 import subprocess
@@ -61,17 +64,22 @@ def _time_one(argv: list[str]) -> dict:
 
     out = io.StringIO()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    children = os.times()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     wall_s = time.perf_counter() - start
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    ended = os.times()
+    child_cpu_s = (ended.children_user - children.children_user
+                   + ended.children_system - children.children_system)
     if code != 0:
         sys.exit(f"trscore {' '.join(argv)} exited with {code}: {out.getvalue()}")
     csv = Path(argv[argv.index("-o") + 1])
     digest = hashlib.sha256(csv.read_bytes()).hexdigest()
     csv.unlink()
-    return {"wall_s": wall_s, "minflt": faults, "predictions": digest}
+    return {"wall_s": wall_s, "minflt": faults, "child_cpu_s": child_cpu_s,
+            "predictions": digest}
 
 
 def _run(src: Path, argv: list[str]) -> dict:
@@ -114,11 +122,14 @@ def main() -> int:
                 run = _run(sides[side], argv)
                 runs[side].append(run)
                 print(f"run {i + 1} {side:<8} {run['wall_s']:.3f} s "
-                      f"{run['minflt']:>7} minor faults")
+                      f"{run['minflt']:>7} minor faults "
+                      f"{run['child_cpu_s']:.3f} s child CPU")
     for side, src in sides.items():
         wall = statistics.median(r["wall_s"] for r in runs[side])
         faults = statistics.median(r["minflt"] for r in runs[side])
-        print(f"{side:<8} median {wall:.3f} s, {faults:.0f} minor faults ({src})")
+        child = statistics.median(r["child_cpu_s"] for r in runs[side])
+        print(f"{side:<8} median {wall:.3f} s, {faults:.0f} minor faults, "
+              f"{child:.3f} s child CPU ({src})")
     digests = {r["predictions"] for side in runs.values() for r in side}
     print("predictions: " + ("identical in every run" if len(digests) == 1 else "DIFFERENT"))
     return 0 if len(digests) == 1 else 1
