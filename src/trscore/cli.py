@@ -6,12 +6,13 @@ from the heap, and up to 64 MiB of free heap (``M_TRIM_THRESHOLD``) stays
 mapped. Otherwise ``evaluate`` hands each 256-sample chunk's ~1 MB of
 temporaries back to the kernel and faults them in again for the next chunk:
 85-105 k minor faults for a fresh 8k-sample ``trscore eval`` scored in one
-process, about 5 k pinned. Both are set because setting either one switches
-glibc's dynamic thresholds off and leaves the other at its 128 KiB default.
-Forked processes, ``evaluate``'s scorer and ``train``'s worker among them,
-inherit the setting, no output bit changes, and where the C library has no
-``mallopt`` nothing is set. Library callers of ``evaluate`` and ``train``
-keep their allocator as it is.
+process, about 5 k pinned (about 9.6 k with ``evaluate``'s forked scorer,
+whose fork makes this process's later writes copy-on-write faults). Both are
+set because setting either one switches glibc's dynamic thresholds off and
+leaves the other at its 128 KiB default. Forked processes, ``evaluate``'s
+scorer and ``train``'s worker among them, inherit the setting, no output
+bit changes, and where the C library has no ``mallopt`` nothing is set.
+Library callers of ``evaluate`` and ``train`` keep their allocator as it is.
 """
 
 from __future__ import annotations

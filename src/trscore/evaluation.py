@@ -79,10 +79,10 @@ class PredictionRow:
     sigma: float
 
 
-Prediction = tuple[np.ndarray, np.ndarray]  # a chunk's mu and sigma
+_Prediction = tuple[np.ndarray, np.ndarray]  # a chunk's mu and sigma
 
 
-def _score_here(student: Network, batch: list[FeatureSequence]) -> Prediction:
+def _score_here(student: Network, batch: list[FeatureSequence]) -> _Prediction:
     pred = teacher_forward(student, np.stack([s.features for s in batch]))
     return pred.mu_values, pred.sigma_values
 
@@ -99,7 +99,7 @@ def _score(exchange: _Exchange, inbox, outbox, student: Network) -> None:
         outbox.send(("done",))
 
 
-def _predictions(student: Network, chunks: Iterator[list[FeatureSequence]]) -> list[Prediction]:
+def _predictions(student: Network, chunks: Iterator[list[FeatureSequence]]) -> list[_Prediction]:
     """Every chunk's prediction, in chunk order (see the module docstring).
 
     An error surfaces in chunk order: before a chunk's check error or an error
@@ -125,8 +125,8 @@ def _predictions(student: Network, chunks: Iterator[list[FeatureSequence]]) -> l
         sigma=(_SLOTS, _EVAL_CHUNK),
     )
     batches = chain(held, chunks)
-    del held  # ``batches`` lets go of each drawn chunk once past it
-    predicted: dict[int, Prediction] = {}
+    del held  # ``batches`` lets go of the held chunks once past the last
+    predicted: dict[int, _Prediction] = {}
     free = list(range(_SLOTS))
     in_flight: deque[tuple[int, int, int]] = deque()  # (slot, chunk, rows), in sending order
 
@@ -140,7 +140,7 @@ def _predictions(student: Network, chunks: Iterator[list[FeatureSequence]]) -> l
             except Exception:
                 in_flight.clear()  # the scorer ends at its error
                 raise
-            predicted[index] = (exchange.mu[slot, :rows].copy(), exchange.sigma[slot, :rows].copy())
+            predicted[index] = exchange.mu[slot, :rows].copy(), exchange.sigma[slot, :rows].copy()
             free.append(slot)
 
     with _Worker(context, "scoring", exchange, _score, (student,)) as scorer:
@@ -170,8 +170,8 @@ def evaluate(
     prediction row per sample. Parameters are read, never mutated.
     ``test_set`` may be any iterable, a stream of parsed samples included; it
     is consumed ``_EVAL_CHUNK`` samples at a time, and drawn at most
-    ``_SLOTS`` + 1 chunks ahead of the scored ones, so the features held at
-    once do not grow with the stream. A sample without a score raises
+    ``max(_SLOTS, _FORK_AFTER)`` + 1 chunks ahead of the scored ones, so the
+    features held at once do not grow with the stream. A sample without a score raises
     ``ContractError`` and one whose shape is not the network's (T, D) raises
     ``DimensionError``, each when its chunk is reached; so does an error the
     iterable itself raises. Errors surface in chunk order.

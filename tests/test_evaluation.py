@@ -251,7 +251,7 @@ def count_chunks(monkeypatch, scored, delay=0.0):
     monkeypatch.setattr(workers._Worker, "reply", counted_reply)
 
 
-def in_scorer_raise(monkeypatch, error):
+def make_the_scorer_raise(monkeypatch, error):
     """The forked scorer raises ``error`` at its first chunk."""
     forward = evaluation.teacher_forward
 
@@ -340,7 +340,7 @@ class TestForkedScorer:
 
     def test_a_scorer_error_keeps_its_type_text_and_attributes(self, worker_pids, monkeypatch):
         params = init_teacher_params(NetworkArch(4, 8), np.random.default_rng(0))
-        in_scorer_raise(monkeypatch, ParseError("bad chunk", 7))
+        make_the_scorer_raise(monkeypatch, ParseError("bad chunk", 7))
         with pytest.raises(ParseError) as caught:
             evaluate(params, labeled_samples(1025, seed=2))
         assert str(caught.value) == "bad chunk (byte offset 7)"
@@ -352,7 +352,7 @@ class TestForkedScorer:
         samples = labeled_samples(1600, seed=3)
         samples[1500] = FeatureSequence(np.zeros((5, 8)), "odd", 1.0)
         # the scorer fails at chunk 0, handed over before chunk 5 is checked
-        in_scorer_raise(monkeypatch, ParseError("bad chunk", 7))
+        make_the_scorer_raise(monkeypatch, ParseError("bad chunk", 7))
         with pytest.raises(ParseError, match="bad chunk"):
             evaluate(params, samples)
         # a chunk scored here before a stream drawn ahead fails (chunk 2)
@@ -383,7 +383,7 @@ class TestForkedScorer:
         if fault == "dimension":
             samples[1500] = FeatureSequence(np.zeros((5, 8)), "odd", 1.0)
         if fault == "scorer":
-            in_scorer_raise(monkeypatch, ParseError("bad chunk", 7))
+            make_the_scorer_raise(monkeypatch, ParseError("bad chunk", 7))
         expected = {None: None, "dimension": DimensionError, "stream": ParseError,
                     "scorer": ParseError, "interrupt": KeyboardInterrupt}[fault]
         if expected is None:
