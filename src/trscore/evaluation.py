@@ -2,20 +2,21 @@
 
 ``evaluate`` scores a test set in chunks of ``_EVAL_CHUNK`` samples, each
 with one ``teacher_forward`` over the chunk's rows, so the bits do not
-depend on the process that scores a chunk. When the stream holds more than
-``_FORK_AFTER`` chunks and a process can be forked
+depend on the process that scores a chunk. When the stream holds at least
+``_FORK_FROM`` samples and a process can be forked
 (``workers._fork_context``), a forked scorer scores chunks while this
 process parses and checks the next ones. This process stacks each checked
 chunk straight into a free one of ``_SLOTS`` slots of shared memory (its
 rows in, its mu and sigma out) and sends the slot number; it scores a chunk
 itself only when every slot is busy, and places each result by its chunk
 index. The two processes share no interpreter lock, so parsing and scoring
-use two cores. A shorter stream, such as the per-epoch validation set of
-``train``, a daemonic caller, such as the validator of
-``train_supervised``, and a platform without ``fork`` score every chunk in
-this process. The scorer runs the package's one fork protocol
-(``workers``), so its error comes back here with its type, text and
-attributes, and it ends before ``evaluate`` returns or raises.
+use two cores. A shorter stream, a daemonic caller, such as the validator
+of ``train_supervised``, and a platform without ``fork`` score every chunk
+in this process, and so does ``train``'s per-epoch validation, whatever its
+size, since its worker already uses the second core. The scorer runs the
+package's one fork protocol (``workers``), so its error comes back here with
+its type, text and attributes, and it ends before ``evaluate`` returns or
+raises.
 """
 
 from __future__ import annotations
@@ -37,10 +38,14 @@ from .workers import _Exchange, _fork_context, _Worker
 _EVAL_CHUNK = 256
 # chunks handed to the forked scorer at once at most, each in its own slot
 _SLOTS = 3
-# a stream of at most this many chunks is scored in this process: on so few
-# the fork's fixed cost, about 20 ms at 600 samples, most of it copy-on-write
-# faults in both processes, is more than the overlap saves
-_FORK_AFTER = 3
+# a shorter stream is scored in this process. The fork is decided on the
+# chunks the stream may be drawn ahead, the slots' and one more, and made
+# unless they end it: in a warm ``trscore eval`` the scorer loses to this
+# process alone by up to 30 ms at four chunks, ties at five or six (its
+# fork's fixed cost, mostly copy-on-write faults) and wins from seven, but
+# deciding at six chunks, with the first two scored here to keep the
+# stream's bound, was slower at every size it forks
+_FORK_FROM = (_SLOTS + 1) * _EVAL_CHUNK
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:
@@ -99,23 +104,25 @@ def _score(exchange: _Exchange, inbox, outbox, student: Network) -> None:
         outbox.send(("done",))
 
 
-def _predictions(student: Network, chunks: Iterator[list[FeatureSequence]]) -> list[_Prediction]:
-    """Every chunk's prediction, in chunk order (see the module docstring).
+def _predictions(
+    student: Network, chunks: Iterator[list[FeatureSequence]], context
+) -> list[_Prediction]:
+    """Every chunk's prediction, in chunk order (see the module docstring),
+    with a scorer forked from ``context``; None scores every chunk here.
 
     An error surfaces in chunk order: before a chunk's check error or an error
     of the stream is raised, every earlier chunk is scored, and the first of
     their errors is raised instead.
     """
-    context = _fork_context()
     held: list[list[FeatureSequence]] = []
     try:
-        for batch in islice(chunks, _FORK_AFTER + 1 if context is not None else 0):
+        for batch in islice(chunks, _SLOTS + 1 if context is not None else 0):
             held.append(batch)
     except Exception:
         for batch in held:
             _score_here(student, batch)
         raise
-    if len(held) <= _FORK_AFTER:
+    if sum(map(len, held)) < _FORK_FROM:
         return [_score_here(student, batch) for batch in chain(held, chunks)]
 
     exchange = _Exchange(
@@ -170,8 +177,8 @@ def evaluate(
     prediction row per sample. Parameters are read, never mutated.
     ``test_set`` may be any iterable, a stream of parsed samples included; it
     is consumed ``_EVAL_CHUNK`` samples at a time, and drawn at most
-    ``max(_SLOTS, _FORK_AFTER)`` + 1 chunks ahead of the scored ones, so the
-    features held at once do not grow with the stream. A sample without a score raises
+    ``_SLOTS`` + 1 chunks ahead of the scored ones, so the features held at
+    once do not grow with the stream. A sample without a score raises
     ``ContractError`` and one whose shape is not the network's (T, D) raises
     ``DimensionError``, each when its chunk is reached; so does an error the
     iterable itself raises. Errors surface in chunk order.
@@ -184,6 +191,14 @@ def evaluate(
     cannot rebuild, or a scorer that ends without a reply, raises
     ``WorkerError``. No scorer outlives the call.
     """
+    return _evaluate(student, test_set, _fork_context())
+
+
+def _evaluate(
+    student: Network, test_set: Iterable[FeatureSequence], context
+) -> tuple[float, list[PredictionRow]]:
+    """``evaluate``, with its scorer forked from ``context``; None scores
+    every chunk in this process, as ``train``'s validation does."""
     shape = (student.arch.t, student.arch.d)
     ids: list[str] = []
     truths: list[float] = []
@@ -203,7 +218,7 @@ def evaluate(
             yield batch
 
     with ad.no_grad():
-        predicted = _predictions(student, chunks())
+        predicted = _predictions(student, chunks(), context)
     mu = np.concatenate([mu for mu, _ in predicted]) if predicted else np.empty(0)
     sigma = np.concatenate([sigma for _, sigma in predicted]) if predicted else np.empty(0)
     truth = np.array(truths, dtype=np.float64)

@@ -724,12 +724,14 @@ def _check_training_sets(
 
 
 def _safe_val_spearman(net: Network | None, val_set) -> float:
-    from .evaluation import evaluate
+    """The student's validation Spearman, NaN when undefined; every chunk is
+    scored in this process, so that validation never forks beside a worker."""
+    from .evaluation import _evaluate
 
     if net is None or not val_set:
         return float("nan")
     try:
-        rho, _ = evaluate(net, val_set)
+        rho, _ = _evaluate(net, val_set, None)
     except MetricUndefinedError:
         return float("nan")
     return rho

@@ -264,12 +264,12 @@ def make_the_scorer_raise(monkeypatch, error):
 
 
 class TestForkedScorer:
-    """A stream of more than three chunks is scored by a forked scorer and
+    """A stream of at least four full chunks is scored by a forked scorer and
     this process together, with the bits of one ``teacher_forward`` per
     chunk; no scorer outlives the call."""
 
     @pytest.mark.parametrize("t,d", [(10, 64), (7, 5)])
-    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 768, 769, 1025, 1800])
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 768, 769, 1023, 1024, 1025, 1800])
     def test_equals_one_teacher_forward_per_chunk(self, n, t, d, worker_pids):
         params = init_teacher_params(NetworkArch(t, d), np.random.default_rng(n))
         samples = labeled_samples(n, t=t, d=d, seed=n)
@@ -278,7 +278,7 @@ class TestForkedScorer:
                 evaluate(params, samples)
             return
         rho, rows = evaluate(params, samples)
-        assert len(worker_pids) == (1 if n > 768 else 0)
+        assert len(worker_pids) == (1 if n >= 1024 else 0)
         expected_rho, expected_rows = per_chunk_reference(params, samples)
         assert rho.hex() == expected_rho.hex()
         assert bits(rows) == bits(expected_rows)
@@ -301,9 +301,12 @@ class TestForkedScorer:
         params = init_teacher_params(NetworkArch(4, 8), np.random.default_rng(0))
         scored = {"here": 0, "scorer": 0}
         count_chunks(monkeypatch, scored)
-        # three chunks or fewer: each a ``teacher_forward`` in this process
+        # fewer than four full chunks: each a ``teacher_forward`` in this process
         evaluate(params, labeled_samples(768, seed=1))
         assert scored == {"here": 3, "scorer": 0} and worker_pids == []
+        scored.update(here=0, scorer=0)
+        evaluate(params, labeled_samples(1000, seed=1))
+        assert scored == {"here": 4, "scorer": 0} and worker_pids == []
         # more: the first three go to the slots, free when the scorer starts
         scored.update(here=0, scorer=0)
         evaluate(params, labeled_samples(1100, seed=1))

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from trscore import cli, training
+from trscore import cli, evaluation, training
 from trscore.data import SyntheticSpec, generate_synthetic
 from trscore.errors import (
     DivergenceError,
@@ -205,6 +205,23 @@ def test_cli_train_exits_2_on_a_worker_error(worker_pids, monkeypatch, tmp_path,
                      "--epochs", "4", "--burn-in", "2"])
     assert code == 2
     assert capsys.readouterr().err == "error: a fault made in the worker\n"
+
+
+def test_validation_scores_in_this_process_however_large(worker_pids):
+    # more chunks than ``evaluate`` scores without forking a scorer
+    labeled, unlabeled, config = _sets(SMALL)
+    spec, _ = digest_grid.SHAPES[SMALL]
+    n = evaluation._FORK_FROM
+    val = generate_synthetic(
+        SyntheticSpec(**{**spec, "num_samples": n, "label_fraction": 1.0}), split="val"
+    ).samples
+    _, student, rows = training.train(config, labeled, unlabeled, val_set=val)
+    assert len(worker_pids) == 1  # the training worker alone
+    assert all(math.isfinite(r.val_spearman) for r in rows[config.burn_in_epochs:])
+    # the same set does fork a scorer in a library ``evaluate``
+    rho, _ = evaluate(student, val)
+    assert len(worker_pids) == 2
+    assert rho == rows[-1].val_spearman
 
 
 class _Alarm(Exception):
