@@ -41,10 +41,10 @@ _SLOTS = 3
 # a shorter stream is scored in this process. The fork is decided on the
 # chunks the stream may be drawn ahead, the slots' and one more, and made
 # unless they end it: in a warm ``trscore eval`` the scorer loses to this
-# process alone by up to 30 ms at four chunks, ties at five or six (its
-# fork's fixed cost, mostly copy-on-write faults) and wins from seven, but
-# deciding at six chunks, with the first two scored here to keep the
-# stream's bound, was slower at every size it forks
+# process alone by up to 30 ms at four chunks, is about even at five to
+# seven (its fork's fixed cost, mostly copy-on-write faults) and wins from
+# eight, but deciding at six chunks, with the first two scored here to keep
+# the stream's bound, was slower at every size it forks
 _FORK_FROM = (_SLOTS + 1) * _EVAL_CHUNK
 
 
