@@ -8,8 +8,9 @@ AQAF layout (little-endian): magic "AQAF", u32 version=1, u32 sample count,
 then per sample: u16 id length + UTF-8 id, u8 has_score flag, f64 score when
 flagged, u32 T, u32 D, and T*D f64 features in row-major order.
 
-Every path holds at most one copy of a dataset: synthesis builds its samples
-as views of blocks of rows, ``save_features`` writes bounded blocks straight
+Every path holds at most one copy of a dataset: synthesis computes bounded
+blocks of rows and gives each sample its own copy of its row, so that a kept
+subset does not pin a block, ``save_features`` writes bounded blocks straight
 to the file, and ``iter_features`` parses the file as it reads it, each sample
 a view of its bytes, so a malformed sample raises its ``ParseError`` only
 when the parser reaches it, after the samples before it were yielded.

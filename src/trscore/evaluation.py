@@ -3,20 +3,20 @@
 ``evaluate`` scores a test set in chunks of ``_EVAL_CHUNK`` samples, each
 with one ``teacher_forward`` over the chunk's rows, so the bits do not
 depend on the process that scores a chunk. When the stream holds at least
-``_FORK_FROM`` samples and a process can be forked
-(``workers._fork_context``), a forked scorer scores chunks while this
-process parses and checks the next ones. This process stacks each checked
-chunk straight into a free one of ``_SLOTS`` slots of shared memory (its
-rows in, its mu and sigma out) and sends the slot number; it scores a chunk
-itself only when every slot is busy, and places each result by its chunk
-index. The two processes share no interpreter lock, so parsing and scoring
-use two cores. A shorter stream, a daemonic caller, such as the validator
-of ``train_supervised``, and a platform without ``fork`` score every chunk
-in this process, and so does ``train``'s per-epoch validation, whatever its
-size, since its worker already uses the second core. The scorer runs the
-package's one fork protocol (``workers``), so its error comes back here with
-its type, text and attributes, and it ends before ``evaluate`` returns or
-raises.
+``_FORK_FROM`` samples and this process may fork (``workers._may_fork``), a
+forked scorer scores chunks while this process parses and checks the next
+ones. This process stacks each checked chunk straight into a free one of
+``_SLOTS`` slots of shared memory (its rows in, its mu and sigma out) and
+sends the slot number; it scores a chunk itself only when every slot is
+busy, and places each result by its chunk index. The two processes share no
+interpreter lock, so parsing and scoring use two cores. A shorter stream, a
+daemonic caller, such as the validator of ``train_supervised``, and a
+platform without ``fork`` score every chunk in this process, and so does a
+call made while a worker of this process runs, such as ``train``'s
+per-epoch validation, whatever its size, since that worker already uses the
+second core. The scorer runs the package's one fork protocol (``workers``),
+so its error comes back here with its type, text and attributes, and it
+ends before ``evaluate`` returns or raises.
 """
 
 from __future__ import annotations
@@ -33,18 +33,19 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ContractError, DimensionError, MetricUndefinedError
 from .networks import FeatureSequence, Network, teacher_forward
-from .workers import _Exchange, _fork_context, _Worker
+from .workers import _Exchange, _may_fork, _Worker
 
 _EVAL_CHUNK = 256
 # chunks handed to the forked scorer at once at most, each in its own slot
 _SLOTS = 3
 # a shorter stream is scored in this process. The fork is decided on the
 # chunks the stream may be drawn ahead, the slots' and one more, and made
-# unless they end it: in a warm ``trscore eval`` the scorer loses to this
-# process alone by up to 30 ms at four chunks, is about even at five to
-# seven (its fork's fixed cost, mostly copy-on-write faults) and wins from
-# eight, but deciding at six chunks, with the first two scored here to keep
-# the stream's bound, was slower at every size it forks
+# whenever those four are full, even when they end the stream, as 1,024
+# samples do: in a warm ``trscore eval`` the scorer loses to this process
+# alone by up to 30 ms at four chunks, is about even at five to seven (its
+# fork's fixed cost, mostly copy-on-write faults) and wins from eight, but
+# deciding at six chunks, with the first two scored here to keep the
+# stream's bound, was slower at every size it forks
 _FORK_FROM = (_SLOTS + 1) * _EVAL_CHUNK
 
 
@@ -104,11 +105,8 @@ def _score(exchange: _Exchange, inbox, outbox, student: Network) -> None:
         outbox.send(("done",))
 
 
-def _predictions(
-    student: Network, chunks: Iterator[list[FeatureSequence]], context
-) -> list[_Prediction]:
-    """Every chunk's prediction, in chunk order (see the module docstring),
-    with a scorer forked from ``context``; None scores every chunk here.
+def _predictions(student: Network, chunks: Iterator[list[FeatureSequence]]) -> list[_Prediction]:
+    """Every chunk's prediction, in chunk order (see the module docstring).
 
     An error surfaces in chunk order: before a chunk's check error or an error
     of the stream is raised, every earlier chunk is scored, and the first of
@@ -116,7 +114,7 @@ def _predictions(
     """
     held: list[list[FeatureSequence]] = []
     try:
-        for batch in islice(chunks, _SLOTS + 1 if context is not None else 0):
+        for batch in islice(chunks, _SLOTS + 1 if _may_fork() else 0):
             held.append(batch)
     except Exception:
         for batch in held:
@@ -126,7 +124,6 @@ def _predictions(
         return [_score_here(student, batch) for batch in chain(held, chunks)]
 
     exchange = _Exchange(
-        context,
         x=(_SLOTS, _EVAL_CHUNK, *held[0][0].features.shape),
         mu=(_SLOTS, _EVAL_CHUNK),
         sigma=(_SLOTS, _EVAL_CHUNK),
@@ -150,7 +147,7 @@ def _predictions(
             predicted[index] = exchange.mu[slot, :rows].copy(), exchange.sigma[slot, :rows].copy()
             free.append(slot)
 
-    with _Worker(context, "scoring", exchange, _score, (student,)) as scorer:
+    with _Worker("scoring", exchange, _score, (student,)) as scorer:
         try:
             for index, batch in enumerate(batches):
                 collect(wait=False)
@@ -191,14 +188,6 @@ def evaluate(
     cannot rebuild, or a scorer that ends without a reply, raises
     ``WorkerError``. No scorer outlives the call.
     """
-    return _evaluate(student, test_set, _fork_context())
-
-
-def _evaluate(
-    student: Network, test_set: Iterable[FeatureSequence], context
-) -> tuple[float, list[PredictionRow]]:
-    """``evaluate``, with its scorer forked from ``context``; None scores
-    every chunk in this process, as ``train``'s validation does."""
     shape = (student.arch.t, student.arch.d)
     ids: list[str] = []
     truths: list[float] = []
@@ -218,7 +207,7 @@ def _evaluate(
             yield batch
 
     with ad.no_grad():
-        predicted = _predictions(student, chunks(), context)
+        predicted = _predictions(student, chunks())
     mu = np.concatenate([mu for mu, _ in predicted]) if predicted else np.empty(0)
     sigma = np.concatenate([sigma for _, sigma in predicted]) if predicted else np.empty(0)
     truth = np.array(truths, dtype=np.float64)

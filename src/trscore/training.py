@@ -37,8 +37,9 @@ shared memory, then sends "views ready", and then releases the epoch's
 batches 1 ... nb with their pseudo-labels; the worker runs a batch's
 forwards before it waits for that batch's release (``_run_forked``).
 ``train_supervised`` forks a validator that scores each epoch's student
-while this process steps the next epoch. Where no process can be forked,
-either call runs wholly in this process. Both ways give the same bits: the
+while this process steps the next epoch. Where this process may not fork
+(``workers._may_fork``), either call runs wholly in this process, and each
+epoch's row is validated as it is stepped. Both ways give the same bits: the
 forked process runs the same code on exact float64 copies of the same
 values, passed through shared memory. No forked process outlives the call
 that made it, whether the call returns or raises.
@@ -52,7 +53,7 @@ import math
 import struct
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -89,7 +90,7 @@ from .objectives import (
     relative_target,
     unsupervised_loss,
 )
-from .workers import _Exchange, _fork_context, _Worker
+from .workers import _Exchange, _may_fork, _Worker
 
 BURN_IN = "burn_in"
 TRS = "trs"
@@ -724,14 +725,13 @@ def _check_training_sets(
 
 
 def _safe_val_spearman(net: Network | None, val_set) -> float:
-    """The student's validation Spearman, NaN when undefined; every chunk is
-    scored in this process, so that validation never forks beside a worker."""
-    from .evaluation import _evaluate
+    """The student's validation Spearman, NaN when undefined."""
+    from .evaluation import evaluate
 
     if net is None or not val_set:
         return float("nan")
     try:
-        rho, _ = _evaluate(net, val_set, None)
+        rho, _ = evaluate(net, val_set)
     except MetricUndefinedError:
         return float("nan")
     return rho
@@ -755,41 +755,24 @@ def _run_epochs(
     state: TrsState,
     labeled_set: Sequence[FeatureSequence],
     student_epoch: Callable[[TrsState, int], EpochMetrics],
-    score: Callable[[Network], Callable[[], float]],
-) -> list[EpochMetrics]:
+) -> Iterator[EpochMetrics]:
     """Burn-in epochs, the student at the boundary, then ``student_epoch``,
-    all stepped in this process. Each row gets the student's validation
-    Spearman: ``score(student)`` starts scoring the student as it is after
-    its epoch, and what it returns gives the Spearman once the next epoch has
-    been stepped (at once after the last), so that a validator in another
-    process scores one epoch while this process steps the next."""
-    metrics: list[EpochMetrics] = []
-    pending = None
+    all stepped in this process; yields each epoch's row once it is stepped,
+    its Spearman NaN."""
     for epoch in range(config.max_epochs):
         if epoch < config.burn_in_epochs:
-            row = burn_in_epoch(state, labeled_set, config)
+            yield burn_in_epoch(state, labeled_set, config)
         else:
             if epoch == config.burn_in_epochs:
                 initialize_student(state, config)
-            row = student_epoch(state, epoch)
-        if pending is not None:
-            metrics[-1] = replace(metrics[-1], val_spearman=pending())
-        pending = score(state.theta_s) if state.theta_s is not None else None
-        metrics.append(row)
-    if pending is not None:
-        metrics[-1] = replace(metrics[-1], val_spearman=pending())
-    return metrics
+            yield student_epoch(state, epoch)
 
 
-def _score_here(val: Sequence[FeatureSequence]) -> Callable[[Network], Callable[[], float]]:
-    """``_run_epochs``'s ``score`` in this process: the Spearman is made at
-    once."""
-
-    def score(student: Network) -> Callable[[], float]:
-        rho = _safe_val_spearman(student, val)
-        return lambda: rho
-
-    return score
+def _validated_here(
+    rows: Iterator[EpochMetrics], state: TrsState, val: Sequence[FeatureSequence]
+) -> list[EpochMetrics]:
+    """Each row as it is yielded, with the Spearman of the student it left."""
+    return [replace(row, val_spearman=_safe_val_spearman(state.theta_s, val)) for row in rows]
 
 
 def train(
@@ -807,29 +790,30 @@ def train(
     labeled training samples are used. When ``checkpoint_dir`` is given the
     final run state is saved there.
 
-    The run uses two processes where the ``fork`` start method is available
-    and this process may have children. A forked worker owns the trained
-    network (the teacher in burn-in, the student after it) and its Adam
-    state, and makes every step of it. This process makes everything else:
-    the reference network's steps, the pseudo-labels, the EMA and the
-    validation. While the worker steps an epoch, this process validates the
-    previous epoch's student and makes the reference side of the next epoch.
-    Elsewhere the run stays in this process, epoch by epoch through
-    ``burn_in_epoch``, ``initialize_student`` and ``trs_epoch``; both ways
-    give bit-identical outputs. An error the worker raises is raised here
-    with the same type, text and attributes, as it would be in one process;
-    one that pickle cannot rebuild, or a worker that ends without a reply,
-    raises ``WorkerError``. No worker outlives the call.
+    The run uses two processes where this process may fork
+    (``workers._may_fork``). A forked worker owns the trained network (the
+    teacher in burn-in, the student after it) and its Adam state, and makes
+    every step of it. This process makes everything else: the reference
+    network's steps, the pseudo-labels, the EMA and the validation. While
+    the worker steps an epoch, this process validates the previous epoch's
+    student, with no scorer forked beside the worker, and makes the
+    reference side of the next epoch. Elsewhere the run stays in this
+    process, epoch by epoch through ``burn_in_epoch``,
+    ``initialize_student`` and ``trs_epoch``; both ways give bit-identical
+    outputs. An error the worker raises is raised here with the same type,
+    text and attributes, as it would be in one process; one that pickle
+    cannot rebuild, or a worker that ends without a reply, raises
+    ``WorkerError``. No worker outlives the call.
     """
     state, val = _start(config, labeled_set, unlabeled_set, val_set)
-    context = _fork_context()
-    if context is not None:
-        metrics = _run_forked(context, config, state, labeled_set, unlabeled_set, val)
+    if _may_fork():
+        metrics = _run_forked(config, state, labeled_set, unlabeled_set, val)
     else:
         def student_epoch(state: TrsState, epoch: int) -> EpochMetrics:
             return trs_epoch(state, labeled_set, unlabeled_set, _beta(config, epoch), config)
 
-        metrics = _run_epochs(config, state, labeled_set, student_epoch, _score_here(val))
+        rows = _run_epochs(config, state, labeled_set, student_epoch)
+        metrics = _validated_here(rows, state, val)
     if checkpoint_dir is not None:
         save_checkpoint(checkpoint_dir, state, config)
     return state.theta_t, state.theta_s, metrics
@@ -848,15 +832,15 @@ def train_supervised(
     forced off and no unlabeled data: no pseudo-labels, memories, EMA or
     reference network. Returns the student and one metrics row per epoch.
 
-    Every step runs in this process. Where the ``fork`` start method is
-    available, this process may have children and the validation set is not
-    empty, a forked validator scores each epoch's student while this process
-    steps the next epoch: it copies the student's arena from shared memory
-    into its own network and runs the same ``evaluate``, so the rows are
-    bit-identical to validating in this process, as happens elsewhere. An
-    error the validator raises is raised here with the same type, text and
-    attributes; one that pickle cannot rebuild, or a validator that ends
-    without a reply, raises ``WorkerError``. No validator outlives the call.
+    Every step runs in this process. Where this process may fork
+    (``workers._may_fork``) and the validation set is not empty, a forked
+    validator scores each epoch's student while this process steps the next
+    epoch: it copies the student's arena from shared memory into its own
+    network and runs the same ``evaluate``, so the rows are bit-identical to
+    validating in this process, as happens elsewhere. An error the validator
+    raises is raised here with the same type, text and attributes; one that
+    pickle cannot rebuild, or a validator that ends without a reply, raises
+    ``WorkerError``. No validator outlives the call.
     """
     config = replace(config, component_toggles=ComponentToggles(False, False, False))
 
@@ -864,19 +848,23 @@ def train_supervised(
         return _epoch(state, labeled_set, (), 0.0, config)
 
     state, val = _start(config, labeled_set, (), val_set)
-    context = _fork_context() if val else None
-    if context is None:
-        metrics = _run_epochs(config, state, labeled_set, student_epoch, _score_here(val))
+    rows = _run_epochs(config, state, labeled_set, student_epoch)
+    if not (val and _may_fork()):
+        metrics = _validated_here(rows, state, val)
         return state.theta_s, metrics
-    exchange = _Exchange(context, arena=state.theta_t.params.data.size)
-    with _Worker(context, "validation", exchange, _validate, (state.theta_t, val)) as validator:
-
-        def score(student: Network) -> Callable[[], float]:
-            exchange.arena[:] = student.params.data
-            validator.send(0)
-            return lambda: validator.reply()[0]
-
-        metrics = _run_epochs(config, state, labeled_set, student_epoch, score)
+    exchange = _Exchange(arena=state.theta_t.params.data.size)
+    metrics = []
+    with _Worker("validation", exchange, _validate, (state.theta_t, val)) as validator:
+        # epoch e's student is scored there while this process steps e + 1;
+        # the last epoch is a student's, since max_epochs > burn_in_epochs
+        for row in rows:
+            if row.epoch > config.burn_in_epochs:
+                metrics[-1] = replace(metrics[-1], val_spearman=validator.reply()[0])
+            if row.epoch >= config.burn_in_epochs:
+                exchange.arena[:] = state.theta_s.params.data
+                validator.send(0)
+            metrics.append(row)
+        metrics[-1] = replace(metrics[-1], val_spearman=validator.reply()[0])
     return state.theta_s, metrics
 
 
@@ -966,7 +954,6 @@ def _reference_pass(labels: _PseudoLabelHalf, opt: Adam) -> np.ndarray:
 
 
 def _run_forked(
-    context,
     config: TrainConfig,
     state: TrsState,
     labeled_set: Sequence[FeatureSequence],
@@ -1021,12 +1008,12 @@ def _run_forked(
 
     arena = state.theta_t.params.data.size
     exchange = _Exchange(
-        context, arena=arena, m=arena, v=arena, s_bar=n,
+        arena=arena, m=arena, v=arena, s_bar=n,
         relative=len(_batch_bounds(n, config.batch_size)),
         x_strong=(2, *pools.x_lab.shape),
     )
     metrics: list[EpochMetrics] = []
-    with _Worker(context, "training", exchange, _work, (state, pools, config)) as worker:
+    with _Worker("training", exchange, _work, (state, pools, config)) as worker:
         labels, relative = reference_half(0)
         for epoch in range(config.max_epochs):
             exchange.relative[:] = relative
@@ -1108,12 +1095,20 @@ def load_parameter_set(path) -> ParameterSet:
 
 
 def save_checkpoint(directory, state: TrsState, config: TrainConfig) -> None:
-    """Spec'd layout: params_{t,s,f}.bin, memory_{t,r}.tsv, state.json."""
+    """Spec'd layout: params_{t,s,f}.bin, memory_{t,r}.tsv, state.json.
+
+    ``state.json`` is removed first and written last, so a save that fails
+    part-way leaves a directory that does not load, never one that mixes two
+    states; a burn-in state removes a stale ``params_s.bin``.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    (directory / "state.json").unlink(missing_ok=True)
     save_parameter_set(state.theta_t.params, directory / "params_t.bin")
     if state.theta_s is not None:
         save_parameter_set(state.theta_s.params, directory / "params_s.bin")
+    else:
+        (directory / "params_s.bin").unlink(missing_ok=True)
     save_parameter_set(state.theta_f.params, directory / "params_f.bin")
     state.m_t.save_tsv(directory / "memory_t.tsv")
     state.m_r.save_tsv(directory / "memory_r.tsv")

@@ -1,7 +1,7 @@
 """The package's one fork protocol: a parent and the worker it forks, which
-``train``, ``train_supervised``'s validation and ``evaluate``'s scoring use.
-A worker's error comes back with its type, text and attributes, and no
-worker outlives the call that made it.
+``train``, ``train_supervised``'s validation and ``evaluate``'s scoring use,
+and its one gate, ``_may_fork``. A worker's error comes back with its type,
+text and attributes, and no worker outlives the call that made it.
 """
 
 from __future__ import annotations
@@ -16,21 +16,22 @@ import numpy as np
 from .errors import WorkerError
 
 
-def _fork_context():
-    """The ``fork`` start method's context, or None where a run stays in
-    one process: the method is unavailable, or this process is a daemonic
-    worker, which may not have children."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    if multiprocessing.current_process().daemon:
-        return None
-    return multiprocessing.get_context("fork")
+def _may_fork() -> bool:
+    """Whether a call may fork a worker: the ``fork`` start method exists,
+    this process is not a daemonic worker, which may not have children, and
+    no worker of this process runs, so that a call made beside one, such as
+    ``train``'s validation, stays in this process."""
+    return (
+        "fork" in multiprocessing.get_all_start_methods()
+        and not multiprocessing.current_process().daemon
+        and _Worker.running == 0
+    )
 
 
 class _Exchange:
-    """What a parent and its forked worker share, made before the fork; the
-    worker gets this alone, so that no cycle holds the parent's process
-    object.
+    """What a parent and its forked worker share, made before the fork by a
+    call that ``_may_fork`` lets fork; the worker gets this alone, so that no
+    cycle holds the parent's process object.
 
     One float64 array per keyword, of that shape (a size for a vector), all
     in one anonymous shared mapping, and two one-way pipes for the rest.
@@ -42,15 +43,15 @@ class _Exchange:
     ``epoch % 2`` (see ``_run_forked``).
     """
 
-    def __init__(self, context, **shapes: int | tuple[int, ...]):
+    def __init__(self, **shapes: int | tuple[int, ...]):
         sizes = {name: int(np.prod(shape)) for name, shape in shapes.items()}
         flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes.values())), dtype=np.float64)
         offset = 0
         for name, shape in shapes.items():
             setattr(self, name, flat[offset : offset + sizes[name]].reshape(shape))
             offset += sizes[name]
-        self.to_worker = context.Pipe(duplex=False)  # (receiving end, sending end)
-        self.to_parent = context.Pipe(duplex=False)
+        self.to_worker = multiprocessing.Pipe(duplex=False)  # (receiving end, sending end)
+        self.to_parent = multiprocessing.Pipe(duplex=False)
 
     def keep(self, worker: bool) -> None:
         """Close the other side's pipe ends, so that a receive fails once the
@@ -83,14 +84,18 @@ def _serve(exchange: _Exchange, body: Callable, args: tuple) -> None:
 class _Worker:
     """The parent's handle on a forked worker that runs ``body`` (see
     ``_serve``); ``role`` names it in ``WorkerError``. As a context manager it
-    stops the worker on leaving, killing it first when an exception leaves."""
+    stops the worker on leaving, killing it first when an exception leaves.
+    ``running`` counts this process's workers from start to stop."""
 
-    def __init__(self, context, role: str, exchange: _Exchange, body: Callable, args: tuple):
+    running = 0
+
+    def __init__(self, role: str, exchange: _Exchange, body: Callable, args: tuple):
         self.role, self.exchange = role, exchange
-        self.process = context.Process(
+        self.process = multiprocessing.get_context("fork").Process(
             target=_serve, args=(exchange, body, args), name=f"trscore-{role}", daemon=True
         )
         self.process.start()
+        _Worker.running += 1
         exchange.keep(worker=False)
 
     def __enter__(self) -> "_Worker":
@@ -139,3 +144,4 @@ class _Worker:
             end.close()
         self.process.join()
         self.process.close()
+        _Worker.running -= 1

@@ -11,7 +11,8 @@ from trscore import workers
 @pytest.fixture
 def worker_pids(monkeypatch):
     """The pid of every worker that ``train``, ``train_supervised`` or
-    ``evaluate`` starts; each must be gone when the test ends."""
+    ``evaluate`` starts; each must be gone when the test ends, and the count
+    of running workers back at 0."""
     pids = []
     start = workers._Worker.__init__
 
@@ -26,3 +27,4 @@ def worker_pids(monkeypatch):
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
     assert multiprocessing.active_children() == []
+    assert workers._Worker.running == 0

@@ -262,6 +262,14 @@ class TestContradictoryStateJson:
         with pytest.raises(ConfigurationError, match="state.json.*params_s.bin present"):
             load_checkpoint(directory)
 
+    def test_a_burn_in_save_over_a_trs_checkpoint_loads(self, tmp_path):
+        directory = _staged_checkpoint(tmp_path, "trs")
+        config = TrainConfig(burn_in_epochs=1, max_epochs=2, seed=5)
+        save_checkpoint(directory, init_state(config, NetworkArch(4, 8)), config)
+        state, loaded = load_checkpoint(directory)
+        assert state.stage == "burn_in" and loaded.seed == 5
+        assert not (directory / "params_s.bin").exists()
+
     def test_older_state_json_with_rng_state_loads(self, tmp_path):
         # checkpoints used to repeat the seed and the epoch under "rng_state";
         # the key is ignored, the config's seed is the run's seed

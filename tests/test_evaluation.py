@@ -251,6 +251,11 @@ def count_chunks(monkeypatch, scored, delay=0.0):
     monkeypatch.setattr(workers._Worker, "reply", counted_reply)
 
 
+def wait_for_the_end(exchange, inbox, outbox):
+    """A worker that does nothing until its parent stops it."""
+    inbox.recv()
+
+
 def make_the_scorer_raise(monkeypatch, error):
     """The forked scorer raises ``error`` at its first chunk."""
     forward = evaluation.teacher_forward
@@ -413,6 +418,18 @@ class TestForkedScorer:
         assert started == 0
         expected_rho, expected_rows = per_chunk_reference(params, samples)
         assert rho == expected_rho.hex() and rows == bits(expected_rows)
+
+    def test_a_call_beside_a_running_worker_scores_in_its_own_process(self, worker_pids):
+        params = init_teacher_params(NetworkArch(4, 8), np.random.default_rng(0))
+        samples = labeled_samples(evaluation._FORK_FROM, seed=6)
+        expected_rho, expected_rows = per_chunk_reference(params, samples)
+        with workers._Worker("unrelated", workers._Exchange(x=1), wait_for_the_end, ()):
+            rho, rows = evaluate(params, samples)
+            assert len(worker_pids) == 1  # the unrelated worker alone
+        assert rho.hex() == expected_rho.hex() and bits(rows) == bits(expected_rows)
+        rho, rows = evaluate(params, samples)
+        assert len(worker_pids) == 2  # and now a scorer
+        assert rho.hex() == expected_rho.hex() and bits(rows) == bits(expected_rows)
 
 
 class TestPredictionsCsv:

@@ -1,6 +1,9 @@
 """Training-loop tests: EMA, augmentation, stages, degeneration, checkpoints."""
 
+import errno
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from trscore.errors import (
     DivergenceError,
     NonFiniteFeaturesError,
 )
+from trscore.memory import ConfidenceMemory
 from trscore.networks import FeatureSequence, NetworkArch, teacher_forward
 from trscore.training import (
     ComponentToggles,
@@ -167,6 +171,16 @@ class TestAugment:
     def test_noise_std_must_be_finite_and_nonnegative(self, strength, noise_std):
         with pytest.raises(ContractError, match="noise_std"):
             augment(np.zeros((2, 2)), strength, np.random.default_rng(0), noise_std)
+
+    @pytest.mark.parametrize("flip", [True, False])
+    def test_strong_is_weak_plus_the_generators_next_normal_draw(self, flip):
+        arr = np.random.default_rng(2).normal(size=(5, 3))
+        first = (lambda u: u < 0.5) if flip else (lambda u: u >= 0.5)
+        rng = self._rng_with_first_draw(first)
+        weak = augment(arr, "weak", rng)
+        expected = weak + rng.normal(0.0, 0.3, size=arr.shape)
+        strong = augment(arr, "strong", self._rng_with_first_draw(first), noise_std=0.3)
+        assert strong.tobytes() == expected.tobytes()
 
     def test_input_untouched(self):
         arr = np.arange(6.0).reshape(3, 2)
@@ -792,3 +806,25 @@ class TestCheckpoint:
         expected = {"params_t.bin", "params_s.bin", "params_f.bin",
                     "memory_t.tsv", "memory_r.tsv", "state.json"}
         assert {p.name for p in (tmp_path / "run").iterdir()} == expected
+
+    def test_a_failed_save_leaves_a_directory_that_does_not_load(self, tmp_path, monkeypatch):
+        # a second seed's save over a checkpoint fails at its first memory
+        labeled, unlabeled = toy_sets()
+        config = quick_config()
+        run = tmp_path / "run"
+        train(config, labeled, unlabeled, checkpoint_dir=run)
+        (tmp_path / "empty").mkdir()
+        with pytest.raises(FileNotFoundError) as without_state:
+            load_checkpoint(tmp_path / "empty")
+
+        def full_disk(memory, path):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(ConfidenceMemory, "save_tsv", full_disk)
+        with pytest.raises(OSError) as full:
+            train(replace(config, seed=2), labeled, unlabeled, checkpoint_dir=run)
+        assert full.value.errno == errno.ENOSPC
+        with pytest.raises(FileNotFoundError) as failed:
+            load_checkpoint(run)
+        assert failed.value.filename == str(run / "state.json")
+        assert failed.value.strerror == without_state.value.strerror
