@@ -190,13 +190,17 @@ class _Cursor:
 def save_features(dataset: Dataset, path) -> None:
     """Write a dataset in AQAF; save/load round-trips bit-identically.
 
-    The samples go in bounded blocks to a temporary file beside ``path``,
-    which then replaces ``path``; a save that fails leaves ``path`` as it was.
+    The samples go in bounded blocks to a temporary file beside the file
+    that ``path`` names (the target, when ``path`` is a symlink, which
+    stays), and that file is then replaced; a save that fails leaves it as
+    it was. A path that exists and is not a regular file, such as a FIFO or
+    a device, is written in place.
     """
-    path = Path(path)
+    path = Path(os.path.realpath(path))
+    in_place = path.exists() and not path.is_file()
     # a plain exclusive open, unlike tempfile's, gives the file the usual mode
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
-    out = open(tmp, "xb", buffering=_BLOCK_BYTES)
+    tmp = path if in_place else path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    out = open(tmp, "wb" if in_place else "xb", buffering=_BLOCK_BYTES)
     try:
         with out:
             out.write(struct.pack("<4sII", AQAF_MAGIC, AQAF_VERSION, len(dataset.samples)))
@@ -210,9 +214,11 @@ def save_features(dataset: Dataset, path) -> None:
                     out.write(struct.pack("<B", 0))
                 out.write(struct.pack("<II", *s.features.shape))
                 out.write(np.ascontiguousarray(s.features, dtype="<f8"))
-        os.replace(tmp, path)
+        if not in_place:
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        if not in_place:
+            tmp.unlink(missing_ok=True)
         raise
 
 

@@ -28,25 +28,28 @@ network learns from labeled pairs only, and the teacher changes only
 through the EMA at the epoch's end.
 
 ``burn_in_epoch``, ``trs_epoch`` and ``train_supervised`` run both halves
-in this process, step by step. ``train`` forks a worker that owns the
-trained network and its optimizer and runs its half, while this process
-runs the pseudo-label half, the EMA and the validation, one epoch ahead
-where it can. So this process makes every view: it writes each TRS epoch's
-strong views to the worker one epoch ahead, into slot ``epoch % 2`` of
-shared memory, then sends "views ready", and then releases the epoch's
-batches 1 ... nb with their pseudo-labels; the worker runs a batch's
-forwards before it waits for that batch's release (``_run_forked``).
+in this process through the one batch loop ``_steps``. ``train`` forks a
+worker that owns the trained network and its optimizer and runs ``_steps``
+over the pseudo-label half, which this process makes with the EMA, one
+epoch ahead where it can. So this process makes every view: it writes each
+TRS epoch's strong views to the worker one epoch ahead, into slot
+``epoch % 2`` of shared memory, then sends "views ready", and then releases
+the epoch's batches 1 ... nb with their pseudo-labels. The worker runs a
+batch's forwards before it waits for that batch's release, and replies
+with the epoch's row, which this process yields and validates while the
+worker steps the next epoch (``_run_forked``, ``_validated_here``).
 ``train_supervised`` forks a validator that scores each epoch's student
 while this process steps the next epoch. Where this process may not fork
 (``workers._may_fork``), either call runs wholly in this process, and each
-epoch's row is validated as it is stepped. Both ways give the same bits: the
-forked process runs the same code on exact float64 copies of the same
+epoch's row is validated as it is stepped. Both ways give the same bits:
+the forked process runs the same code on exact float64 copies of the same
 values, passed through shared memory. No forked process outlives the call
 that made it, whether the call returns or raises.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -464,12 +467,12 @@ def _trained_terms(
 class _PseudoLabelHalf:
     """Everything of one epoch's steps that the trained network does not
     touch: the reference network's term and step, the pseudo-labels, and the
-    views of the unlabeled samples.
+    views of the unlabeled samples. ``_steps`` reads it through four members.
 
-    With unlabeled data, construction makes the epoch's weak views
-    (``x_weak``) and strong views (``x_strong``), one row per labeled
-    position, each from its sample's own stream (seed, strength, epoch,
-    sample id); the trained network reads its batch's rows of ``x_strong``.
+    ``x_strong``: with unlabeled data, construction makes the epoch's weak
+    views (``x_weak``) and strong views, one row per labeled position, each
+    from its sample's own stream (seed, strength, epoch, sample id); the
+    trained network reads its batch's rows. None without unlabeled data.
     ``reference(b)`` returns batch ``b``'s relative term on its labeled pairs
     (none without the reference network) and, with unlabeled data, makes the
     reference side of the batch's pseudo-labels; both use the reference
@@ -481,7 +484,10 @@ class _PseudoLabelHalf:
     confidence memory when that memory is on, and the two sides are fused
     (``fuse_scores``); a sample repeated within a batch has the same weak
     view, so its second write is a tie and the memory keeps the first.
+    ``known(b)`` is empty: every term of the batch is made here.
     """
+
+    x_strong = None
 
     def __init__(self, state: TrsState, pools: _Pools, plan: _Plan, config: TrainConfig):
         self.state, self.pools, self.plan = state, pools, plan
@@ -530,6 +536,9 @@ class _PseudoLabelHalf:
             return t_side
         return fuse_scores(t_side, self.r_side[lo:hi])
 
+    def known(self, b: int) -> dict[str, float]:
+        return {}
+
 
 def _memory_side(
     memory: ConfidenceMemory,
@@ -551,14 +560,11 @@ def _memory_side(
 
 
 def _checked(
-    epoch: int,
-    b: int,
-    terms: list[tuple[str, Tensor, float]],
-    known: dict[str, float] | None = None,
+    epoch: int, b: int, terms: list[tuple[str, Tensor, float]], known: dict[str, float]
 ) -> dict[str, float]:
     """Each term's value, with the ``known`` values of terms made elsewhere;
     any non-finite one raises ``DivergenceError`` naming every such term."""
-    values = dict(known or {})
+    values = dict(known)
     values.update((name, loss.item()) for name, loss, _ in terms)
     diverged = [name for name in _TERMS if not math.isfinite(values.get(name, 0.0))]
     if diverged:
@@ -583,44 +589,45 @@ def _row(epoch: int, sums: dict[str, float], n: int, beta: float) -> EpochMetric
     return EpochMetrics(epoch, **means, beta=beta, total=total, val_spearman=math.nan)
 
 
-def _epoch(
-    state: TrsState,
-    labeled: Sequence[FeatureSequence],
-    unlabeled: Sequence[FeatureSequence],
-    beta: float,
-    config: TrainConfig,
-) -> EpochMetrics:
-    """One shuffled pass over the labeled set, both halves of each step in
-    lockstep; advances the epoch.
-
-    Trains the teacher during burn-in and the student in the TRS stage, and
-    the reference network on labeled pairs when enabled. With unlabeled data
-    each labeled batch gets an unlabeled batch whose strong views learn,
-    with weight ``beta``, from pseudo-labels made on their weak views.
-    Each network's loss is the weighted sum of its terms, in the order
-    direct, relative, unsupervised. A non-finite loss term raises
-    ``DivergenceError`` before the step. The returned row's Spearman is NaN.
+def _steps(state: TrsState, pools: _Pools, plan: _Plan, labels, beta: float) -> EpochMetrics:
+    """The one batch loop: a shuffled pass over the labeled set that reads
+    the pseudo-label half ``labels`` through its four members (see
+    ``_PseudoLabelHalf``; ``_Released`` in ``train``'s worker); advances the
+    epoch. Trains the teacher during burn-in and the student in the TRS
+    stage, and the reference network when ``reference(b)`` returns its term.
+    With unlabeled data each labeled batch gets an unlabeled batch whose
+    strong views learn, with weight ``beta``, from pseudo-labels made on
+    their weak views. Each network's loss is the weighted sum of its terms,
+    in the order direct, relative, unsupervised. A non-finite loss term
+    raises ``DivergenceError`` before the step. The row's Spearman is NaN.
     """
-    pools = _Pools.of(labeled, unlabeled)
-    plan = _plan(config, len(labeled), len(unlabeled), state.epoch)
-    labels = _PseudoLabelHalf(state, pools, plan, config)
     sums = dict.fromkeys(_TERMS, 0.0)
     for b, (lo, hi) in enumerate(plan.bounds):
         state.opt_trained.zero_grad()
         state.opt_reference.zero_grad()
         relative = labels.reference(b)
-        x_strong = labels.x_strong[lo:hi] if plan.slots is not None else None
         trained = _trained_terms(
-            state.trained, pools, plan, b, x_strong,
+            state.trained, pools, plan, b,
+            None if labels.x_strong is None else labels.x_strong[lo:hi],
             functools.partial(labels.pseudo_labels, b), beta,
         )
-        for name, value in _checked(plan.epoch, b, trained + relative).items():
+        for name, value in _checked(plan.epoch, b, trained + relative, labels.known(b)).items():
             sums[name] += value
         _descend(trained, state.opt_trained)
         if relative:
             _descend(relative, state.opt_reference)
     state.epoch += 1
-    return _row(plan.epoch, sums, len(labeled), beta)
+    return _row(plan.epoch, sums, len(pools.x_lab), beta)
+
+
+def _epoch(
+    state: TrsState, labeled: Sequence[FeatureSequence], unlabeled: Sequence[FeatureSequence],
+    beta: float, config: TrainConfig,
+) -> EpochMetrics:
+    """``_steps`` with both halves of each step in lockstep in this process."""
+    pools = _Pools.of(labeled, unlabeled)
+    plan = _plan(config, len(labeled), len(unlabeled), state.epoch)
+    return _steps(state, pools, plan, _PseudoLabelHalf(state, pools, plan, config), beta)
 
 
 def burn_in_epoch(
@@ -769,10 +776,14 @@ def _run_epochs(
 
 
 def _validated_here(
-    rows: Iterator[EpochMetrics], state: TrsState, val: Sequence[FeatureSequence]
+    rows: Iterator[EpochMetrics], state: TrsState, val: Sequence[FeatureSequence], burn_in: int
 ) -> list[EpochMetrics]:
-    """Each row as it is yielded, with the Spearman of the student it left."""
-    return [replace(row, val_spearman=_safe_val_spearman(state.theta_s, val)) for row in rows]
+    """Each row as it is yielded, with the Spearman of the student it left
+    (NaN before epoch ``burn_in``). ``rows`` is closed however this ends, so
+    that a worker behind it stops with the call."""
+    with contextlib.closing(rows):
+        return [replace(row, val_spearman=_safe_val_spearman(
+            state.theta_s if row.epoch >= burn_in else None, val)) for row in rows]
 
 
 def train(
@@ -807,13 +818,13 @@ def train(
     """
     state, val = _start(config, labeled_set, unlabeled_set, val_set)
     if _may_fork():
-        metrics = _run_forked(config, state, labeled_set, unlabeled_set, val)
+        rows = _run_forked(config, state, labeled_set, unlabeled_set)
     else:
         def student_epoch(state: TrsState, epoch: int) -> EpochMetrics:
             return trs_epoch(state, labeled_set, unlabeled_set, _beta(config, epoch), config)
 
         rows = _run_epochs(config, state, labeled_set, student_epoch)
-        metrics = _validated_here(rows, state, val)
+    metrics = _validated_here(rows, state, val, config.burn_in_epochs)
     if checkpoint_dir is not None:
         save_checkpoint(checkpoint_dir, state, config)
     return state.theta_t, state.theta_s, metrics
@@ -850,7 +861,7 @@ def train_supervised(
     state, val = _start(config, labeled_set, (), val_set)
     rows = _run_epochs(config, state, labeled_set, student_epoch)
     if not (val and _may_fork()):
-        metrics = _validated_here(rows, state, val)
+        metrics = _validated_here(rows, state, val, config.burn_in_epochs)
         return state.theta_s, metrics
     exchange = _Exchange(arena=state.theta_t.params.data.size)
     metrics = []
@@ -888,51 +899,51 @@ def _beta(config: TrainConfig, epoch: int) -> float:
     return 0.0 if epoch < config.burn_in_epochs else beta_at(epoch, config.beta_peak)
 
 
+class _Released:
+    """The worker's pseudo-label half, read from the exchange the parent
+    writes (``_run_forked``): the strong views once "views ready" came, each
+    batch's s_bar once its release came, and then its relative term. The
+    parent steps the reference network, so ``reference(b)`` has no term."""
+
+    def __init__(self, exchange: _Exchange, inbox, plan: _Plan):
+        self.exchange, self.inbox, self.plan = exchange, inbox, plan
+        self.ready = 0  # how many of the epoch's batches the parent has released
+        self.x_strong = None
+        if plan.slots is not None:
+            inbox.recv()  # "views ready"
+            self.x_strong = exchange.x_strong[plan.epoch % 2]
+
+    def reference(self, b: int) -> list[tuple[str, Tensor, float]]:
+        return []
+
+    def pseudo_labels(self, b: int) -> np.ndarray | None:
+        while self.ready <= b:
+            self.ready = self.inbox.recv()
+        lo, hi = self.plan.bounds[b]
+        return None if self.x_strong is None else self.exchange.s_bar[lo:hi]
+
+    def known(self, b: int) -> dict[str, float]:
+        return {"l_reg_r": float(self.exchange.relative[b])}
+
+
 def _work(
     exchange: _Exchange, inbox, outbox, state: TrsState, pools: _Pools, config: TrainConfig
 ) -> None:
-    """The worker process of ``train``: every step of the trained network
-    (see ``_run_forked`` for the messages). A TRS epoch starts once the
-    parent's "views ready" says that its strong views, which the parent
-    made, are in slot ``epoch % 2``; the batch releases 1 ... nb follow.
-    Each batch runs its forwards first (the direct one, then the strong one)
-    and only then waits for the release of the batch's s_bar and relative
-    term; the loss, the backward and the step follow."""
+    """The worker process of ``train``: ``_steps`` over the parent's
+    pseudo-label half (``_Released``; see ``_run_forked`` for the messages),
+    whose batches each run their forwards before they wait for the release;
+    it replies with each epoch's whole row."""
     n, m = len(pools.x_lab), len(pools.unlabeled)
     for epoch in range(config.max_epochs):
-        trs = epoch >= config.burn_in_epochs
         if epoch == config.burn_in_epochs:
             initialize_student(state, config)
-        plan = _plan(config, n, m if trs else 0, epoch)
-        views = None
-        if plan.slots is not None:
-            inbox.recv()  # "views ready"
-            views = exchange.x_strong[epoch % 2]
-        sums = dict.fromkeys(_TERMS, 0.0)
-        ready = 0  # how many of the epoch's batches the parent has released
-
-        def released(b: int, lo: int, hi: int) -> np.ndarray | None:
-            nonlocal ready
-            while ready <= b:
-                ready = inbox.recv()
-            return None if views is None else exchange.s_bar[lo:hi]
-
-        for b, (lo, hi) in enumerate(plan.bounds):
-            state.opt_trained.zero_grad()
-            terms = _trained_terms(
-                state.trained, pools, plan, b, None if views is None else views[lo:hi],
-                functools.partial(released, b, lo, hi), _beta(config, epoch),
-            )
-            values = _checked(epoch, b, terms, {"l_reg_r": exchange.relative[b]})
-            for name, _, _ in terms:
-                sums[name] += values[name]
-            _descend(terms, state.opt_trained)
-        state.epoch += 1
+        plan = _plan(config, n, m if epoch >= config.burn_in_epochs else 0, epoch)
+        row = _steps(state, pools, plan, _Released(exchange, inbox, plan), _beta(config, epoch))
         opt = state.opt_trained
         exchange.arena[:] = opt.params.data
         exchange.m[:] = opt._m
         exchange.v[:] = opt._v
-        outbox.send(("done", sums["l_reg_s"], sums["l_unsup"], opt.params.version))
+        outbox.send(("done", row, opt.params.version))
 
 
 def _reference_pass(labels: _PseudoLabelHalf, opt: Adam) -> np.ndarray:
@@ -958,19 +969,18 @@ def _run_forked(
     state: TrsState,
     labeled_set: Sequence[FeatureSequence],
     unlabeled_set: Sequence[FeatureSequence],
-    val: Sequence[FeatureSequence],
-) -> list[EpochMetrics]:
-    """``train``'s epochs with the trained network stepped by a forked worker.
+) -> Iterator[EpochMetrics]:
+    """``train``'s epochs, the trained network stepped by a forked worker
+    that runs ``_steps``; yields each row, its Spearman NaN.
 
     Per epoch this process finishes the pseudo-labels with that epoch's
     teacher and releases the epoch to the worker. While the worker steps it,
-    this process validates the previous epoch's student and makes the
-    pseudo-label half of the next epoch: its views, then its reference pass.
-    Then it copies the worker's arena into the teacher during burn-in and
-    into the student after it, and makes the EMA. The teacher's side of the
+    this process yields the previous epoch's row and makes the pseudo-label
+    half of the next epoch: its views, then its reference pass. Then it
+    copies the worker's arena into the teacher during burn-in and into the
+    student after it, and makes the EMA. The teacher's side of the
     pseudo-labels and the EMA are all that the worker waits for between two
-    epochs, and it runs each batch's forwards before it waits for the
-    batch's release.
+    epochs.
 
     The exchange holds the trained network's arena and Adam moments, which
     the worker writes at each epoch's end; the epoch's pseudo-labels (one
@@ -985,8 +995,8 @@ def _run_forked(
     during epoch e - 1 once slot e % 2 is written, then the batch releases
     1 ... nb, each the count of the epoch's batches whose s_bar is written.
     A burn-in epoch has no views and one release, nb. The worker replies once
-    per epoch with its loss sums and the trained set's version, which is its
-    Adam step count.
+    per epoch with the epoch's row and the trained set's version, which is
+    its Adam step count.
     """
     pools = _Pools.of(labeled_set, unlabeled_set)
     n, m, burn_in = len(labeled_set), len(unlabeled_set), config.burn_in_epochs
@@ -1002,17 +1012,12 @@ def _run_forked(
             worker.send(0)  # "views ready"
         return labels, _reference_pass(labels, state.opt_reference)
 
-    def validated(row: EpochMetrics) -> EpochMetrics:
-        student = state.theta_s if row.epoch >= burn_in else None
-        return replace(row, val_spearman=_safe_val_spearman(student, val))
-
     arena = state.theta_t.params.data.size
     exchange = _Exchange(
         arena=arena, m=arena, v=arena, s_bar=n,
         relative=len(_batch_bounds(n, config.batch_size)),
         x_strong=(2, *pools.x_lab.shape),
     )
-    metrics: list[EpochMetrics] = []
     with _Worker("training", exchange, _work, (state, pools, config)) as worker:
         labels, relative = reference_half(0)
         for epoch in range(config.max_epochs):
@@ -1024,24 +1029,19 @@ def _run_forked(
                     exchange.s_bar[lo:hi] = labels.pseudo_labels(b)
                     worker.send(b + 1)
             state.epoch = epoch + 1
-            sums = {"l_reg_r": 0.0}
-            for value in relative.tolist():
-                sums["l_reg_r"] += value
-            if metrics:
-                metrics[-1] = validated(metrics[-1])
+            if epoch:
+                yield row
             if epoch + 1 < config.max_epochs:
                 labels, relative = reference_half(epoch + 1)
-            sums["l_reg_s"], sums["l_unsup"], version = worker.reply()
+            row, version = worker.reply()
             trained = state.theta_t if epoch < burn_in else state.theta_s
             trained.params.data[:] = exchange.arena
             trained.params.version = version
             if epoch >= burn_in:
                 _ema(state, config)
-            metrics.append(_row(epoch, sums, n, _beta(config, epoch)))
-        metrics[-1] = validated(metrics[-1])
         state.opt_trained._m[:] = exchange.m
         state.opt_trained._v[:] = exchange.v
-    return metrics
+        yield row
 
 
 # -- checkpointing ------------------------------------------------------------

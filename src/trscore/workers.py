@@ -35,12 +35,14 @@ class _Exchange:
 
     One float64 array per keyword, of that shape (a size for a vector), all
     in one anonymous shared mapping, and two one-way pipes for the rest.
-    Every receive blocks. Every message is a few numbers in one write below
-    ``PIPE_BUF``, except a worker's error, which is the pickled exception and
-    may be longer; the worker sends it as its last message, and the parent
-    reads it at its next receive. ``train``'s exchange also holds two epochs
-    of strong views, which the parent writes one epoch ahead into slot
-    ``epoch % 2`` (see ``_run_forked``).
+    Every receive blocks. Every message is one write below ``PIPE_BUF``: a
+    few numbers, and in the reply of ``train``'s worker also the epoch's
+    metrics row (about 200 bytes pickled). The one exception is a worker's
+    error, the pickled exception, which may be longer; the worker sends it
+    as its last message, and the parent reads it at its next receive.
+    ``train``'s exchange also holds two epochs of strong views, which the
+    parent writes one epoch ahead into slot ``epoch % 2`` (see
+    ``_run_forked``).
     """
 
     def __init__(self, **shapes: int | tuple[int, ...]):
@@ -112,7 +114,7 @@ class _Worker:
             pass  # the worker is gone: ``reply`` says so
 
     def reply(self) -> tuple:
-        """The numbers of the worker's "done" reply; its error, or
+        """What the worker's "done" reply carries; its error, or
         ``WorkerError`` when it ended without a reply, is raised here."""
         try:
             reply = self.exchange.to_parent[0].recv()

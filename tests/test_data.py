@@ -7,6 +7,7 @@ import os
 import struct
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -552,6 +553,37 @@ class TestAqafErrors:
         else:
             assert path.read_bytes() == existing
         assert sorted(os.listdir(tmp_path)) == ([] if existing is None else ["full.aqaf"])
+
+    def test_a_save_through_a_symlink_replaces_its_target(self, tmp_path, monkeypatch):
+        real, link = tmp_path / "real.aqaf", tmp_path / "link.aqaf"
+        save_features(random_dataset(0), real)
+        link.symlink_to(real)
+        save_features(random_dataset(1), link)
+        assert link.is_symlink() and link.resolve() == real.resolve()
+        assert _ids(load_features(real).samples) == _ids(random_dataset(1).samples)
+        saved = real.read_bytes()
+        monkeypatch.setattr(data_module, "open", full_disk_open(12 + 21), raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_features(random_dataset(2), link)
+        assert link.is_symlink() and real.read_bytes() == saved
+        assert sorted(os.listdir(tmp_path)) == ["link.aqaf", "real.aqaf"]
+
+    def test_a_save_through_a_symlink_to_a_device_writes_in_place(self, tmp_path, monkeypatch):
+        link = tmp_path / "null.aqaf"
+        link.symlink_to(os.devnull)
+        opened = []
+
+        def guarded(file, *args, **kwargs):
+            # the device itself, or a file in tmp_path: never a new file beside the device
+            beside = Path(file).parent.resolve() == tmp_path.resolve()
+            assert str(file) == os.devnull or beside, file
+            opened.append(str(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(data_module, "open", guarded, raising=False)
+        save_features(random_dataset(0), link)
+        assert opened == [os.devnull]
+        assert link.is_symlink() and os.listdir(tmp_path) == ["null.aqaf"]
 
     def test_duplicate_id_in_file(self, tmp_path):
         chunks = [struct.pack("<4sII", AQAF_MAGIC, 1, 2)]

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from trscore import cli, evaluation, training
+from trscore import cli, evaluation, training, workers
 from trscore.data import SyntheticSpec, generate_synthetic
 from trscore.errors import (
     DivergenceError,
@@ -260,9 +260,13 @@ def test_an_error_in_this_process_ends_the_worker(worker_pids, monkeypatch):
         return real(net, val)
 
     monkeypatch.setattr(training, "_safe_val_spearman", faulty)
-    with pytest.raises(KeyboardInterrupt):
+    with pytest.raises(KeyboardInterrupt) as caught:
         training.train(config, labeled, unlabeled)
-    assert worker_pids
+    # gone while the exception, and with it every frame of the call, is held
+    assert workers._Worker.running == 0
+    with pytest.raises(ProcessLookupError):
+        os.kill(worker_pids[0], 0)
+    assert caught.value is not None
 
 
 @pytest.mark.parametrize("why", ["no fork", "daemonic"])
