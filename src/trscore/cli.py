@@ -3,11 +3,12 @@
 ``main`` first pins glibc's heap thresholds with ``mallopt``: blocks up to
 32 MiB (``M_MMAP_THRESHOLD``, glibc's ceiling for its dynamic threshold) come
 from the heap, and up to 64 MiB of free heap (``M_TRIM_THRESHOLD``) stays
-mapped. Otherwise ``evaluate`` hands each 256-sample chunk's ~1 MB of
-temporaries back to the kernel and faults them in again for the next chunk:
-85-105 k minor faults for a fresh 8k-sample ``trscore eval`` scored in one
-process, about 5 k pinned (about 9.6 k with ``evaluate``'s forked scorer,
-whose fork makes this process's later writes copy-on-write faults). Both are
+mapped. Otherwise ``evaluate`` hands the temporaries of each row block of a
+chunk's forward, arrays of about 255 KiB at 10 x 64, back to the kernel and
+faults them in again for the next block: about 30 k minor faults for a fresh
+8k-sample ``trscore eval`` scored in one process, about 2.8 k pinned (about
+7.3 k with ``evaluate``'s forked scorer, whose fork makes this process's
+later writes copy-on-write faults). Both are
 set because setting either one switches glibc's dynamic thresholds off and
 leaves the other at its 128 KiB default. Forked processes, ``evaluate``'s
 scorer and ``train``'s worker among them, inherit the setting, no output

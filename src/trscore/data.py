@@ -198,8 +198,9 @@ def save_features(dataset: Dataset, path) -> None:
     """
     path = Path(os.path.realpath(path))
     in_place = path.exists() and not path.is_file()
-    # a plain exclusive open, unlike tempfile's, gives the file the usual mode
-    tmp = path if in_place else path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    # a plain exclusive open, unlike tempfile's, gives the file the usual mode; the
+    # name's length is fixed, so any name the target may have leaves room for it
+    tmp = path if in_place else path.with_name(f".{uuid.uuid4().hex}.aqaf.tmp")
     out = open(tmp, "wb" if in_place else "xb", buffering=_BLOCK_BYTES)
     try:
         with out:

@@ -2,7 +2,11 @@
 
 ``evaluate`` scores a test set in chunks of ``_EVAL_CHUNK`` samples, each
 with one ``teacher_forward`` over the chunk's rows, so the bits do not
-depend on the process that scores a chunk. When the stream holds at least
+depend on the process that scores a chunk. That forward runs under
+``no_grad`` and encodes the chunk in row blocks (``networks.mixer_forward``):
+a full chunk of 10 x 64 samples allocates at most about 3.3 MiB while it is
+scored, 2.6x its 1.25 MiB of features, where one pass over its rows took
+11.3 MiB, and the bits stay those of one pass. When the stream holds at least
 ``_FORK_FROM`` samples and this process may fork (``workers._may_fork``), a
 forked scorer scores chunks while this process parses and checks the next
 ones. This process stacks each checked chunk straight into a free one of

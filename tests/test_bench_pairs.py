@@ -22,20 +22,22 @@ SHARED_ENTRY = SHARED["workloads"]["trs_full_b4"]
 
 
 def _assert_schema(record: dict, names: list[str]) -> None:
+    """The record of ``BENCH_15.json`` plus the ``RAW`` figures: their
+    quartiles on each side and their values closing each run's row."""
     assert record.keys() == SHARED.keys()
     assert list(record["workloads"]) == names
     assert record["units"].keys() == SHARED["units"].keys()
     for entry in record["workloads"].values():
         assert entry.keys() == SHARED_ENTRY.keys()
         for side in ("parent", "change"):
-            assert entry[side].keys() == SHARED_ENTRY[side].keys()
-            for metric in bench_pairs.METRICS:
+            assert entry[side].keys() == SHARED_ENTRY[side].keys() | set(bench_pairs.RAW)
+            for metric in bench_pairs.METRICS + bench_pairs.RAW:
                 q1, median, q3 = entry[side][metric].values()
                 assert list(entry[side][metric]) == ["q1", "median", "q3"]
                 assert q1 <= median <= q3
         assert entry["change_wins"].keys() == SHARED_ENTRY["change_wins"].keys()
         assert entry["median_change_pct"].keys() == SHARED_ENTRY["median_change_pct"].keys()
-        assert entry["run_fields"] == SHARED_ENTRY["run_fields"]
+        assert entry["run_fields"] == SHARED_ENTRY["run_fields"] + bench_pairs.RAW
         assert len(entry["runs"]) == 2 * entry["pairs"] == 2 * len(entry["seeds"])
 
 
@@ -52,6 +54,7 @@ def test_pairs_alternate_and_summarize(monkeypatch, tmp_path):
         return {
             "correct": True, "attempted": 3, "failed": 0,
             "metrics": {m: {"value": v, "unit": "u"} for m, v in values.items()},
+            "raw": {"raw_wall_s": 1.5 + seed, "call_unit_s": 0.01},
         }
 
     monkeypatch.setattr(bench_pairs, "bench_once", fake)
@@ -72,6 +75,8 @@ def test_pairs_alternate_and_summarize(monkeypatch, tmp_path):
     ]
     assert entry["change"]["wall_s"] == {"q1": 2.0, "median": 2.0, "q3": 2.0}
     assert entry["change"]["peak_rss_mb"] == {"q1": 11.5, "median": 12.0, "q3": 12.5}
+    assert entry["parent"]["raw_wall_s"] == {"q1": 3.0, "median": 3.5, "q3": 4.0}
+    assert entry["runs"][0][-2:] == [2.5, 0.01]
     assert entry["parent"]["attempted_ops"] == 9 and entry["parent"]["failed_ops"] == 0
     # a tie is no win; peak_rss_mb is lower-is-better
     assert entry["change_wins"] == {"setup_s": 0, "wall_s": 3, "samples_per_s": 0,

@@ -455,17 +455,17 @@ class TestHeapThresholds:
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator only")
     def test_a_second_eval_faults_in_almost_no_pages(self, tmp_path):
-        # without the pinned thresholds, glibc hands each chunk's freed
+        # without the pinned thresholds, glibc hands each row block's freed
         # forward temporaries back to the kernel and a 600-sample eval takes
-        # about 6 k minor faults however often it runs in one process
+        # about 3 k minor faults however often it runs in one process
         assert self._second_eval_faults(tmp_path, 600) < 1000
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator only")
     def test_a_second_forked_eval_faults_in_a_bounded_number_of_pages(self, tmp_path):
         # 4,000 samples fork a scorer, whose fork makes each page this process
         # writes next a copy-on-write fault, and whose slots are mapped anew:
-        # pinned, the second eval faults about 8-11 k pages at any size from
-        # 1,536 samples to 8,000; unpinned, 19-23 k here, 40-45 k at 8,000
+        # pinned, the second eval faults about 5.4-9.5 k pages at any size
+        # from 1,536 samples to 8,000; unpinned, 8-10 k here, 14-18 k at 8,000
         assert self._second_eval_faults(tmp_path, 4000) < 14000
 
 

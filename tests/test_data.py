@@ -554,6 +554,19 @@ class TestAqafErrors:
             assert path.read_bytes() == existing
         assert sorted(os.listdir(tmp_path)) == ([] if existing is None else ["full.aqaf"])
 
+    def test_a_save_to_a_long_file_name(self, tmp_path, monkeypatch):
+        # 245 bytes: the file system allows 255, which leaves no room to build a
+        # temporary name on this one
+        path = tmp_path / ("n" * 240 + ".aqaf")
+        save_features(random_dataset(0), path)
+        assert _ids(load_features(path).samples) == _ids(random_dataset(0).samples)
+        saved = path.read_bytes()
+        monkeypatch.setattr(data_module, "open", full_disk_open(12 + 21), raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_features(random_dataset(1), path)
+        assert path.read_bytes() == saved
+        assert os.listdir(tmp_path) == [path.name]
+
     def test_a_save_through_a_symlink_replaces_its_target(self, tmp_path, monkeypatch):
         real, link = tmp_path / "real.aqaf", tmp_path / "link.aqaf"
         save_features(random_dataset(0), real)

@@ -1,11 +1,13 @@
 """Network-body tests: residual identities, equivariance, attention laws."""
 
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from trscore import autodiff as ad
+from trscore import networks
 from trscore.autodiff import ParameterSet, Tensor
 from trscore.data import SyntheticSpec
 from trscore.errors import ConfigurationError, ContractError, DimensionError
@@ -185,6 +187,60 @@ class TestTeacherForward:
         for values, tensor in ((pred.mu_values, pred.mu), (pred.sigma_values, pred.sigma)):
             assert values.shape == (3,) and np.shares_memory(values, tensor.array)
             assert not values.flags.writeable
+
+
+def _rows(t, d):
+    """Rows of one no-grad encoding block at T x D."""
+    return max(1, networks._ENCODE_BYTES // (8 * t * d))
+
+
+class TestRowBlocks:
+    """A no-grad stacked batch is encoded in blocks of ``_ENCODE_BYTES`` of
+    features; a budget patched large encodes it in one pass, the oracle."""
+
+    @staticmethod
+    def _bits(params, x):
+        with ad.no_grad():
+            pred = teacher_forward(params, x)
+        return pred.mu_values.tobytes().hex(), pred.sigma_values.tobytes().hex()
+
+    @pytest.mark.parametrize(
+        "t, d, n",
+        [(t, d, n) for t, d in ((10, 64), (7, 5)) for n in
+         sorted({1, _rows(t, d) - 1, _rows(t, d), _rows(t, d) + 1, 256, 1025})]
+        + [(16, 2100, 3)],  # one row is more than the budget: a block per row
+    )
+    def test_blocks_give_the_bits_of_one_pass(self, monkeypatch, t, d, n):
+        params = init_teacher_params(NetworkArch(t=t, d=d), np.random.default_rng(t))
+        x = rand((n, t, d), n)
+        blocked = self._bits(params, x)
+        monkeypatch.setattr(networks, "_ENCODE_BYTES", 1 << 40)
+        assert blocked == self._bits(params, x)
+
+    def test_a_batch_with_grad_on_is_one_block(self, monkeypatch):
+        arch, n = NetworkArch(t=10, d=64), 2 * _rows(10, 64) + 3
+        x, targets = rand((n, 10, 64), 1), rand(n, 2)
+        grads = []
+        for budget in (networks._ENCODE_BYTES, 1 << 40):
+            monkeypatch.setattr(networks, "_ENCODE_BYTES", budget)
+            params = init_teacher_params(arch, np.random.default_rng(3))
+            ad.sum(gaussian_nll(targets, teacher_forward(params, x))).backward()
+            grads.append({name: p.grad.tobytes().hex() for name, p in params.params.items()})
+        assert grads[0] == grads[1]
+
+    def test_the_transient_memory_of_a_chunk_is_bounded(self):
+        params = init_teacher_params(NetworkArch(t=10, d=64), np.random.default_rng(0))
+        x = rand((256, 10, 64), 1)
+        with ad.no_grad():
+            teacher_forward(params, x)  # one-off allocations stay out of the peak
+            tracemalloc.start()
+            try:
+                teacher_forward(params, x)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # one pass over all 256 rows peaks at about 9x the input's bytes
+        assert peak <= 4 * x.nbytes
 
 
 class TestReferenceForward:

@@ -20,15 +20,22 @@ each end-to-end metric (numpy's linear method), with the attempted and
 failed operations summed over the side's runs; per metric other than
 ``test_spearman``, the pairs the change won (by the direction
 ``BENCHMARK.json`` declares) and the change of the median in percent;
-whether ``test_spearman`` was bit-equal in every pair; and every run. The
-script prints one line per run and exits 1 unless every run completed with
-no failed operation and ``test_spearman`` was bit-equal in every pair.
+whether ``test_spearman`` was bit-equal in every pair; and every run. Beside
+the metrics, which are in reference seconds, each side has the quartiles of
+two wall-clock figures that each run's ``.bench_results/W-seedN-trace0.json``
+holds: ``raw_wall_s``, the mean raw wall seconds of the run's calls, and
+``call_unit_s``, the mean seconds of the calibration unit sampled during
+them. A reference-second figure moves when either moves, so a claim on a
+time metric should hold in the raw walls too. The script prints one line per
+run and exits 1 unless every run completed with no failed operation and
+``test_spearman`` was bit-equal in every pair.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +48,9 @@ sys.path.insert(0, str(ROOT / "bench"))
 import envinfo  # noqa: E402  (the benchmark's machine record)
 
 METRICS = ["setup_s", "wall_s", "samples_per_s", "test_spearman", "peak_rss_mb"]
+# wall-clock seconds of a run's timed calls, from its results file: their mean raw
+# wall and the mean calibration unit sampled during them
+RAW = ["raw_wall_s", "call_unit_s"]
 SIDES = ("parent", "change")
 # a checkout's own benchmark at the smoke-test shape; argv: workload, seed, seconds
 TINY_PROGRAM = (
@@ -61,7 +71,8 @@ def _describe(checkout: Path) -> str:
 
 
 def bench_once(checkout: Path, workload: str, seed: int, seconds: float, tiny: bool) -> dict:
-    """The result object of one run of ``checkout``'s benchmark."""
+    """The result object of one run of ``checkout``'s benchmark, with the
+    run's ``RAW`` figures under ``raw``."""
     if tiny:
         argv = [sys.executable, "-c", TINY_PROGRAM, workload, str(seed), str(seconds)]
     else:
@@ -71,7 +82,12 @@ def bench_once(checkout: Path, workload: str, seed: int, seconds: float, tiny: b
     if done.returncode != 0:
         sys.stderr.write(done.stderr)
         raise SystemExit(f"{checkout}: {workload} seed {seed} exited {done.returncode}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    record = checkout / ".bench_results" / f"{workload}-seed{seed}-trace0.json"
+    detail = json.loads(record.read_text(encoding="utf-8"))["detail"]
+    result["raw"] = {"raw_wall_s": statistics.fmean(detail["wall_s"]),
+                     "call_unit_s": statistics.fmean(detail["call_unit_s"])}
+    return result
 
 
 def summarize(runs: list[list], results: dict[str, list[dict]], better: dict[str, str]) -> dict:
@@ -80,6 +96,7 @@ def summarize(runs: list[list], results: dict[str, list[dict]], better: dict[str
     seeds = [row[0] for row in runs if row[1] == "parent"]
     values = {
         side: {m: [r["metrics"][m]["value"] for r in results[side]] for m in METRICS}
+        | {m: [r["raw"][m] for r in results[side]] for m in RAW}
         for side in SIDES
     }
     entry: dict = {"pairs": len(seeds), "seeds": seeds}
@@ -87,7 +104,7 @@ def summarize(runs: list[list], results: dict[str, list[dict]], better: dict[str
         entry[side] = {
             m: dict(zip(("q1", "median", "q3"),
                         np.round(np.percentile(values[side][m], [25, 50, 75]), 4).tolist()))
-            for m in METRICS
+            for m in METRICS + RAW
         }
         entry[side]["failed_ops"] = sum(r["failed"] for r in results[side])
         entry[side]["attempted_ops"] = sum(r["attempted"] for r in results[side])
@@ -104,7 +121,7 @@ def summarize(runs: list[list], results: dict[str, list[dict]], better: dict[str
     entry["test_spearman_bit_equal_every_pair"] = (
         values["parent"]["test_spearman"] == values["change"]["test_spearman"]
     )
-    entry["run_fields"] = ["seed", "side", *METRICS]
+    entry["run_fields"] = ["seed", "side", *METRICS, *RAW]
     entry["runs"] = runs
     return entry
 
@@ -145,7 +162,8 @@ def main(argv=None) -> int:
             for side in SIDES if seed % 2 else SIDES[::-1]:
                 result = bench_once(checkouts[side], workload, seed, args.seconds, args.tiny)
                 results[side].append(result)
-                row = [seed, side, *(round(result["metrics"][m]["value"], 4) for m in METRICS)]
+                row = [seed, side, *(round(result["metrics"][m]["value"], 4) for m in METRICS),
+                       *(round(result["raw"][m], 5) for m in RAW)]
                 runs.append(row)
                 print(workload, *row, f"failed {result['failed']}", flush=True)
                 ok &= result["failed"] == 0

@@ -1,6 +1,6 @@
 """Time fresh-interpreter ``trscore eval`` or ``trscore train`` runs of two
-checkouts, in seconds, minor page faults and the CPU seconds of this process
-and of its child processes.
+checkouts, in seconds, minor page faults, peak resident memory and the CPU
+seconds of this process and of its child processes.
 
 Usage, from the repository root:
 
@@ -21,9 +21,11 @@ interpreter, the two alternating which runs first. A run measures wall time
 (``resource.getrusage(RUSAGE_SELF).ru_minflt``, this process only), this
 process's user plus system CPU seconds and those of the child processes it
 reaped (``os.times``, such as a forked scorer or ``train``'s worker) around
-the one ``cli.main`` call, after the imports, and hashes the file it wrote
-(the predictions CSV, or ``metrics.csv``). The script prints every run, then
-each checkout's medians, and exits 1 unless every run wrote the same bytes.
+the one ``cli.main`` call, after the imports, then the interpreter's peak
+resident memory (``ru_maxrss``, this process only, imports included), and
+hashes the file it wrote (the predictions CSV, or ``metrics.csv``). The
+script prints every run, then each checkout's medians, and exits 1 unless
+every run wrote the same bytes.
 """
 
 from __future__ import annotations
@@ -93,6 +95,7 @@ def _time_one(argv: list[str]) -> dict:
     wall_s = time.perf_counter() - start
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     ended = os.times()
+    maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     cpu_s = ended.user - started.user + ended.system - started.system
     child_cpu_s = (ended.children_user - started.children_user
                    + ended.children_system - started.children_system)
@@ -105,15 +108,16 @@ def _time_one(argv: list[str]) -> dict:
     else:
         written.unlink()
     return {"wall_s": wall_s, "cpu_s": cpu_s, "minflt": faults, "child_cpu_s": child_cpu_s,
-            "output": digest}
+            "maxrss_mb": maxrss_mb, "output": digest}
 
 
-_FIELDS = ("wall_s", "cpu_s", "minflt", "child_cpu_s")
+_FIELDS = ("wall_s", "cpu_s", "minflt", "child_cpu_s", "maxrss_mb")
 
 
 def _line(run: dict) -> str:
     return (f"{run['wall_s']:.3f} s wall, {run['cpu_s']:.3f} s CPU, "
-            f"{run['minflt']:>7.0f} minor faults, {run['child_cpu_s']:.3f} s child CPU")
+            f"{run['minflt']:>7.0f} minor faults, {run['child_cpu_s']:.3f} s child CPU, "
+            f"{run['maxrss_mb']:.1f} MB peak RSS")
 
 
 def _run(src: Path, argv: list[str]) -> dict:
