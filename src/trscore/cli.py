@@ -23,7 +23,8 @@ import ctypes
 import sys
 from pathlib import Path
 
-from .data import SyntheticSpec, generate_synthetic, iter_features, load_features, save_features
+from .data import (SyntheticSpec, _write_csv, generate_synthetic, iter_features,
+                   load_features, save_features)
 from .errors import ConfigurationError, TrscoreError
 from .evaluation import evaluate, write_predictions_csv
 from .training import (
@@ -40,8 +41,8 @@ from .training import (
 def parse_config_file(path) -> dict:
     """Flat key=value lines; blank lines and #-comments are ignored.
 
-    Each value is converted to its key's type; an unknown key, a bad value or
-    a byte that is not UTF-8 raises ``ConfigurationError`` naming ``path:line``.
+    Each value is converted to its key's type; an unknown or repeated key, a
+    bad value or a non-UTF-8 byte raises ``ConfigurationError`` naming ``path:line``.
     """
     blob = Path(path).read_bytes()
     try:
@@ -58,6 +59,8 @@ def parse_config_file(path) -> dict:
             raise ConfigurationError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = stripped.split("=", 1)
         key = key.strip()
+        if key in raw:
+            raise ConfigurationError(f"{path}:{lineno}: {key} is set a second time")
         try:
             raw[key] = coerce_config_value(key, value)
         except ConfigurationError as exc:
@@ -178,7 +181,7 @@ ABLATION_GRID = (
 
 
 def _cmd_ablate(args) -> int:
-    from dataclasses import replace
+    from dataclasses import astuple, fields, replace
 
     config = _build_config(args)
     dataset = load_features(args.data)
@@ -204,13 +207,10 @@ def _cmd_ablate(args) -> int:
             f"{'x' if toggles.reference_memory else '':<4} {rho:>9.4f}"
         )
     if args.out:
-        lines = ["config,reference_network,teacher_memory,reference_memory,spearman\n"]
-        for name, toggles, rho in results:
-            lines.append(
-                f"{name},{int(toggles.reference_network)},{int(toggles.teacher_memory)},"
-                f"{int(toggles.reference_memory)},{rho!r}\n"
-            )
-        Path(args.out).write_text("".join(lines), encoding="utf-8")
+        header = ("config", *(f.name for f in fields(ComponentToggles)), "spearman")
+        rows = ((name, *(str(int(on)) for on in astuple(toggles)), repr(rho))
+                for name, toggles, rho in results)
+        _write_csv(args.out, header, rows)
         print(f"table: {args.out}")
     return 0
 

@@ -10,20 +10,23 @@ flagged, u32 T, u32 D, and T*D f64 features in row-major order.
 
 Every path holds at most one copy of a dataset: synthesis computes bounded
 blocks of rows and gives each sample its own copy of its row, so that a kept
-subset does not pin a block, ``save_features`` writes bounded blocks straight
-to the file, and ``iter_features`` parses the file as it reads it, each sample
-a view of its bytes, so a malformed sample raises its ``ParseError`` only
-when the parser reaches it, after the samples before it were yielded.
+subset does not pin a block, ``save_features`` hands each sample's arrays as
+they are to ``_write_file``, the package's one writer, and ``iter_features``
+parses the file as it reads it, each sample a view of its bytes, so a malformed
+sample raises its ``ParseError`` only when the parser reaches it, after the
+samples before it were yielded.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 import struct
 import uuid
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -187,40 +190,65 @@ class _Cursor:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
 
-def save_features(dataset: Dataset, path) -> None:
-    """Write a dataset in AQAF; save/load round-trips bit-identically.
-
-    The samples go in bounded blocks to a temporary file beside the file
-    that ``path`` names (the target, when ``path`` is a symlink, which
-    stays), and that file is then replaced; a save that fails leaves it as
-    it was. A path that exists and is not a regular file, such as a FIFO or
-    a device, is written in place.
-    """
-    path = Path(os.path.realpath(path))
-    in_place = path.exists() and not path.is_file()
+def _write_file(path, chunks: Iterable) -> None:
+    """Write the bytes-like ``chunks`` to a temporary file beside the file that
+    ``path`` names (the target, when ``path`` is a symlink, which stays), then
+    replace that file; a write that fails leaves it as it was. A path that
+    exists and is not a regular file, such as a FIFO, a device or a link to a
+    pipe (whose ``/proc`` fd link resolves to no name), is written in place."""
+    target = Path(os.path.realpath(path))
+    in_place = os.path.exists(path) and not os.path.isfile(path)  # both follow links
     # a plain exclusive open, unlike tempfile's, gives the file the usual mode; the
     # name's length is fixed, so any name the target may have leaves room for it
-    tmp = path if in_place else path.with_name(f".{uuid.uuid4().hex}.aqaf.tmp")
-    out = open(tmp, "wb" if in_place else "xb", buffering=_BLOCK_BYTES)
+    tmp = target.with_name(f".{uuid.uuid4().hex}.tmp")
+    if in_place:
+        tmp = target if target.exists() else Path(path)
     try:
-        with out:
-            out.write(struct.pack("<4sII", AQAF_MAGIC, AQAF_VERSION, len(dataset.samples)))
-            for s in dataset.samples:
-                encoded = s.sample_id.encode("utf-8")
-                out.write(struct.pack("<H", len(encoded)))
-                out.write(encoded)
-                if s.score is not None:
-                    out.write(struct.pack("<Bd", 1, s.score))
-                else:
-                    out.write(struct.pack("<B", 0))
-                out.write(struct.pack("<II", *s.features.shape))
-                out.write(np.ascontiguousarray(s.features, dtype="<f8"))
+        with open(tmp, "wb" if in_place else "xb", buffering=_BLOCK_BYTES) as out:
+            for chunk in chunks:
+                out.write(chunk)
         if not in_place:
-            os.replace(tmp, path)
-    except BaseException:
+            os.replace(tmp, target)
+    except BaseException as exc:
+        if isinstance(exc, OSError) and exc.filename == str(tmp):  # name the file asked for
+            exc.filename = os.fspath(path)
         if not in_place:
             tmp.unlink(missing_ok=True)
         raise
+
+
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """UTF-8 lines ending in ``\\n``; a field with a comma, quote or line break is quoted."""
+
+    def line(fields: Sequence[str]) -> str:
+        if _NEEDS_QUOTES.search("".join(fields)):  # one search for a row that needs none
+            fields = ['"' + f.replace('"', '""') + '"' if _NEEDS_QUOTES.search(f) else f
+                      for f in fields]
+        return ",".join(fields)
+
+    _write_file(path, [("\n".join(map(line, chain([header], rows))) + "\n").encode("utf-8")])
+
+
+def save_features(dataset: Dataset, path) -> None:
+    """Write a dataset in AQAF; save/load round-trips bit-identically."""
+
+    def records():
+        yield struct.pack("<4sII", AQAF_MAGIC, AQAF_VERSION, len(dataset.samples))
+        for s in dataset.samples:
+            encoded = s.sample_id.encode("utf-8")
+            yield struct.pack("<H", len(encoded))
+            yield encoded
+            if s.score is not None:
+                yield struct.pack("<Bd", 1, s.score)
+            else:
+                yield struct.pack("<B", 0)
+            yield struct.pack("<II", *s.features.shape)
+            yield np.ascontiguousarray(s.features, dtype="<f8")
+
+    _write_file(path, records())
 
 
 def iter_features(path) -> Iterator[FeatureSequence]:

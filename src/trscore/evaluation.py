@@ -25,16 +25,15 @@ ends before ``evaluate`` returns or raises.
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, islice
-from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
+from .data import _write_csv
 from .errors import ContractError, DimensionError, MetricUndefinedError
 from .networks import FeatureSequence, Network, teacher_forward
 from .workers import _Exchange, _may_fork, _Worker
@@ -223,19 +222,7 @@ def evaluate(
     return rho, rows
 
 
-_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
-
-
-def _csv_field(text: str) -> str:
-    """RFC 4180: a field holding a comma, a quote or a line break is quoted."""
-    if _NEEDS_QUOTES.search(text):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def write_predictions_csv(rows: Sequence[PredictionRow], path) -> None:
     """One row per sample; every line ends in ``\\n``."""
-    lines = ["sample_id,truth,mu,sigma\n"]
-    for r in rows:
-        lines.append(f"{_csv_field(r.sample_id)},{r.truth!r},{r.mu!r},{r.sigma!r}\n")
-    Path(path).write_bytes("".join(lines).encode("utf-8"))
+    _write_csv(path, ("sample_id", "truth", "mu", "sigma"),
+               ((r.sample_id, repr(r.truth), repr(r.mu), repr(r.sigma)) for r in rows))

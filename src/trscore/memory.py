@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .data import _write_file
 from .errors import ConfigurationError, ContractError, FusionUnavailableError, ParseError
 
 
@@ -71,20 +72,20 @@ class ConfidenceMemory:
         so an id may hold any character but ``\\n``; one that holds ``\\n``, or
         that is not UTF-8 encodable, raises ``ConfigurationError``.
         """
-        lines = []
-        for sample_id, e in self.entries.items():
-            if "\n" in sample_id:
-                raise ConfigurationError(
-                    f"{path}: sample id {sample_id!r} contains a newline"
-                )
-            line = f"{sample_id}\t{e.score:.17g}\t{e.sigma:.17g}\t{e.epoch_written}\n"
-            try:
-                lines.append(line.encode("utf-8"))
-            except UnicodeEncodeError:
-                raise ConfigurationError(
-                    f"{path}: sample id {sample_id!r} is not UTF-8 encodable"
-                ) from None
-        Path(path).write_bytes(b"".join(lines))
+        def lines():
+            for sample_id, e in self.entries.items():
+                if "\n" in sample_id:
+                    raise ConfigurationError(f"{path}: sample id {sample_id!r} contains a newline")
+                line = f"{sample_id}\t{e.score:.17g}\t{e.sigma:.17g}\t{e.epoch_written}\n"
+                try:
+                    encoded = line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ConfigurationError(
+                        f"{path}: sample id {sample_id!r} is not UTF-8 encodable"
+                    ) from None
+                yield encoded
+
+        _write_file(path, lines())
 
     @classmethod
     def load_tsv(cls, path) -> "ConfidenceMemory":

@@ -63,7 +63,7 @@ import numpy as np
 from . import autodiff as ad
 from . import rng as streams
 from .autodiff import ParameterSet, Tensor
-from .data import Dataset, _Cursor
+from .data import Dataset, _Cursor, _write_csv, _write_file
 from .errors import (
     ConfigurationError,
     ContractError,
@@ -701,9 +701,7 @@ METRICS_COLUMNS = tuple(f.name for f in fields(EpochMetrics))
 
 def write_metrics_csv(rows: Sequence[EpochMetrics], path) -> None:
     """Metrics CSV with shortest-round-trip float formatting."""
-    lines = [",".join(METRICS_COLUMNS) + "\n"]
-    lines += [",".join(map(repr, astuple(r))) + "\n" for r in rows]
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    _write_csv(path, METRICS_COLUMNS, ([repr(v) for v in astuple(r)] for r in rows))
 
 
 def _check_training_sets(
@@ -1058,8 +1056,8 @@ def save_parameter_set(params: ParameterSet, path) -> None:
         chunks.append(encoded)
         chunks.append(struct.pack("<B", len(shape)))
         chunks.append(struct.pack(f"<{len(shape)}I", *shape))
-    chunks.append(params.data.astype("<f8").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    chunks.append(np.ascontiguousarray(params.data, dtype="<f8"))
+    _write_file(path, chunks)
 
 
 def load_parameter_set(path) -> ParameterSet:
@@ -1097,6 +1095,7 @@ def load_parameter_set(path) -> ParameterSet:
 def save_checkpoint(directory, state: TrsState, config: TrainConfig) -> None:
     """Spec'd layout: params_{t,s,f}.bin, memory_{t,r}.tsv, state.json.
 
+    Each file is replaced whole or left as it was (``data._write_file``), and
     ``state.json`` is removed first and written last, so a save that fails
     part-way leaves a directory that does not load, never one that mixes two
     states; a burn-in state removes a stale ``params_s.bin``.
@@ -1118,9 +1117,8 @@ def save_checkpoint(directory, state: TrsState, config: TrainConfig) -> None:
         "config": config.to_dict(),
         "arch": asdict(state.theta_t.arch),
     }
-    (directory / "state.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _write_file(directory / "state.json", [text.encode("utf-8")])
 
 
 _STATE_KEYS = {"epoch": int, "stage": str, "config": dict, "arch": dict}

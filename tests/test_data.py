@@ -1,7 +1,10 @@
 """Synthetic-task and AQAF-format tests."""
 
+import contextlib
 import dataclasses
 import errno
+import io
+import itertools
 import math
 import os
 import struct
@@ -14,7 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trscore import cli
 from trscore import data as data_module
+from trscore.autodiff import ParameterSet
 from trscore.data import (
     AQAF_MAGIC,
     Dataset,
@@ -30,8 +35,18 @@ from trscore.errors import (
     NonFiniteFeaturesError,
     ParseError,
 )
-from trscore.evaluation import spearman
-from trscore.networks import FeatureSequence
+from trscore.evaluation import PredictionRow, spearman, write_predictions_csv
+from trscore.memory import ConfidenceMemory
+from trscore.networks import FeatureSequence, NetworkArch
+from trscore.training import (
+    EpochMetrics,
+    TrainConfig,
+    init_state,
+    initialize_student,
+    save_checkpoint,
+    save_parameter_set,
+    write_metrics_csv,
+)
 
 
 def _ids(samples) -> list[str]:
@@ -263,9 +278,83 @@ class _FullDisk:
         self.file.close()
 
 
-def full_disk_open(room):
-    """An ``open`` for ``trscore.data`` whose files hold ``room`` bytes."""
-    return lambda *args, **kwargs: _FullDisk(open(*args, **kwargs), room)
+def full_disk_open(room, spare=0):
+    """An ``open`` for ``trscore.data`` whose files opened for writing, after
+    the first ``spare`` of them, hold ``room`` bytes."""
+    writes = itertools.count()
+
+    def opened(file, mode="r", *args, **kwargs):
+        stream = open(file, mode, *args, **kwargs)
+        if "r" in mode or next(writes) < spare:
+            return stream
+        return _FullDisk(stream, room)
+
+    return opened
+
+
+def _prediction_rows():
+    return [PredictionRow(f"s{i}" if i % 2 else f'"q,{i}"', 0.5 * i, 1.0 / 3 + i, 0.25)
+            for i in range(8)]
+
+
+def _trs_state(config):
+    state = init_state(config, NetworkArch(4, 8))
+    state.epoch = config.burn_in_epochs
+    state.m_t.maybe_write("u", 1.5, 0.25, 0)
+    return initialize_student(state, config)
+
+
+def _write_ablate_table(path, data):
+    args = cli._build_parser().parse_args([
+        "ablate", "--data", str(data / "train.aqaf"), "--test", str(data / "test.aqaf"),
+        "--epochs", "2", "--burn-in", "1", "-o", str(path),
+    ])
+    with contextlib.redirect_stdout(io.StringIO()):
+        args.func(args)
+
+
+def _write_memory(path, _):
+    memory = ConfidenceMemory()
+    for i in range(8):
+        memory.maybe_write(f"u{i}", i / 3, 0.5 + i, i)
+    memory.save_tsv(path)
+
+
+_CONFIG = TrainConfig(burn_in_epochs=1, max_epochs=2)
+
+# each writer of the package: how it writes a file, given a directory with a
+# training and a test split, and how many files it writes before that one
+WRITERS = {
+    "save_features": (lambda path, _: save_features(random_dataset(1), path), 0),
+    "save_parameter_set": (
+        lambda path, _: save_parameter_set(ParameterSet([("w", (3, 4))], np.arange(12.0)), path),
+        0,
+    ),
+    "save_tsv": (_write_memory, 0),
+    # state.json goes last, after three parameter files and two memories
+    "save_checkpoint": (
+        lambda path, _: save_checkpoint(path.parent, _trs_state(_CONFIG), _CONFIG), 5
+    ),
+    "write_metrics_csv": (
+        lambda path, _: write_metrics_csv([EpochMetrics(e, 1.0, 2.0, 0.5, 0.1, 3.0, 0.25)
+                                           for e in range(3)], path),
+        0,
+    ),
+    "write_predictions_csv": (lambda path, _: write_predictions_csv(_prediction_rows(), path), 0),
+    "ablate": (_write_ablate_table, 0),
+}
+
+
+@pytest.fixture(scope="module")
+def ablate_data(tmp_path_factory):
+    """A small training split and a labeled test split, as ``trscore ablate``
+    reads them."""
+    directory = tmp_path_factory.mktemp("ablate")
+    save_features(generate_synthetic(SyntheticSpec(40, 4, 8, 0.3, 0.2, 3)),
+                  directory / "train.aqaf")
+    save_features(generate_synthetic(SyntheticSpec(20, 4, 8, 1.0, 0.2, 3), "test"),
+                  directory / "test.aqaf")
+    return directory
 
 
 def random_dataset(seed):
@@ -537,23 +626,6 @@ class TestAqafErrors:
             load_features(path)
         assert err.value.offset == offset
 
-    @pytest.mark.parametrize("existing", [None, b"an earlier file"])
-    def test_failed_write_leaves_no_file_behind(self, tmp_path, monkeypatch, existing):
-        # each record takes 2 + 2 id bytes, 1 flag byte, 8 dimension bytes and
-        # 8 feature bytes; the disk fills in the second one
-        samples = [FeatureSequence(np.zeros((1, 1)), f"s{i}", None) for i in range(4)]
-        path = tmp_path / "full.aqaf"
-        if existing is not None:
-            path.write_bytes(existing)
-        monkeypatch.setattr(data_module, "open", full_disk_open(12 + 21), raising=False)
-        with pytest.raises(OSError, match="No space left"):
-            save_features(Dataset(samples), path)
-        if existing is None:
-            assert not path.exists()
-        else:
-            assert path.read_bytes() == existing
-        assert sorted(os.listdir(tmp_path)) == ([] if existing is None else ["full.aqaf"])
-
     def test_a_save_to_a_long_file_name(self, tmp_path, monkeypatch):
         # 245 bytes: the file system allows 255, which leaves no room to build a
         # temporary name on this one
@@ -610,6 +682,78 @@ class TestAqafErrors:
         path.write_bytes(b"".join(chunks))
         with pytest.raises(ParseError, match="duplicate"):
             load_features(path)
+
+
+class TestOneWriter:
+    """Every file the package writes goes through ``data._write_file``."""
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    @pytest.mark.parametrize("existing", [None, b"an earlier file"])
+    def test_failed_write_leaves_no_file_behind(
+        self, tmp_path, monkeypatch, ablate_data, writer, existing
+    ):
+        write, spare = WRITERS[writer]
+        path = tmp_path / "out" / ("state.json" if writer == "save_checkpoint" else "file")
+        probe = tmp_path / "probe" / path.name
+        probe.parent.mkdir()
+        write(probe, ablate_data)
+        size = probe.stat().st_size
+        path.parent.mkdir()
+        if existing is not None:
+            path.write_bytes(existing)
+        # the disk fills half-way through the file, or through state.json, the
+        # last of a checkpoint's files, which save_checkpoint removes first
+        monkeypatch.setattr(data_module, "open", full_disk_open(size // 2, spare), raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            write(path, ablate_data)
+        if existing is None or writer == "save_checkpoint":
+            assert not path.exists()
+        else:
+            assert path.read_bytes() == existing
+        assert not [name for name in os.listdir(path.parent) if name.startswith(".")]
+
+    def test_a_text_file_with_a_long_name(self, tmp_path, monkeypatch):
+        # 245 bytes, as the AQAF case: no room for a name built from this one
+        path = tmp_path / ("n" * 241 + ".csv")
+        write_predictions_csv(_prediction_rows()[:3], path)
+        saved = path.read_bytes()
+        assert saved.decode("utf-8").count("\n") == 4
+        monkeypatch.setattr(data_module, "open", full_disk_open(len(saved)), raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            write_predictions_csv(_prediction_rows(), path)
+        assert path.read_bytes() == saved
+        assert os.listdir(tmp_path) == [path.name]
+
+    @pytest.mark.parametrize("writer", ["save_features", "write_predictions_csv"])
+    def test_an_error_names_the_file_asked_for(self, tmp_path, ablate_data, writer):
+        path = tmp_path / "missing" / "file"
+        with pytest.raises(FileNotFoundError) as err:
+            WRITERS[writer][0](path, ablate_data)
+        assert err.value.filename == str(path) and str(path) in str(err.value)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    @pytest.mark.parametrize("writer", ["save_features", "write_predictions_csv"])
+    def test_a_link_to_a_pipe_is_written_in_place(self, tmp_path, ablate_data, writer):
+        write, _ = WRITERS[writer]
+        write(tmp_path / "plain", ablate_data)
+        expected = (tmp_path / "plain").read_bytes()
+        assert len(expected) < 4096  # a pipe holds it without a reader
+        (tmp_path / "plain").unlink()
+        read_end, write_end = os.pipe()
+        try:
+            link = tmp_path / "link"
+            link.symlink_to(f"/proc/self/fd/{write_end}")
+            write(link, ablate_data)
+            os.close(write_end)
+            write_end = None
+            with os.fdopen(read_end, "rb") as stream:
+                read_end = None
+                assert stream.read() == expected
+        finally:
+            for fd in (read_end, write_end):
+                if fd is not None:
+                    os.close(fd)
+        assert os.listdir(tmp_path) == ["link"]
 
 
 class TestGoldenFixture:

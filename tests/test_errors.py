@@ -100,6 +100,60 @@ def test_only_the_tape_modules_use_private_autodiff_members():
     assert strays == []
 
 
+def _file_writes(tree: ast.AST) -> list[tuple[int, str, str]]:
+    """(line, enclosing function, text) of each ``.write_bytes`` or
+    ``.write_text`` call and each ``open`` whose mode may write: one holding
+    ``w``, ``x`` or ``a``, or one that is not spelled out as a string."""
+    writes = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and _may_write(child):
+                writes.append((child.lineno, function, ast.unparse(child.func)))
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return writes
+
+
+def _may_write(call: ast.Call) -> bool:
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_bytes", "write_text"):
+        return True
+    if name != "open":
+        return False
+    # open(file, mode), os.open(file, flags), or path.open(mode) with one argument
+    args = call.args if isinstance(func, ast.Name) or len(call.args) > 1 else [None, *call.args]
+    mode = next((k.value for k in call.keywords if k.arg in ("mode", "flags")),
+                args[1] if len(args) > 1 else ast.Constant("r"))
+    texts = [n.value for n in ast.walk(mode) if isinstance(n, ast.Constant)]
+    return not texts or any(set(str(t)) & set("wxa") for t in texts)
+
+
+def test_only_the_one_writer_opens_a_file_for_writing():
+    # data._write_file writes every output file through a temporary file, so a
+    # write that fails leaves the earlier file as it was; no module writes past it
+    probe = ast.parse(
+        "def f(p, m):\n"
+        "    open(p, 'rb'), open(p), p.open('a'), open(p, mode=m)\n"
+        "    p.write_text('x'), os.open(p, os.O_WRONLY)\n"
+    )
+    assert [(line, text) for line, _, text in _file_writes(probe)] == [
+        (2, "p.open"), (2, "open"), (3, "p.write_text"), (3, "os.open"),
+    ]
+    strays = [
+        f"{path.name}:{line}: {text} in {function}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for line, function, text in _file_writes(ast.parse(path.read_text(encoding="utf-8")))
+        if (path.name, function) != ("data.py", "_write_file")
+    ]
+    assert strays == []
+
+
 def test_every_error_type_survives_pickling():
     # a process pool sends a worker's error back pickled
     for name, kind in ERROR_TYPES.items():
