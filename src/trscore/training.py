@@ -393,8 +393,12 @@ class _Pools:
     def of(
         cls, labeled: Sequence[FeatureSequence], unlabeled: Sequence[FeatureSequence]
     ) -> "_Pools":
+        """The pools, once every labeled sample has a score; there must be one."""
         if not labeled:
-            raise ConfigurationError("an epoch requires at least one labeled sample")
+            raise ConfigurationError("training requires at least one labeled sample")
+        for sample in labeled:
+            if sample.score is None:
+                raise ConfigurationError(f"labeled sample {sample.sample_id!r} has no score")
         return cls(_stack(labeled), _labels(labeled), unlabeled)
 
 
@@ -708,25 +712,22 @@ def _check_training_sets(
     labeled: Sequence[FeatureSequence],
     unlabeled: Sequence[FeatureSequence],
     val: Sequence[FeatureSequence] = (),
-) -> tuple[int, int]:
-    """The (T, D) of every sample. The training samples form a ``Dataset``;
-    every labeled and validation sample has a score, and the validation set
-    may repeat training ids."""
-    if not labeled:
-        raise ConfigurationError("training requires at least one labeled sample")
+) -> _Pools:
+    """The training samples' pools, once they form a ``Dataset``; every
+    validation sample has a score and the training shape, and may repeat a
+    training id."""
     Dataset(list(labeled) + list(unlabeled))
-    for what, samples in (("labeled", labeled), ("validation", val)):
-        for sample in samples:
-            if sample.score is None:
-                raise ConfigurationError(f"{what} sample {sample.sample_id!r} has no score")
-    t, d = labeled[0].features.shape
+    pools = _Pools.of(labeled, unlabeled)
+    t, d = pools.x_lab.shape[1:]
     for sample in val:
+        if sample.score is None:
+            raise ConfigurationError(f"validation sample {sample.sample_id!r} has no score")
         if sample.features.shape != (t, d):
             raise ConfigurationError(
                 f"sample {sample.sample_id!r} has shape {sample.features.shape}, "
                 f"expected ({t}, {d})"
             )
-    return t, d
+    return pools
 
 
 def _safe_val_spearman(net: Network | None, val_set) -> float:
@@ -747,12 +748,13 @@ def _start(
     labeled_set: Sequence[FeatureSequence],
     unlabeled_set: Sequence[FeatureSequence],
     val_set: Sequence[FeatureSequence] | None,
-) -> tuple[TrsState, list[FeatureSequence]]:
-    """The initial state and the checked validation set (the labeled set
-    without one)."""
+) -> tuple[TrsState, _Pools, list[FeatureSequence]]:
+    """The initial state, the pools and the checked validation set (the
+    labeled set without one)."""
     val = list(val_set) if val_set is not None else list(labeled_set)
-    t, d = _check_training_sets(labeled_set, unlabeled_set, val)
-    return init_state(config, NetworkArch(t=t, d=d)), val
+    pools = _check_training_sets(labeled_set, unlabeled_set, val)
+    t, d = pools.x_lab.shape[1:]
+    return init_state(config, NetworkArch(t=t, d=d)), pools, val
 
 
 def _run_epochs(
@@ -814,9 +816,9 @@ def train(
     cannot rebuild, or a worker that ends without a reply, raises
     ``WorkerError``. No worker outlives the call.
     """
-    state, val = _start(config, labeled_set, unlabeled_set, val_set)
+    state, pools, val = _start(config, labeled_set, unlabeled_set, val_set)
     if _may_fork():
-        rows = _run_forked(config, state, labeled_set, unlabeled_set)
+        rows = _run_forked(config, state, pools)
     else:
         def student_epoch(state: TrsState, epoch: int) -> EpochMetrics:
             return trs_epoch(state, labeled_set, unlabeled_set, _beta(config, epoch), config)
@@ -856,7 +858,7 @@ def train_supervised(
     def student_epoch(state: TrsState, epoch: int) -> EpochMetrics:
         return _epoch(state, labeled_set, (), 0.0, config)
 
-    state, val = _start(config, labeled_set, (), val_set)
+    state, _, val = _start(config, labeled_set, (), val_set)
     rows = _run_epochs(config, state, labeled_set, student_epoch)
     if not (val and _may_fork()):
         metrics = _validated_here(rows, state, val, config.burn_in_epochs)
@@ -962,12 +964,7 @@ def _reference_pass(labels: _PseudoLabelHalf, opt: Adam) -> np.ndarray:
     return values
 
 
-def _run_forked(
-    config: TrainConfig,
-    state: TrsState,
-    labeled_set: Sequence[FeatureSequence],
-    unlabeled_set: Sequence[FeatureSequence],
-) -> Iterator[EpochMetrics]:
+def _run_forked(config: TrainConfig, state: TrsState, pools: _Pools) -> Iterator[EpochMetrics]:
     """``train``'s epochs, the trained network stepped by a forked worker
     that runs ``_steps``; yields each row, its Spearman NaN.
 
@@ -996,8 +993,7 @@ def _run_forked(
     per epoch with the epoch's row and the trained set's version, which is
     its Adam step count.
     """
-    pools = _Pools.of(labeled_set, unlabeled_set)
-    n, m, burn_in = len(labeled_set), len(unlabeled_set), config.burn_in_epochs
+    n, m, burn_in = len(pools.x_lab), len(pools.unlabeled), config.burn_in_epochs
 
     def reference_half(epoch: int) -> tuple[_PseudoLabelHalf, np.ndarray]:
         if epoch == burn_in:

@@ -241,6 +241,14 @@ class TestBurnIn:
         with pytest.raises(ConfigurationError):
             burn_in_epoch(state, [], config)
 
+    def test_labeled_sample_without_score_rejected_naming_it(self):
+        labeled, unlabeled = toy_sets()
+        config = quick_config()
+        state = init_state(config, NetworkArch(t=4, d=8))
+        with pytest.raises(ConfigurationError, match=f"labeled sample {unlabeled[0].sample_id!r}"):
+            burn_in_epoch(state, labeled + unlabeled[:1], config)
+        assert state.epoch == 0 and state.theta_t.params.version == 0
+
     def test_non_finite_loss_raises_before_the_step(self):
         labeled, _ = toy_sets()
         config = quick_config()
@@ -449,6 +457,15 @@ class TestTrsEpoch:
         state = self._ready_state(config, labeled)
         with pytest.raises(ConfigurationError):
             trs_epoch(state, [], unlabeled, beta=0.0, config=config)
+
+    def test_labeled_sample_without_score_rejected_naming_it(self):
+        labeled, unlabeled = toy_sets()
+        config = quick_config()
+        state = self._ready_state(config, labeled)
+        version = state.theta_s.params.version
+        with pytest.raises(ConfigurationError, match=f"labeled sample {unlabeled[0].sample_id!r}"):
+            trs_epoch(state, unlabeled[:1] + labeled, unlabeled[1:], beta=0.05, config=config)
+        assert state.theta_s.params.version == version
 
     def test_wrong_stage_rejected(self):
         labeled, unlabeled = toy_sets()
